@@ -19,7 +19,6 @@ Two evaluation paths are provided:
   factor-by-factor auditing against matrix exponentials needs it.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,9 +30,9 @@ from .kerr_zero_t import (
     exp_diag_apply,
     exp_fR_jminus_apply,
     propagate_kerr_zero_t,
-    _ks,
-    _log_fact,
+    _series_weights,
 )
+from .superop import _ks
 
 __all__ = [
     "KerrFiniteTParams",
@@ -163,21 +162,25 @@ def exp_gR_jplus_apply(g, rho, gamma_plus):
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     k, _ = _ks(dim)
-    gk = np.asarray(g(k), dtype=complex)
-    lf = _log_fact(dim)
+    # w is indexed by the source element; the shift preserves k, so its
+    # weight equals the destination's
     out = np.zeros_like(rho)
-    for j in range(dim):
-        cj = np.exp(0.5 * (lf[j:] - lf[: dim - j]))
-        coef = (gk[j:, j:] * (2.0 * gamma_plus)) ** j / math.factorial(j)
-        out[j:, j:] += coef * np.outer(cj, cj) * rho[: dim - j, : dim - j]
+    for j, w in _series_weights(np.asarray(g(k), dtype=complex) * (2.0 * gamma_plus), dim):
+        out[j:, j:] += w * rho[: dim - j, : dim - j]
     return out
 
 
-def _propagate_resummed(rho0, t, p):
+def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
+    """The resummed flow from raw rates, without the parameter checks.
+
+    Returns the untruncated flow of rho0 projected onto its window: the
+    lowering series reads only from above each element, where rho0 is
+    zero past the window, and the raising series only from below.
+    """
     dim = rho0.shape[0]
     k_grid, s_grid = _ks(dim)
-    z = p.gamma0 + 1j * p.chi * k_grid.astype(float)
-    mu = 4.0 * p.gamma_minus * p.gamma_plus
+    z = g0 + 1j * chi * k_grid.astype(float)
+    mu = 4.0 * gm * gp
     root = np.sqrt(z * z - mu + 0j)
     rt = root * t
     small = np.abs(rt) < TAYLOR_SWITCH
@@ -189,15 +192,15 @@ def _propagate_resummed(rho0, t, p):
     )
     lam = z * sh_over + np.cosh(rt)
     u = sh_over / lam                            # accumulated lowering weight
-    b = np.exp(2j * p.chi * k_grid * t) * u      # raising weight, rotated frame
+    b = np.exp(2j * chi * k_grid * t) * u        # raising weight, rotated frame
     hinv = np.exp(z * t) / lam                   # envelope base, power s+1 below
 
-    out = exp_fR_jminus_apply(lambda k: u, rho0, p.gamma_minus)
+    out = exp_fR_jminus_apply(lambda k: u, rho0, gm)
     # integer power of hinv, so any log-branch ambiguity cancels exactly
-    out = out * (np.exp(-p.gamma0 * s_grid * t) * hinv ** (s_grid + 1.0))
-    out = exp_gR_jplus_apply(lambda k: b, out, p.gamma_plus)
-    out = exp_diag_apply(lambda k, s: -1j * p.chi * t * k * (s - 1.0), out)
-    return out * np.exp(p.c_gamma * t)
+    out = out * (np.exp(-g0 * s_grid * t) * hinv ** (s_grid + 1.0))
+    out = exp_gR_jplus_apply(lambda k: b, out, gp)
+    out = exp_diag_apply(lambda k, s: -1j * chi * t * k * (s - 1.0), out)
+    return out * np.exp(cg * t)
 
 
 def _propagate_literal(rho0, t, p):
@@ -234,7 +237,8 @@ def propagate_kerr_finite_t(rho0, t, params, method="resummed"):
         zero_t = KerrZeroTParams(chi=params.chi, gamma_minus=params.gamma_minus)
         return propagate_kerr_zero_t(rho0, t, zero_t)
     if method == "resummed":
-        return _propagate_resummed(rho0, t, params)
+        return _propagate_resummed(rho0, t, params.chi, params.gamma_minus,
+                                   params.gamma_plus, params.gamma0, params.c_gamma)
     if method == "literal":
         return _propagate_literal(rho0, t, params)
     raise ValueError(f"unknown method {method!r}")

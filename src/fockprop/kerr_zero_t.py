@@ -8,10 +8,11 @@ most dim terms), so the only error left is the physical truncation of the
 initial state.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .superop import _ks
 
 __all__ = [
     "KerrZeroTParams",
@@ -35,13 +36,31 @@ class KerrZeroTParams:
             raise ValueError("gamma_minus must be non-negative")
 
 
-def _ks(dim):
-    n = np.arange(dim)
-    return n[:, None] - n[None, :], n[:, None] + n[None, :]
+def _series_weights(c, dim):
+    """Weights of a shifted-diagonal series, one shrinking block per order.
 
+    Yields (j, w) for j = 0, 1, ... with w the top-left (dim - j) square of
 
-def _log_fact(dim):
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim, dtype=float)))))
+      w[p, q] = c[p, q]^j / j! * sqrt((p+j)! / p!) * sqrt((q+j)! / q!)
+
+    where c is a scalar or a dim x dim array. Each block is the previous
+    one cropped and scaled by c sqrt((p+j) (q+j)) / j, so no factorial or
+    factorial ratio is ever formed on its own and large windows neither
+    overflow nor divide infinities. Stops once every weight underflows to
+    zero: from then on every term is exactly zero.
+    """
+    c = np.broadcast_to(np.asarray(c, dtype=complex), (dim, dim))
+    w = np.ones((dim, dim), dtype=complex)
+    for j in range(dim):
+        if j > 0:
+            d = dim - j
+            r = np.sqrt(np.arange(j, dim, dtype=float))
+            w = w[:d, :d] * c[:d, :d]
+            w *= r[:, None]
+            w *= r[None, :] / j
+            if not w.any():
+                return
+        yield j, w
 
 
 def exp_diag_apply(f, rho):
@@ -70,13 +89,9 @@ def exp_fR_jminus_apply(g, rho, gamma_minus):
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     k, _ = _ks(dim)
-    gk = np.asarray(g(k), dtype=complex)
-    lf = _log_fact(dim)
     out = np.zeros_like(rho)
-    for j in range(dim):
-        cj = np.exp(0.5 * (lf[j:] - lf[: dim - j]))
-        coef = (gk[: dim - j, : dim - j] * (2.0 * gamma_minus)) ** j / math.factorial(j)
-        out[: dim - j, : dim - j] += coef * np.outer(cj, cj) * rho[j:, j:]
+    for j, w in _series_weights(np.asarray(g(k), dtype=complex) * (2.0 * gamma_minus), dim):
+        out[: dim - j, : dim - j] += w * rho[j:, j:]
     return out
 
 

@@ -5,8 +5,18 @@ similarity transformation built from exponentials of the two cross-shift
 superoperators (a^dag rho a^dag and a rho a) removes the drive: conjugating
 the generator with exp(am * Jminus) exp(ap * Jplus) leaves a pure damping
 form whose jump feeds are rescaled by lam = sqrt(1 - |eps|^2 / gamma^2).
-Propagation then runs the transformed generator with a dense exponential
-and undoes the transformation.
+That damping form is the finite-temperature Kerr flow at chi = 0 with
+gamma_minus = gamma_plus = lam gamma, so propagation dresses the state,
+runs that flow's resummed closed form, and undoes the dressing. No step
+builds a matrix.
+
+Both dressings preserve s = n + m, so a state on a window of size dim
+stays on s <= 2 dim - 2 once dressed. On the window 2 dim - 1 the
+closed-form flow of the dressed state is exact (its lowering series reads
+only from above, where the input is zero, its raising series only from
+below), and undressing an element with n, m < dim reads only that window.
+The cropped result is therefore the untruncated flow projected onto the
+window, with no cutoff error from the method.
 
 The transformation coefficients solve a quadratic; which root pairs with
 which factor is fixed empirically, by measuring the residual of the
@@ -14,26 +24,14 @@ transformed generator against the pure damping target and keeping the
 pairing that annihilates it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import annihilation
-from .kerr_zero_t import _log_fact
-from .oracle import expm_dense
-from .superop import (
-    build_liouvillian,
-    cross_lower,
-    cross_raise,
-    identity_superop,
-    lowering_sandwich,
-    number_damping,
-    pdc_generator,
-    raising_sandwich,
-    random_density,
-    unvec,
-    vec,
-)
+from .kerr_finite_t import _propagate_resummed
+from .kerr_zero_t import _series_weights
+from .superop import apply, kerr_finite_t_generator, pdc_generator, random_density
 
 __all__ = [
     "PDCParams",
@@ -41,7 +39,6 @@ __all__ = [
     "exp_jtilde_apply",
     "transform_params",
     "transformed_generator_residual",
-    "transform_matrices",
     "propagate_pdc",
 ]
 
@@ -80,25 +77,34 @@ def exp_jtilde_apply(c, direction, rho):
     terminate on the window. They shift n and m in opposite directions, so
     they preserve s = n + m and walk along anti-diagonals.
     """
+    if direction not in ("raise", "lower"):
+        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
-    lf = _log_fact(dim)
     out = np.zeros_like(rho)
-    cj_pow = 1.0 + 0j
-    for j in range(dim):
-        if j > 0:
-            cj_pow = cj_pow * c / j
-        w = np.exp(0.5 * (lf[j:] - lf[: dim - j]))
-        block = cj_pow * np.outer(w, w)
+    # on each axis w takes the smaller of the source and output index
+    for j, w in _series_weights(c, dim):
+        d = dim - j
         if direction == "raise":
-            out[j:, : dim - j] += block * rho[: dim - j, j:]
-        elif direction == "lower":
-            out[: dim - j, j:] += block * rho[j:, : dim - j]
+            out[j:, :d] += w * rho[:d, j:]
         else:
-            raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-        if cj_pow == 0:
-            break
+            out[:d, j:] += w * rho[j:, :d]
     return out
+
+
+def _dress(rho, xform):
+    """X rho with X = exp(am Jminus) exp(ap Jplus)."""
+    out = exp_jtilde_apply(xform.alpha_plus, "raise", rho)
+    return exp_jtilde_apply(xform.alpha_minus, "lower", out)
+
+
+def _undress(rho, xform):
+    """X^-1 rho: the dressing series with negated coefficients, reversed.
+
+    Exact on any window, since the shift superoperators are nilpotent there.
+    """
+    out = exp_jtilde_apply(-xform.alpha_minus, "lower", rho)
+    return exp_jtilde_apply(-xform.alpha_plus, "raise", out)
 
 
 def _candidates(params):
@@ -115,76 +121,39 @@ def _candidates(params):
     ]
 
 
-def _damping_target(dim, gamma, lam, corrected):
-    """What the transformed generator must equal: drive gone, feeds rescaled."""
-    core = lam * (lowering_sandwich(dim, 2.0 * gamma) + raising_sandwich(dim, 2.0 * gamma))
-    if corrected:
-        return core + 2.0 * number_damping(dim, gamma) + identity_superop(dim, -2.0 * gamma)
-    return core + number_damping(dim, gamma)
+def _damping_rates(params, lam):
+    """The de-driven target as finite-temperature Kerr rates.
 
-
-# conjugation matrices are expensive to build at large windows; keep the
-# few distinct parameter sets a session touches
-_MATS_CACHE = {}
-
-
-def transform_matrices(params, xform, dim):
-    """Dense generator, transformed generator, and conjugation matrices.
-
-    Returns a dict with keys "generator", "transformed", "x", "x_inv".
-    x is exp(am Jminus) exp(ap Jplus); its inverse is assembled from the
-    exponentials of the negated coefficients, which is exact for these
-    nilpotent shift superoperators, so no matrix inversion happens.
+    Returns (chi, gamma_minus, gamma_plus, gamma0, c_gamma): the drive is
+    gone and both jump feeds are rescaled by lam.
     """
-    key = (dim, complex(params.epsilon), params.gamma, params.corrected_mode,
-           complex(xform.alpha_plus), complex(xform.alpha_minus))
-    hit = _MATS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    gen = build_liouvillian(
-        pdc_generator(dim, params.epsilon, params.gamma, corrected=params.corrected_mode)
-    ).entries
-    jp = build_liouvillian(cross_raise(dim)).entries
-    jm = build_liouvillian(cross_lower(dim)).entries
-    x = expm_dense(xform.alpha_minus * jm) @ expm_dense(xform.alpha_plus * jp)
-    x_inv = expm_dense(-xform.alpha_plus * jp) @ expm_dense(-xform.alpha_minus * jm)
-    mats = {
-        "generator": gen,
-        "transformed": x @ gen @ x_inv,
-        "x": x,
-        "x_inv": x_inv,
-    }
-    if len(_MATS_CACHE) >= 8:
-        _MATS_CACHE.pop(next(iter(_MATS_CACHE)))
-    _MATS_CACHE[key] = mats
-    return mats
+    g = params.gamma
+    if params.corrected_mode:
+        return 0.0, lam * g, lam * g, 2.0 * g, -2.0 * g
+    return 0.0, lam * g, lam * g, g, 0.0
 
 
 def transformed_generator_residual(params, xform, dim=12, samples=10, seed=7):
     """Max deviation of the conjugated generator from the damping target.
 
-    Evaluated on random densities, on the anti-diagonal sub-block
-    s = n + m <= dim - 5. The conjugation walks along anti-diagonals and
-    the generator reads at most two steps across them, so elements that
-    far inside the window are computed from complete data; a rectangular
-    sub-block would mix complete and cut-off anti-diagonals and report an
-    order-one cutoff artifact instead of the algebraic residual.
+    Evaluates X G X^-1 rho - T rho on random densities, on the
+    anti-diagonal sub-block s = n + m <= dim - 5. The conjugation walks
+    along anti-diagonals and the generator reads at most two steps across
+    them, so elements that far inside the window are computed from
+    complete data; a rectangular sub-block would mix complete and cut-off
+    anti-diagonals and report an order-one cutoff artifact instead of the
+    algebraic residual.
     """
     if dim < 12:
         raise ValueError("window too small to separate algebra from cutoff, need dim >= 12")
-    mats = transform_matrices(params, xform, dim)
-    target = build_liouvillian(
-        _damping_target(dim, params.gamma, xform.lam, params.corrected_mode)
-    ).entries
-    diff = mats["transformed"] - target
+    gen = pdc_generator(dim, params.epsilon, params.gamma, corrected=params.corrected_mode)
+    target = kerr_finite_t_generator(dim, *_damping_rates(params, xform.lam))
     n = np.arange(dim)
     mask = (n[:, None] + n[None, :]) <= dim - 5
-    rng_root = seed
     worst = 0.0
     for i in range(samples):
-        rng = np.random.default_rng([rng_root, i])
-        rho = random_density(dim, rng)
-        resid = unvec(diff @ vec(rho), dim)
+        rho = random_density(dim, np.random.default_rng([seed, i]))
+        resid = _dress(apply(gen, _undress(rho, xform)), xform) - apply(target, rho)
         worst = max(worst, float(np.max(np.abs(resid[mask]))))
     return worst
 
@@ -212,17 +181,11 @@ def transform_params(params, dim=12, samples=3, seed=101):
 
 
 def propagate_pdc(rho0, t, params, xform=None):
-    """Evolve rho0 for time t: transform, run the damping flow, undo.
+    """Evolve rho0 for time t: dress, run the damping flow, undress, crop.
 
-    The outer factors are evaluated as terminating series directly on the
-    density matrix; only the de-driven middle flow uses a dense matrix
-    exponential. xform may be passed to skip re-selecting the root pairing.
-
-    The middle exponential exp(transformed * t) is evaluated through the
-    similarity as x @ exp(generator * t) @ x_inv, which is the same map:
-    the conjugated matrix's entries grow like the square of the largest
-    conjugation entry (exponentially in the window size), and squaring-up
-    an exponential of that starts shedding digits near dim 40.
+    Runs on the window 2 dim - 1 (see the module docstring), so the result
+    is the untruncated flow of rho0 projected onto its own window. xform
+    may be passed to skip re-selecting the root pairing.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
@@ -231,11 +194,17 @@ def propagate_pdc(rho0, t, params, xform=None):
         raise ValueError("negative time")
     if xform is None:
         xform = transform_params(params)
+    if not params.corrected_mode and 2.0 * xform.lam > 1.0:
+        # the uncorrected flow's trace diverges at the first zero of
+        # cos(gamma r t) + sin(gamma r t) / r, r = sqrt(4 lam^2 - 1); past
+        # it the closed form is an analytic continuation with no meaning
+        r = math.sqrt(4.0 * xform.lam**2 - 1.0)
+        t_max = (0.5 * math.pi + math.atan(1.0 / r)) / (params.gamma * r)
+        if t >= t_max:
+            raise ValueError(f"the uncorrected flow diverges at t = {t_max:.6g}, before t = {t:g}")
     dim = rho0.shape[0]
-    mats = transform_matrices(params, xform, dim)
+    wide = np.zeros((2 * dim - 1, 2 * dim - 1), dtype=complex)
+    wide[:dim, :dim] = rho0
 
-    dressed = exp_jtilde_apply(xform.alpha_plus, "raise", rho0)
-    dressed = exp_jtilde_apply(xform.alpha_minus, "lower", dressed)
-    v = mats["x"] @ (expm_dense(mats["generator"] * t) @ (mats["x_inv"] @ vec(dressed)))
-    out = exp_jtilde_apply(-xform.alpha_minus, "lower", unvec(v, dim))
-    return exp_jtilde_apply(-xform.alpha_plus, "raise", out)
+    out = _propagate_resummed(_dress(wide, xform), t, *_damping_rates(params, xform.lam))
+    return _undress(out, xform)[:dim, :dim]

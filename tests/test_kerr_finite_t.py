@@ -175,6 +175,19 @@ def test_thermal_state_is_stationary():
     assert maxabs(out - thermal) < 1e-8
 
 
+@pytest.mark.parametrize("dim", [200, 256])
+def test_thermal_state_is_stationary_on_wide_windows(dim):
+    # nbar = 8: the geometric tail beyond the window is below 1e-10, so the
+    # truncated thermal state is stationary to that order
+    params = KerrFiniteTParams(chi=1.0, gamma_minus=0.09, gamma_plus=0.08)
+    ratio = params.nbar() / (params.nbar() + 1.0)
+    weights = ratio ** np.arange(dim)
+    thermal = np.diag(weights / weights.sum()).astype(complex)
+    out = propagate_kerr_finite_t(thermal, 1.0, params)
+    assert np.all(np.isfinite(out))
+    assert maxabs(out - thermal) < 1e-10
+
+
 def test_literal_path_converges_to_resummed_with_window():
     # the literal factor order amplifies the top of the window, so the two
     # paths only agree in the wide-window limit around a confined state

@@ -100,6 +100,17 @@ def test_mean_occupation_decays_exponentially():
         assert abs(observables(out)["mean_n"] - want) < 1e-12
 
 
+@pytest.mark.parametrize("dim, alpha", [(200, 10.0), (256, 12.0)])
+def test_mean_occupation_decays_exponentially_on_wide_windows(dim, alpha):
+    # past window 171 the series weights no longer fit a float as separate
+    # factorials; the decay law needs no oracle to check them
+    rho = density_from_ket(coherent_state(dim, alpha)[0])
+    for t in (0.5, 2.0):
+        out = propagate_kerr_zero_t(rho, t, PARAMS)
+        want = alpha**2 * math.exp(-2.0 * PARAMS.gamma_minus * t)
+        assert abs(observables(out)["mean_n"] - want) < 1e-9
+
+
 def test_lossless_revival_at_full_period():
     params = KerrZeroTParams(chi=1.0, gamma_minus=0.0)
     ket, _ = coherent_state(25, 1.8)

@@ -1,16 +1,16 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from fockprop.fock import annihilation, creation, observables
-from fockprop.oracle import expm_dense, expm_evolve
+from fockprop.fock import annihilation, coherent_state, creation, density_from_ket, observables
+from fockprop.oracle import converged_window_reference, embed
 from fockprop.pdc import (
     PDCParams,
     PDCTransform,
     exp_jtilde_apply,
     propagate_pdc,
-    transform_matrices,
     transform_params,
     transformed_generator_residual,
 )
@@ -105,36 +105,87 @@ def test_dressing_series_trivial_and_invalid():
         exp_jtilde_apply(0.1, "sideways", rho)
 
 
-def test_similarity_between_transformed_and_conjugated_exponentials():
-    # the propagator leans on this: exponentiating the conjugated generator
-    # equals conjugating the exponential. Checked at a mild drive; pushing
-    # the drive or the window up inflates the conjugated matrix until its
-    # own exponential sheds digits, which is why the propagator never
-    # exponentiates that side
-    dim = 16
-    t = 0.4
-    mild = PDCParams(epsilon=0.3, gamma=1.0)
-    xf = transform_params(mild)
-    mats = transform_matrices(mild, xf, dim)
-    lhs = expm_dense(mats["transformed"] * t)
-    rhs = mats["x"] @ expm_dense(mats["generator"] * t) @ mats["x_inv"]
-    assert maxabs(lhs - rhs) < 1e-8
+def test_dressing_series_on_a_wide_window():
+    # past window 171 a factorial or a factorial ratio alone overflows; the
+    # series must still match its terms, evaluated here in log space
+    dim = 200
+    c = 0.5 - 0.2j
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[180, 185] = 1.0
+    want = np.zeros_like(rho)
+    for j in range(dim - 180):
+        log_w = 0.5 * (math.lgamma(181 + j) - math.lgamma(181)
+                       + math.lgamma(186) - math.lgamma(186 - j)) - math.lgamma(j + 1)
+        want[180 + j, 185 - j] = c**j * math.exp(log_w)
+    assert maxabs(exp_jtilde_apply(c, "raise", rho) - want) <= 1e-12 * maxabs(want)
+    # the lowering series is the mirror image
+    assert maxabs(exp_jtilde_apply(c, "lower", rho.T) - want.T) <= 1e-12 * maxabs(want)
 
 
-def test_matrices_are_cached():
-    xf = transform_params(PARAMS)
-    first = transform_matrices(PARAMS, xf, 10)
-    second = transform_matrices(PARAMS, xf, 10)
-    assert first is second
+def reference(params, rho0, t):
+    """Wide-window integrator result and its self-convergence."""
+    def build(n):
+        return build_liouvillian(pdc_generator(n, params.epsilon, params.gamma)).entries
+
+    return converged_window_reference(build, rho0, t, pad=8, check=4)
 
 
-def test_propagation_matches_dense_exponential():
-    dim = 16
-    L = build_liouvillian(pdc_generator(dim, PARAMS.epsilon, PARAMS.gamma, corrected=True))
-    rho0 = vacuum_density(dim)
-    got = propagate_pdc(rho0, 0.5, PARAMS)
-    ref = expm_evolve(L, rho0, 0.5)
-    assert maxabs(got - ref) < 1e-10
+def test_propagation_matches_wide_window_reference():
+    rho0 = vacuum_density(16)
+    ref, conv = reference(PARAMS, rho0, 0.25)
+    assert conv < 1e-10
+    assert maxabs(propagate_pdc(rho0, 0.25, PARAMS) - ref) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [12, 16, 20])
+@pytest.mark.parametrize("ratio, t", [(0.3, 0.3), (0.8, 0.15)])
+@pytest.mark.parametrize("start", ["vacuum", "coherent"])
+def test_propagation_matches_untruncated_flow(dim, ratio, t, start):
+    # the closed form is the untruncated flow cropped to the window, so it
+    # must agree with the reference to within the reference's own
+    # convergence; a same-window exponential is off by the cutoff error
+    params = PDCParams(epsilon=ratio * cmath.exp(0.7j), gamma=1.0)
+    if start == "vacuum":
+        rho0 = vacuum_density(dim)
+    else:
+        rho0 = density_from_ket(coherent_state(dim, 0.4 - 0.3j)[0])
+    ref, conv = reference(params, rho0, t)
+    assert conv < 1e-9
+    assert maxabs(propagate_pdc(rho0, t, params) - ref) <= conv + 1e-12
+
+
+def moment_law_mean_n(eps, gamma, psi, t):
+    """<n>(t) from the closed moment equations of the corrected flow.
+
+    d<n>/dt = 2 gamma - 4 Im(conj(eps) <a^2>) and
+    d<a^2>/dt = -i eps (4 <n> + 2), so <n> + 1/2 is a combination of
+    cosh and sinh at rate 4 |eps|.
+    """
+    n = np.arange(psi.size)
+    n0 = float(np.sum(n * np.abs(psi) ** 2))
+    a2 = complex(np.sum(psi[:-2].conj() * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) * psi[2:]))
+    w = 4.0 * abs(eps)
+    slope = 2.0 * gamma - 4.0 * (np.conj(eps) * a2).imag
+    return (n0 + 0.5) * math.cosh(w * t) + slope * math.sinh(w * t) / w - 0.5
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5 - 0.5j])
+def test_moment_law_on_a_wide_window(alpha):
+    # dim 100 runs on the internal window 199, past where factorials overflow
+    params = PDCParams(epsilon=0.8 * cmath.exp(1.1j), gamma=1.0)
+    psi = coherent_state(100, alpha)[0]
+    out = propagate_pdc(density_from_ket(psi), 0.3, params)
+    assert abs(observables(out)["mean_n"] - moment_law_mean_n(params.epsilon, 1.0, psi, 0.3)) < 1e-8
+    assert min_eigenvalue(out) > -1e-12
+
+
+def test_result_does_not_depend_on_the_window():
+    # the same state on windows 64 and 100 must give the same cropped
+    # result: neither carries a cutoff error
+    params = PDCParams(epsilon=0.8 * cmath.exp(1.1j), gamma=1.0)
+    rho0 = density_from_ket(coherent_state(64, 1.5 - 0.5j)[0])
+    wide = propagate_pdc(embed(rho0, 100), 0.3, params)
+    assert maxabs(propagate_pdc(rho0, 0.3, params) - wide[:64, :64]) < 1e-15
 
 
 def test_propagation_time_zero_and_validation():
@@ -178,3 +229,12 @@ def test_uncorrected_mode_leaks_trace():
     # at this drive and window sits near 3e-5
     fixed = propagate_pdc(vacuum_density(16), 0.3, PARAMS)
     assert abs(np.trace(fixed) - 1.0) < 1e-3
+
+
+def test_uncorrected_mode_diverges_in_finite_time():
+    # at lam = 0.8 the uncorrected trace blows up at gamma t = 1.798
+    raw = PDCParams(epsilon=0.6, gamma=1.0, corrected_mode=False)
+    rho0 = vacuum_density(12)
+    assert np.real(np.trace(propagate_pdc(rho0, 1.7, raw))) > 1e10
+    with pytest.raises(ValueError, match="diverges"):
+        propagate_pdc(rho0, 1.9, raw)
