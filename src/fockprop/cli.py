@@ -10,6 +10,7 @@ Every output is deterministic: same inputs, byte-identical files.
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -103,9 +104,9 @@ def _parse_value(key, raw):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw))
         if kind == "complex":
-            return complex(raw.replace(" ", ""))
+            return _finite(complex(raw.replace(" ", "")))
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "false"):
@@ -115,7 +116,7 @@ def _parse_value(key, raw):
             items = [p.strip() for p in raw.split(",") if p.strip()]
             if not items:
                 raise ValueError("empty list")
-            return [float(p) for p in items]
+            return [_finite(float(p)) for p in items]
         if kind == "choice":
             if raw not in extra:
                 raise ValueError(f"expected one of {', '.join(extra)}")
@@ -123,6 +124,12 @@ def _parse_value(key, raw):
         return raw
     except ValueError as e:
         raise ConfigError(f"bad value for {key!r}: {e}") from None
+
+
+def _finite(x):
+    if not cmath.isfinite(x):
+        raise ValueError(f"{x} is not a finite number")
+    return x
 
 
 def parse_config(text):
@@ -179,6 +186,13 @@ def _require(cfg, *keys):
 # Model plumbing
 
 
+def _window(cfg):
+    dim = cfg["dim"]
+    if dim < 2:
+        raise ConfigError("dim must be at least 2")
+    return dim
+
+
 def _model_params(cfg):
     model = cfg["model"]
     if model == "kerr0":
@@ -228,14 +242,17 @@ def _initial_state(cfg, dim):
         return coherent_state(dim, cfg["alpha"])
     if kind == "fock":
         _require(cfg, "fock_n")
-        n = cfg["fock_n"]
-        if not 0 <= n < dim:
-            raise ConfigError(f"fock_n {n} outside window of size {dim}")
-        psi = np.zeros(dim, dtype=complex)
-        psi[n] = 1.0
-        return psi, 0.0
+        return _fock_ket(cfg["fock_n"], dim, "fock_n"), 0.0
     _require(cfg, "alpha", "cat_phase")
     return cat_state(dim, cfg["alpha"], cfg["cat_phase"])
+
+
+def _fock_ket(n, dim, what):
+    if not 0 <= n < dim:
+        raise ConfigError(f"{what} {n} outside window of size {dim}")
+    psi = np.zeros(dim, dtype=complex)
+    psi[n] = 1.0
+    return psi
 
 
 def _target_state(spec, dim):
@@ -243,15 +260,13 @@ def _target_state(spec, dim):
     try:
         if parts[0] == "initial":
             return None  # resolved by caller against the initial state
-        if parts[0] == "coherent" and len(parts) == 3:
-            return coherent_state(dim, complex(float(parts[1]), float(parts[2])))[0]
         if parts[0] == "fock" and len(parts) == 2:
-            psi = np.zeros(dim, dtype=complex)
-            psi[int(parts[1])] = 1.0
-            return psi
-        if parts[0] == "cat" and len(parts) == 4:
-            return cat_state(dim, complex(float(parts[1]), float(parts[2])),
-                             float(parts[3]))[0]
+            return _fock_ket(int(parts[1]), dim, "target fock")
+        nums = [_finite(float(p)) for p in parts[1:]]
+        if parts[0] == "coherent" and len(nums) == 2:
+            return coherent_state(dim, complex(nums[0], nums[1]))[0]
+        if parts[0] == "cat" and len(nums) == 3:
+            return cat_state(dim, complex(nums[0], nums[1]), nums[2])[0]
     except (ValueError, IndexError):
         pass
     raise ConfigError(
@@ -298,9 +313,7 @@ def _write_text(path, text):
 def run_propagate(config_path, out_path, engine=None, dump_density=False):
     cfg = load_config(config_path)
     _require(cfg, "model", "dim", "times")
-    dim = cfg["dim"]
-    if dim < 2:
-        raise ConfigError("dim must be at least 2")
+    dim = _window(cfg)
     params = _model_params(cfg)
     engine = engine or cfg.get("engine", "analytic")
     psi0, deficit = _initial_state(cfg, dim)
@@ -377,7 +390,7 @@ def run_qfunc(config_path, out_path, engine=None):
         if pts > 1 and lo == hi:
             raise ConfigError(f"degenerate {nm} axis: {pts} points on a zero span")
 
-    dim = cfg["dim"]
+    dim = _window(cfg)
     params = _model_params(cfg)
     engine = engine or cfg.get("engine", "analytic")
     psi0, _ = _initial_state(cfg, dim)
@@ -546,8 +559,7 @@ def _suite_kerrt(dim, seed, fault):
 
 def _factor_audit(dim, params, t):
     """Each written factor against the exponential of its own generator."""
-    from .kerr_finite_t import _r_arrays, exp_gR_jplus_apply
-    from .kerr_zero_t import exp_diag_apply, exp_fR_jminus_apply
+    from .kerr_finite_t import LOWER, RAISE, _r_arrays, _shift_series
 
     n = np.arange(dim)
     k_grid = (n[:, None] - n[None, :]).astype(float)
@@ -576,25 +588,25 @@ def _factor_audit(dim, params, t):
 
     factors = [
         ("raising factor, weight -beta",
-         lambda r: exp_gR_jplus_apply(lambda k: -beta, r, gp),
+         lambda r: _shift_series(-beta * (2.0 * gp), r, RAISE),
          wdiag(-beta) @ jp_mat),
         ("lowering factor, weight -delta",
-         lambda r: exp_fR_jminus_apply(lambda k: -delta, r, gm),
+         lambda r: _shift_series(-delta * (2.0 * gm), r, LOWER),
          wdiag(-delta) @ jm_mat),
         ("damping envelope, weight -g0 alpha s t",
-         lambda r: exp_diag_apply(lambda k, s: -g0 * alpha * s * t, r),
+         lambda r: np.exp(-g0 * alpha * s_grid * t) * r,
          wdiag(-g0 * alpha * s_grid * t)),
         ("lowering factor, weight delta rotated",
-         lambda r: exp_fR_jminus_apply(lambda k: delta * np.exp(-2j * chi * k_grid * t), r, gm),
+         lambda r: _shift_series(delta * np.exp(-2j * chi * k_grid * t) * (2.0 * gm), r, LOWER),
          wdiag(delta * np.exp(-2j * chi * k_grid * t)) @ jm_mat),
         ("scalar envelope, weight F t",
-         lambda r: exp_diag_apply(lambda k, s: big_f * t + 0.0 * s, r),
+         lambda r: np.exp(big_f * t) * r,
          wdiag(big_f * t * np.ones_like(s_grid))),
         ("raising factor, weight beta rotated",
-         lambda r: exp_gR_jplus_apply(lambda k: beta * np.exp(2j * chi * k_grid * t), r, gp),
+         lambda r: _shift_series(beta * np.exp(2j * chi * k_grid * t) * (2.0 * gp), r, RAISE),
          wdiag(beta * np.exp(2j * chi * k_grid * t)) @ jp_mat),
         ("phase factor, weight -i chi t k (s-1)",
-         lambda r: exp_diag_apply(lambda k, s: -1j * chi * t * k * (s - 1.0), r),
+         lambda r: np.exp(-1j * chi * t * k_grid * (s_grid - 1.0)) * r,
          wdiag(-1j * chi * t * k_grid * (s_grid - 1.0))),
         ("trace envelope, weight c_gamma t",
          lambda r: np.exp(cg * t) * r,

@@ -1,22 +1,27 @@
-"""Closed-form propagator for the damped Kerr oscillator at finite temperature.
+"""Closed-form propagators for the damped Kerr oscillator.
 
-Upward and downward jumps no longer commute, so the flow disentangles into
-an eight-factor operator product whose scalar coefficients depend on the
-index difference k through four rational functions of z = g0 + i chi k and
-the discriminant root D = sqrt(z^2 - 4 gm gp).
+At finite temperature upward and downward jumps do not commute, so the
+flow disentangles into an eight-factor operator product whose scalar
+coefficients depend on the index difference k through four rational
+functions of z = g0 + i chi k and the discriminant root
+D = sqrt(z^2 - 4 gm gp).
 
 Two evaluation paths are provided:
 
   "resummed" (default): the product collapsed to lowering series, then an
   elementwise envelope, then a raising series. The combined weights solve
   the Riccati flow du/dt = 1 - 2 z u + 4 gm gp u^2 with u(0) = 0 and stay
-  bounded on the window, so this path is accurate at any window size.
+  bounded on the window, so this path is accurate at any window size and
+  any time. The zero-temperature flow (kerr_zero_t) is this path at
+  gamma_plus = 0, and the de-driven pair drive (pdc) is it at chi = 0.
 
   "literal": the eight factors exactly as written, one exponential at a
   time. The two inner inverse-pair factors amplify the top of the window
   by roughly 2^dim before cancelling, so beyond dim of about 12 this path
   loses most of its precision on full-support states. It is kept because
   factor-by-factor auditing against matrix exponentials needs it.
+
+Every series factor here and in pdc is one kernel, _shift_series.
 """
 
 import warnings
@@ -24,23 +29,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kerr_zero_t import (
-    TAYLOR_SWITCH,
-    KerrZeroTParams,
-    exp_diag_apply,
-    exp_fR_jminus_apply,
-    propagate_kerr_zero_t,
-    _series_weights,
-)
 from .superop import _ks
 
 __all__ = [
     "KerrFiniteTParams",
     "RFunctions",
     "r_functions",
-    "exp_gR_jplus_apply",
     "propagate_kerr_finite_t",
 ]
+
+# the closed form (1 - exp(-2 D t)) / (2 D) is 0 / 0 at D = 0; below this
+# |D t| use its series t (1 - D t + 2/3 (D t)^2), good to (D t)^3 / 3
+TAYLOR_SWITCH = 1e-6
+
+# read directions of _shift_series, per axis: +1 reads index n + j (a on
+# that side of rho), -1 reads n - j (a^dag)
+LOWER = (1, 1)      # a^j rho a^dag^j
+RAISE = (-1, -1)    # a^dag^j rho a^j
+
+
+def _shift_series(c, rho, read):
+    """sum_j c^j / j! L^j rho R^j on the window, with L and R each a or a^dag.
+
+    read gives the direction per axis (see LOWER and RAISE). With p and q
+    the smaller of the source and output index on each axis, term j is
+
+      c[p, q]^j / j! * sqrt((p+j)! / p!) * sqrt((q+j)! / q!) * rho[source]
+
+    where c is a scalar or a dim x dim array. LOWER and RAISE preserve
+    k = n - m, so a k-dependent weight agrees at source and output. Each
+    term's weight is the previous one, cropped to the block that still has
+    a source, times c sqrt((p+j) (q+j)) / j, so no factorial is formed on
+    its own and large windows neither overflow nor divide infinities. The
+    sum terminates at the window edge, so it is exact on the window, and it
+    stops once every weight underflows to zero.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    out = rho.copy()                            # term 0
+    c = np.asarray(c, dtype=complex)
+    if not c.any():
+        return out
+    dim = rho.shape[0]
+    c = np.broadcast_to(c, (dim, dim))
+    root = np.sqrt(np.arange(dim, dtype=float))
+    w = np.ones((1, 1), dtype=complex)          # broadcasts to the first block
+    for j in range(1, dim):
+        d = dim - j
+        w = w[:d, :d] * c[:d, :d]
+        if not w.any():
+            break
+        r = root[j:]
+        w *= r[:, None]
+        w *= r / j
+        head, tail = slice(None, d), slice(j, None)
+        out_rows, src_rows = (head, tail) if read[0] > 0 else (tail, head)
+        out_cols, src_cols = (head, tail) if read[1] > 0 else (tail, head)
+        out[out_rows, out_cols] += w * rho[src_rows, src_cols]
+    return out
+
+
+def _checked_state(rho0, t):
+    """rho0 as a complex array; rejects a non-square state or negative time."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
+        raise ValueError("state must be a square matrix")
+    if t < 0:
+        raise ValueError("negative time")
+    return rho0
 
 
 @dataclass(frozen=True)
@@ -149,75 +204,67 @@ def r_functions(params, k):
     )
 
 
-def exp_gR_jplus_apply(g, rho, gamma_plus):
-    """Exponential of the raising feed with k-dependent weight g.
-
-    Acts as sum_j (g(k) * 2 gamma_plus)^j / j! * a^dag^j rho a^j:
-
-      out[n, m] = sum_j coef_j(n - m) sqrt(n! / (n-j)!) sqrt(m! / (m-j)!)
-                  * rho[n - j, m - j]
-
-    Mirror of the lowering series; also exact on the window.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    k, _ = _ks(dim)
-    # w is indexed by the source element; the shift preserves k, so its
-    # weight equals the destination's
-    out = np.zeros_like(rho)
-    for j, w in _series_weights(np.asarray(g(k), dtype=complex) * (2.0 * gamma_plus), dim):
-        out[j:, j:] += w * rho[: dim - j, : dim - j]
-    return out
-
-
 def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     """The resummed flow from raw rates, without the parameter checks.
 
     Returns the untruncated flow of rho0 projected onto its window: the
     lowering series reads only from above each element, where rho0 is
     zero past the window, and the raising series only from below.
+
+    The weights depend on k alone, so they are evaluated once on the
+    2 dim - 1 index differences and gathered onto the grid. With
+    h = (1 - exp(-2 D t)) / (2 D) they read
+
+      q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
+
+    with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t,
+    and the envelope exp(-g0 s t) hinv^(s+1) exp(c_gamma t) is one
+    exponential, so its decaying and growing parts never meet as 0 * inf.
     """
     dim = rho0.shape[0]
-    k_grid, s_grid = _ks(dim)
-    z = g0 + 1j * chi * k_grid.astype(float)
+    k, s = _ks(dim)
+    at = k + (dim - 1)                           # row of each k in the line
+    k_line = np.arange(1 - dim, dim, dtype=float)
+    z = g0 + 1j * chi * k_line
     mu = 4.0 * gm * gp
-    root = np.sqrt(z * z - mu + 0j)
+    if mu:
+        root = np.sqrt(z * z - mu + 0j)
+        zmd = mu / (z + root)                    # z - D; z + D = 0 needs mu = 0
+    else:
+        root, zmd = z, 0.0                       # D = z, so q = hinv = 1 exactly
     rt = root * t
     small = np.abs(rt) < TAYLOR_SWITCH
-    # sinh(Dt)/D, series branch where Dt underflows the closed form
-    sh_over = np.where(
+    h = np.where(
         small,
-        t * (1.0 + rt * rt / 6.0),
-        np.sinh(rt) / np.where(root == 0, 1.0, root),
+        t * (1.0 - rt * (1.0 - rt * (2.0 / 3.0))),
+        -np.expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
     )
-    lam = z * sh_over + np.cosh(rt)
-    u = sh_over / lam                            # accumulated lowering weight
-    b = np.exp(2j * chi * k_grid * t) * u        # raising weight, rotated frame
-    hinv = np.exp(z * t) / lam                   # envelope base, power s+1 below
+    q = 1.0 + zmd * h
+    u = h / q                                    # accumulated lowering weight
+    b = np.exp(2j * chi * k_line * t) * u        # raising weight, rotated frame
+    log_hinv = zmd * t - np.log(q)               # envelope base, power s+1 below
 
-    out = exp_fR_jminus_apply(lambda k: u, rho0, gm)
-    # integer power of hinv, so any log-branch ambiguity cancels exactly
-    out = out * (np.exp(-g0 * s_grid * t) * hinv ** (s_grid + 1.0))
-    out = exp_gR_jplus_apply(lambda k: b, out, gp)
-    out = exp_diag_apply(lambda k, s: -1j * chi * t * k * (s - 1.0), out)
-    return out * np.exp(cg * t)
+    out = _shift_series((2.0 * gm * u)[at], rho0, LOWER)
+    # integer power of hinv, so the branch of log q cancels
+    out *= np.exp((s + 1) * log_hinv[at] - (g0 * t) * s + cg * t)
+    out = _shift_series((2.0 * gp * b)[at], out, RAISE)
+    return np.exp(-1j * chi * t * k * (s - 1.0)) * out
 
 
 def _propagate_literal(rho0, t, p):
-    dim = rho0.shape[0]
-    k_grid, _ = _ks(dim)
+    k_grid, s_grid = _ks(rho0.shape[0])
     beta, alpha, big_f, delta = _r_arrays(p, k_grid)
-    chi = p.chi
+    chi, gm, gp = p.chi, p.gamma_minus, p.gamma_plus
 
     # right to left; the first two factors undo the raising and lowering
     # dressings at time zero, which is what makes t = 0 the identity
-    out = exp_gR_jplus_apply(lambda k: -beta, rho0, p.gamma_plus)
-    out = exp_fR_jminus_apply(lambda k: -delta, out, p.gamma_minus)
-    out = exp_diag_apply(lambda k, s: -p.gamma0 * alpha * s * t, out)
-    out = exp_fR_jminus_apply(lambda k: delta * np.exp(-2j * chi * k_grid * t), out, p.gamma_minus)
-    out = exp_diag_apply(lambda k, s: big_f * t * np.ones_like(s, dtype=complex), out)
-    out = exp_gR_jplus_apply(lambda k: beta * np.exp(2j * chi * k_grid * t), out, p.gamma_plus)
-    out = exp_diag_apply(lambda k, s: -1j * chi * t * k * (s - 1.0), out)
+    out = _shift_series(-beta * (2.0 * gp), rho0, RAISE)
+    out = _shift_series(-delta * (2.0 * gm), out, LOWER)
+    out = np.exp(-p.gamma0 * alpha * s_grid * t) * out
+    out = _shift_series(delta * np.exp(-2j * chi * k_grid * t) * (2.0 * gm), out, LOWER)
+    out = np.exp(big_f * t) * out
+    out = _shift_series(beta * np.exp(2j * chi * k_grid * t) * (2.0 * gp), out, RAISE)
+    out = np.exp(-1j * chi * t * k_grid * (s_grid - 1.0)) * out
     return out * np.exp(p.c_gamma * t)
 
 
@@ -228,14 +275,7 @@ def propagate_kerr_finite_t(rho0, t, params, method="resummed"):
     eight written factors in order and is only trustworthy on small
     windows (see the module docstring).
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
-        raise ValueError("state must be a square matrix")
-    if t < 0:
-        raise ValueError("negative time")
-    if params.gamma_plus == 0 and params.gamma0 == params.gamma_minus and params.c_gamma == 0:
-        zero_t = KerrZeroTParams(chi=params.chi, gamma_minus=params.gamma_minus)
-        return propagate_kerr_zero_t(rho0, t, zero_t)
+    rho0 = _checked_state(rho0, t)
     if method == "resummed":
         return _propagate_resummed(rho0, t, params.chi, params.gamma_minus,
                                    params.gamma_plus, params.gamma0, params.c_gamma)

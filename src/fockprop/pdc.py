@@ -29,14 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kerr_finite_t import _propagate_resummed
-from .kerr_zero_t import _series_weights
+from .kerr_finite_t import _checked_state, _propagate_resummed, _shift_series
 from .superop import apply, kerr_finite_t_generator, pdc_generator, random_density
 
 __all__ = [
     "PDCParams",
     "PDCTransform",
-    "exp_jtilde_apply",
     "transform_params",
     "transformed_generator_residual",
     "propagate_pdc",
@@ -68,34 +66,16 @@ class PDCTransform:
     lam: float
 
 
-def exp_jtilde_apply(c, direction, rho):
-    """Exponential of a cross-shift superoperator, term by term.
-
-    direction "raise" is exp(c * a^dag rho a^dag):
-      out[n, m] = sum_j c^j/j! sqrt(n!/(n-j)!) sqrt((m+j)!/m!) rho[n-j, m+j]
-    direction "lower" is exp(c * a rho a), the mirror image. Both series
-    terminate on the window. They shift n and m in opposite directions, so
-    they preserve s = n + m and walk along anti-diagonals.
-    """
-    if direction not in ("raise", "lower"):
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    out = np.zeros_like(rho)
-    # on each axis w takes the smaller of the source and output index
-    for j, w in _series_weights(c, dim):
-        d = dim - j
-        if direction == "raise":
-            out[j:, :d] += w * rho[:d, j:]
-        else:
-            out[:d, j:] += w * rho[j:, :d]
-    return out
+# read directions of the cross shifts for _shift_series; both preserve
+# s = n + m and walk along anti-diagonals
+PAIR_RAISE = (-1, 1)    # a^dag^j rho a^dag^j
+PAIR_LOWER = (1, -1)    # a^j rho a^j
 
 
 def _dress(rho, xform):
     """X rho with X = exp(am Jminus) exp(ap Jplus)."""
-    out = exp_jtilde_apply(xform.alpha_plus, "raise", rho)
-    return exp_jtilde_apply(xform.alpha_minus, "lower", out)
+    out = _shift_series(xform.alpha_plus, rho, PAIR_RAISE)
+    return _shift_series(xform.alpha_minus, out, PAIR_LOWER)
 
 
 def _undress(rho, xform):
@@ -103,8 +83,8 @@ def _undress(rho, xform):
 
     Exact on any window, since the shift superoperators are nilpotent there.
     """
-    out = exp_jtilde_apply(-xform.alpha_minus, "lower", rho)
-    return exp_jtilde_apply(-xform.alpha_plus, "raise", out)
+    out = _shift_series(-xform.alpha_minus, rho, PAIR_LOWER)
+    return _shift_series(-xform.alpha_plus, out, PAIR_RAISE)
 
 
 def _candidates(params):
@@ -187,11 +167,7 @@ def propagate_pdc(rho0, t, params, xform=None):
     is the untruncated flow of rho0 projected onto its own window. xform
     may be passed to skip re-selecting the root pairing.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
-        raise ValueError("state must be a square matrix")
-    if t < 0:
-        raise ValueError("negative time")
+    rho0 = _checked_state(rho0, t)
     if xform is None:
         xform = transform_params(params)
     if not params.corrected_mode and 2.0 * xform.lam > 1.0:

@@ -70,6 +70,16 @@ def test_config_errors_name_the_line():
         parse_config("model = kerr3\n")
     with pytest.raises(ConfigError, match="bad value for 'times'"):
         parse_config("times = ,\n")
+    for text in ("chi = nan\n", "gamma = inf\n", "epsilon = (nan+1j)\n", "times = 0.1, -inf\n"):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            parse_config(text)
+
+
+def non_finite_rates(text):
+    """Variants of a kerr0 config with a non-finite Kerr or kerrT rate."""
+    return [text.replace("chi = 1.0", "chi = nan"),
+            text.replace("kerr0", "kerrT") + "gamma_plus = nan\n",
+            text.replace("kerr0", "kerrT") + "gamma_plus = inf\n"]
 
 
 def test_propagate_decay_table_and_determinism(tmp_path):
@@ -203,7 +213,27 @@ def test_propagate_usage_errors(tmp_path):
     assert main(["propagate", "--config", bad_fock, "--out", out]) == 2
     bad_target = cfg_file(tmp_path, KERR0_DECAY + "target = nearest pole\n", "d.cfg")
     assert main(["propagate", "--config", bad_target, "--out", out]) == 2
+    for target in ("fock -1", "fock 30", "coherent nan 0", "cat 1 0 inf"):
+        outside = cfg_file(tmp_path, KERR0_DECAY + f"target = {target}\n", "e.cfg")
+        assert main(["propagate", "--config", outside, "--out", out]) == 2
+    for i, text in enumerate(non_finite_rates(KERR0_DECAY)):
+        nan_rate = cfg_file(tmp_path, text, f"f{i}.cfg")
+        assert main(["propagate", "--config", nan_rate, "--out", out]) == 2
     assert main(["propagate", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == 2
+
+
+def test_propagate_long_times_stay_finite(tmp_path):
+    # at t = 1500 the weights' exponentials over- and underflow unless the
+    # flow is written so that nothing in it grows with t
+    cfg = cfg_file(tmp_path, (
+        "model = kerrT\ndim = 8\nchi = 1.0\ngamma_minus = 0.5\ngamma_plus = 0.1\n"
+        "state = coherent\nalpha = 1.0\ntimes = 1.0, 1500.0\ntarget = initial\n"
+    ))
+    out = str(tmp_path / "long.csv")
+    assert main(["propagate", "--config", cfg, "--out", out]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 2
+    assert all(math.isfinite(cell) for row in rows for cell in row)
 
 
 QFUNC_VACUUM = (
@@ -262,6 +292,12 @@ def test_qfunc_usage_errors(tmp_path):
     assert main(["qfunc", "--config", two_times, "--out", out]) == 2
     inverted = cfg_file(tmp_path, QFUNC_VACUUM.replace("im_min = 0.0", "im_min = 3.0"), "c.cfg")
     assert main(["qfunc", "--config", inverted, "--out", out]) == 2
+    for dim in (0, 1):
+        small = cfg_file(tmp_path, QFUNC_VACUUM.replace("dim = 8", f"dim = {dim}"), "d.cfg")
+        assert main(["qfunc", "--config", small, "--out", out]) == 2
+    for i, text in enumerate(non_finite_rates(QFUNC_VACUUM)):
+        nan_rate = cfg_file(tmp_path, text, f"e{i}.cfg")
+        assert main(["qfunc", "--config", nan_rate, "--out", out]) == 2
 
 
 def test_verify_suites_pass_and_report(tmp_path):

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fockprop.fock import coherent_state, creation, density_from_ket
+from fockprop.fock import annihilation, coherent_state, creation, density_from_ket, observables
 from fockprop.kerr_finite_t import (
+    LOWER,
+    RAISE,
     KerrFiniteTParams,
-    exp_gR_jplus_apply,
+    _shift_series,
     propagate_kerr_finite_t,
     r_functions,
 )
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import crop, embed, expm_evolve
+from fockprop.pdc import PAIR_LOWER, PAIR_RAISE
 from fockprop.superop import build_liouvillian, kerr_finite_t_generator, raising_sandwich
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density
@@ -138,6 +141,41 @@ def test_resummed_matches_wide_window_exponential():
         assert maxabs(crop(got, dim) - crop(ref, dim)) < 1e-9
 
 
+def test_resummed_at_a_vanishing_discriminant():
+    # gamma_minus = gamma_plus puts D = 0 exactly at k = 0, where the
+    # weights take their series branch; the wide-window exponential checks it
+    with pytest.warns(UserWarning, match="heating"):
+        params = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.1)
+    dim, wide = 10, 24
+    L = build_liouvillian(kerr_finite_t_generator(
+        wide, params.chi, params.gamma_minus, params.gamma_plus,
+        params.gamma0, params.c_gamma,
+    ))
+    big = embed(seeded_density(dim, 19, 0), wide)
+    got = propagate_kerr_finite_t(big, 0.5, params)
+    ref = expm_evolve(L, big, 0.5)
+    assert maxabs(crop(got, dim) - crop(ref, dim)) < 1e-12
+
+
+@pytest.mark.parametrize("dim, t", [(128, 20.0), (40, 60.0)])
+def test_long_times_relax_to_the_thermal_state(dim, t):
+    # once g0 s t passes about 745 the envelope's decaying part underflows
+    # and its growing part overflows; the flow must still be finite, keep
+    # its trace, follow the <n> law and settle on the thermal diagonal, to
+    # within e^{-2 (gm - gp) t}
+    params = KerrFiniteTParams(chi=1.0, gamma_minus=0.5, gamma_plus=0.1)
+    nbar = params.nbar()
+    rho = density_from_ket(coherent_state(dim, 3.0)[0])
+    out = propagate_kerr_finite_t(rho, t, params)
+    assert np.isfinite(out).all()
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    relax = math.exp(-2.0 * (params.gamma_minus - params.gamma_plus) * t)
+    want_n = nbar + (observables(rho)["mean_n"] - nbar) * relax
+    assert abs(observables(out)["mean_n"] - want_n) < 1e-12
+    thermal = np.diag((nbar / (nbar + 1.0)) ** np.arange(dim) / (nbar + 1.0))
+    assert maxabs(out - thermal) < 1e-12 + 10.0 * relax
+
+
 def test_semigroup_property():
     ket, _ = coherent_state(15, 1.0)
     rho0 = density_from_ket(ket)
@@ -211,27 +249,32 @@ def test_unknown_method_rejected():
         propagate_kerr_finite_t(mixed, -0.1, PARAMS)
 
 
-def test_raising_series_against_brute_force():
-    dim = 8
-    gp = 0.25
-    c = 0.2 - 0.15j
-    rho = seeded_density(dim, 21)
-    got = exp_gR_jplus_apply(lambda k: np.full(k.shape, c), rho, gp)
-
-    adag = creation(dim)
+@pytest.mark.parametrize("read, left, right", [
+    (LOWER, annihilation, creation),
+    (RAISE, creation, annihilation),
+    (PAIR_RAISE, creation, creation),
+    (PAIR_LOWER, annihilation, annihilation),
+], ids=["a-adag", "adag-a", "adag-adag", "a-a"])
+def test_shift_series_against_brute_force(read, left, right):
+    # exp(c J) rho = sum_j c^j / j! L^j rho R^j, summed with dense matrices
+    dim = 9
+    c = 0.3 + 0.2j
+    rho = seeded_density(dim, 30)
+    lop, rop = left(dim), right(dim)
     ref = np.zeros_like(rho)
-    raise_j = np.eye(dim, dtype=complex)
+    term = rho
     for j in range(dim):
-        ref += (c * 2.0 * gp) ** j / math.factorial(j) * (raise_j @ rho @ raise_j.conj().T)
-        raise_j = adag @ raise_j
-    assert maxabs(got - ref) < 1e-12
+        ref += c**j / math.factorial(j) * term
+        term = lop @ term @ rop
+    assert maxabs(_shift_series(c, rho, read) - ref) < 1e-12
+    assert maxabs(_shift_series(0.0, rho, read) - rho) == 0.0
 
 
 def test_raising_series_against_dense_exponential():
     dim = 8
     gp = 0.25
     rho = seeded_density(dim, 22)
-    got = exp_gR_jplus_apply(lambda k: np.full(k.shape, 0.3 + 0.0j), rho, gp)
+    got = _shift_series(0.3 * 2.0 * gp, rho, RAISE)
     L = build_liouvillian(raising_sandwich(dim, 2.0 * gp))
     ref = expm_evolve(L, rho, 0.3)
     assert maxabs(got - ref) < 1e-12

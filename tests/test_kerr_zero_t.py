@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fockprop.fock import annihilation, coherent_state, density_from_ket, fidelity_pure, observables
-from fockprop.kerr_zero_t import (
-    KerrZeroTParams,
-    TAYLOR_SWITCH,
-    exp_diag_apply,
-    exp_fR_jminus_apply,
-    propagate_kerr_zero_t,
-)
-from fockprop.kerr_zero_t import _decay_weight
+from fockprop.fock import coherent_state, density_from_ket, fidelity_pure, observables
+from fockprop.kerr_finite_t import LOWER, TAYLOR_SWITCH, _shift_series
+from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import expm_evolve
-from fockprop.superop import build_liouvillian, kerr_zero_t_generator, lowering_sandwich
+from fockprop.superop import _ks, build_liouvillian, kerr_zero_t_generator, lowering_sandwich
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
 
@@ -64,27 +58,46 @@ def test_physicality_of_evolved_coherent_state():
         assert min_eigenvalue(out) > -1e-12
 
 
+def decay_weight(k, t, chi, gamma_minus):
+    """The lowering weight u(k) at time t, read off one propagated element.
+
+    The element (k + 1, 1) feeds (k, 0) through the first lowering term
+    only, with weight 2 gm u(k) sqrt(k + 1); the envelope there is
+    exp(-gm t k) and the Kerr phase exp(-i chi t k (k - 1)).
+    """
+    rho = np.zeros((k + 2, k + 2), dtype=complex)
+    rho[k + 1, 1] = 1.0
+    out = propagate_kerr_zero_t(rho, t, KerrZeroTParams(chi=chi, gamma_minus=gamma_minus))
+    factor = 2.0 * gamma_minus * math.sqrt(k + 1) * np.exp(
+        -gamma_minus * t * k - 1j * chi * t * k * (k - 1))
+    return out[k, 0] / factor
+
+
 def test_decay_weight_branches():
     # straddle the series switch and compare to a higher-order expansion;
     # at |z t| near the switch both sides must agree to the square of it
     t = 1.0
     for mag in (1e-9, 1e-7, 0.5e-6, 0.99e-6, 1.01e-6, 1e-5):
         z = mag * (0.6 + 0.8j)
-        chi = z.imag
-        got = _decay_weight(np.array([1]), t, chi, z.real)[0]
+        got = decay_weight(1, t, z.imag, z.real)
         zt = z * t
         ref = t * (1.0 - zt + (2.0 / 3.0) * zt**2 - (1.0 / 3.0) * zt**3)
         assert abs(got - ref) / abs(ref) < 1e-9
-    # z = 0 exactly: the weight is plain t, with no division blowup
-    w0 = _decay_weight(np.array([0]), 2.5, 1.0, 0.0)[0]
-    assert w0 == pytest.approx(2.5, abs=0.0)
-    assert np.isfinite(_decay_weight(np.arange(-3, 4), 0.0, 1.0, 0.0)).all()
+    # z = 0 exactly at k = 0 of the lossless flow: no division blowup, and
+    # with no loss the flow is the Kerr phase alone, to the last bit
+    lossless = KerrZeroTParams(chi=1.0, gamma_minus=0.0)
+    rho = seeded_density(6, 8)
+    k, s = _ks(6)
+    for t in (0.0, 2.5):
+        out = propagate_kerr_zero_t(rho, t, lossless)
+        assert np.isfinite(out).all()
+        assert maxabs(out - np.exp(-1j * t * k * (s - 1.0)) * rho) == 0.0
 
 
 def test_decay_weight_closed_form_region():
     z = 0.1 + 2.0j
     t = 0.8
-    got = _decay_weight(np.array([2]), t, 1.0, 0.1)[0]
+    got = decay_weight(2, t, 1.0, 0.1)
     ref = (1.0 - np.exp(-2.0 * z * t)) / (2.0 * z)
     assert abs(got - ref) < 1e-15
     assert abs(z * t) > TAYLOR_SWITCH
@@ -141,35 +154,11 @@ def test_vacuum_is_stationary():
     assert maxabs(out - rho) == 0.0
 
 
-def test_lowering_series_against_brute_force():
-    dim = 8
-    gm = 0.35
-    c = 0.3 + 0.1j
-    rho = seeded_density(dim, 4)
-    got = exp_fR_jminus_apply(lambda k: np.full(k.shape, c), rho, gm)
-
-    a = annihilation(dim)
-    ref = np.zeros_like(rho)
-    lower_j = np.eye(dim, dtype=complex)
-    for j in range(dim):
-        ref += (c * 2.0 * gm) ** j / math.factorial(j) * (lower_j @ rho @ lower_j.conj().T)
-        lower_j = a @ lower_j
-    assert maxabs(got - ref) < 1e-12
-
-
 def test_lowering_series_against_dense_exponential():
     dim = 8
     gm = 0.35
     rho = seeded_density(dim, 5)
-    got = exp_fR_jminus_apply(lambda k: np.full(k.shape, 0.4 + 0.0j), rho, gm)
+    got = _shift_series(0.4 * 2.0 * gm, rho, LOWER)
     L = build_liouvillian(lowering_sandwich(dim, 2.0 * gm))
     ref = expm_evolve(L, rho, 0.4)
     assert maxabs(got - ref) < 1e-12
-
-
-def test_elementwise_exponential_pattern():
-    rho = np.ones((3, 3), dtype=complex)
-    out = exp_diag_apply(lambda k, s: k + 1j * s, rho)
-    n = np.arange(3)
-    want = np.exp((n[:, None] - n[None, :]) + 1j * (n[:, None] + n[None, :]))
-    assert maxabs(out - want) < 1e-14

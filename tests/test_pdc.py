@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from fockprop.fock import annihilation, coherent_state, creation, density_from_ket, observables
+from fockprop.fock import coherent_state, density_from_ket, observables
+from fockprop.kerr_finite_t import LOWER, RAISE, _shift_series
 from fockprop.oracle import converged_window_reference, embed
 from fockprop.pdc import (
+    PAIR_LOWER,
+    PAIR_RAISE,
     PDCParams,
     PDCTransform,
-    exp_jtilde_apply,
     propagate_pdc,
     transform_params,
     transformed_generator_residual,
@@ -74,52 +76,34 @@ def test_residual_needs_a_wide_enough_window():
         transformed_generator_residual(PARAMS, xf, dim=10)
 
 
-def test_dressing_series_against_brute_force():
-    dim = 9
-    c = 0.3 + 0.2j
-    rho = seeded_density(dim, 30)
-    ops = {"raise": creation(dim), "lower": annihilation(dim)}
-    for direction, op in ops.items():
-        got = exp_jtilde_apply(c, direction, rho)
-        ref = np.zeros_like(rho)
-        op_j = np.eye(dim, dtype=complex)
-        for j in range(dim):
-            ref += c**j / math.factorial(j) * (op_j @ rho @ op_j)
-            op_j = op @ op_j
-        assert maxabs(got - ref) < 1e-12
-
-
 def test_dressing_series_inverse_pair():
     dim = 10
     c = 0.4 - 0.3j
     rho = seeded_density(dim, 31)
-    for direction in ("raise", "lower"):
-        back = exp_jtilde_apply(-c, direction, exp_jtilde_apply(c, direction, rho))
+    for read in (PAIR_RAISE, PAIR_LOWER):
+        back = _shift_series(-c, _shift_series(c, rho, read), read)
         assert maxabs(back - rho) < 1e-10
-
-
-def test_dressing_series_trivial_and_invalid():
-    rho = seeded_density(5, 32)
-    assert maxabs(exp_jtilde_apply(0.0, "raise", rho) - rho) == 0.0
-    with pytest.raises(ValueError):
-        exp_jtilde_apply(0.1, "sideways", rho)
 
 
 def test_dressing_series_on_a_wide_window():
     # past window 171 a factorial or a factorial ratio alone overflows; the
-    # series must still match its terms, evaluated here in log space
-    dim = 200
+    # series must still match its terms, evaluated here in log space, in
+    # each of the four read directions
+    dim, n0, m0 = 200, 180, 185
     c = 0.5 - 0.2j
     rho = np.zeros((dim, dim), dtype=complex)
-    rho[180, 185] = 1.0
-    want = np.zeros_like(rho)
-    for j in range(dim - 180):
-        log_w = 0.5 * (math.lgamma(181 + j) - math.lgamma(181)
-                       + math.lgamma(186) - math.lgamma(186 - j)) - math.lgamma(j + 1)
-        want[180 + j, 185 - j] = c**j * math.exp(log_w)
-    assert maxabs(exp_jtilde_apply(c, "raise", rho) - want) <= 1e-12 * maxabs(want)
-    # the lowering series is the mirror image
-    assert maxabs(exp_jtilde_apply(c, "lower", rho.T) - want.T) <= 1e-12 * maxabs(want)
+    rho[n0, m0] = 1.0
+    for read in (LOWER, RAISE, PAIR_RAISE, PAIR_LOWER):
+        want = np.zeros_like(rho)
+        for j in range(dim):
+            n, m = n0 - read[0] * j, m0 - read[1] * j
+            if not (0 <= n < dim and 0 <= m < dim):
+                break
+            p, q = min(n, n0), min(m, m0)
+            log_w = 0.5 * (math.lgamma(p + j + 1) - math.lgamma(p + 1)
+                           + math.lgamma(q + j + 1) - math.lgamma(q + 1)) - math.lgamma(j + 1)
+            want[n, m] = c**j * math.exp(log_w)
+        assert maxabs(_shift_series(c, rho, read) - want) <= 1e-12 * maxabs(want)
 
 
 def reference(params, rho0, t):
