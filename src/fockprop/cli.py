@@ -547,12 +547,12 @@ def _suite_kerrt(dim, seed, fault):
                                            method="rk4", accuracy=1e-9)
     recs.append(_check(
         "wide-window integrator self-convergence, dim=12+pad",
-        conv, 1e-7,
+        conv, 1e-10,
     ))
     recs.append(_check(
         "resummed propagator vs wide-window integrator, dim=12, t=0.5",
         _maxabs(propagate_kerr_finite_t(rho0, 0.5, params) - ref),
-        1e-6,
+        1e-10,
     ))
     return recs
 

@@ -199,8 +199,8 @@ def test_05_finite_temperature_factorization():
         ref, conv = converged_window_reference(
             build, rho0, t, pad=16, check=8, method="rk4", accuracy=1e-9,
         )
-        assert conv <= 1e-7
-        assert maxabs(propagate_kerr_finite_t(rho0, t, KERRT) - ref) <= 1e-6
+        assert conv <= 1e-10
+        assert maxabs(propagate_kerr_finite_t(rho0, t, KERRT) - ref) <= 1e-10
 
     # the geometric thermal state at nbar = 1 is stationary
     dim = 40
