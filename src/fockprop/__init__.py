@@ -17,7 +17,6 @@ from .superop import (
     SandwichTerm,
     DiagonalTerm,
     SuperopExpr,
-    LiouvillianMatrix,
     apply,
     commutator,
     build_liouvillian,
@@ -30,5 +29,5 @@ from .superop import (
 )
 from .oracle import IntegratorConfig, expm_dense, expm_evolve, rk4_evolve
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
-from .kerr_finite_t import KerrFiniteTParams, r_functions, propagate_kerr_finite_t
+from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .pdc import PDCParams, PDCTransform, transform_params, propagate_pdc

@@ -1,27 +1,16 @@
-"""Closed-form propagators for the damped Kerr oscillator.
+"""Closed-form propagator for the damped Kerr oscillator.
 
 At finite temperature upward and downward jumps do not commute, so the
 flow disentangles into an eight-factor operator product whose scalar
-coefficients depend on the index difference k through four rational
-functions of z = g0 + i chi k and the discriminant root
-D = sqrt(z^2 - 4 gm gp).
-
-Two evaluation paths are provided:
-
-  "resummed" (default): the product collapsed to lowering series, then an
-  elementwise envelope, then a raising series. The combined weights solve
-  the Riccati flow du/dt = 1 - 2 z u + 4 gm gp u^2 with u(0) = 0 and stay
-  bounded on the window, so this path is accurate at any window size and
-  any time. The zero-temperature flow (kerr_zero_t) is this path at
-  gamma_plus = 0, and the de-driven pair drive (pdc) is it at chi = 0.
-
-  "literal": the eight factors exactly as written, one exponential at a
-  time. The two inner inverse-pair factors amplify the top of the window
-  by roughly 2^dim before cancelling, so beyond dim of about 12 this path
-  loses most of its precision on full-support states. It is kept because
-  factor-by-factor auditing against matrix exponentials needs it.
-
-Every series factor here and in pdc is one kernel, _shift_series.
+coefficients depend on the index difference k only. That product collapses
+into one lowering series, an elementwise envelope and one raising series,
+whose combined weights solve the Riccati flow
+du/dt = 1 - 2 z u + 4 gm gp u^2 with u(0) = 0, z = g0 + i chi k. The
+weights stay bounded on the window and are smooth through a vanishing
+discriminant, so the flow is accurate at any window size and any time.
+The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
+and the de-driven pair drive (pdc) is it at chi = 0; every series factor
+here and in pdc is one kernel, _shift_series.
 """
 
 import warnings
@@ -33,8 +22,6 @@ from .superop import _ks
 
 __all__ = [
     "KerrFiniteTParams",
-    "RFunctions",
-    "r_functions",
     "propagate_kerr_finite_t",
 ]
 
@@ -143,67 +130,6 @@ class KerrFiniteTParams:
         return self.gamma_plus / (self.gamma_minus - self.gamma_plus)
 
 
-@dataclass(frozen=True)
-class RFunctions:
-    beta: complex
-    alpha: complex
-    bigF: complex
-    delta: complex
-
-
-def _r_arrays(params, k):
-    """The four factor coefficients, vectorized over index difference k.
-
-    beta solves 4 gm gp beta^2 - 2 z beta + 1 = 0 on the branch that stays
-    finite as gamma_plus -> 0 (the root 1 / (z + D)); the other three are
-    rational in beta:
-
-      bigF  = 4 gm gp beta = z - D
-      alpha = (g0 - bigF) / g0, so that g0 alpha + i chi k = D
-      delta = -1 / (2 (g0 alpha + i chi k)) = -1 / (2 D)
-
-    A vanishing discriminant makes delta blow up. Those k are detected,
-    reported, and nudged off the degeneracy by one part in 1e10 (through
-    the k coefficient where possible; at k = 0 that coefficient is inert,
-    so g0 is nudged instead). The resummed propagator never calls this:
-    its weights are smooth through D = 0.
-    """
-    k = np.asarray(k, dtype=float)
-    chi, g0 = params.chi, params.gamma0
-    mu = 4.0 * params.gamma_minus * params.gamma_plus
-    if g0 == 0:
-        raise ValueError("factor coefficients need gamma0 != 0")
-    z = g0 + 1j * chi * k
-    disc = z * z - mu
-    degen = np.abs(disc) < 1e-12 * np.maximum(np.abs(z) ** 2, max(mu, 1.0))
-    if np.any(degen):
-        bad = np.unique(k[degen]).astype(int)
-        warnings.warn(
-            f"degenerate discriminant at k = {bad.tolist()}; nudging off the "
-            "degeneracy by 1e-10 (relative); prefer method='resummed' near "
-            "this point"
-        )
-        k_eff = np.where(degen & (k != 0), k * (1.0 + 1e-10), k)
-        g0_eff = np.where(degen & (k == 0), g0 * (1.0 + 1e-10), g0)
-        z = g0_eff + 1j * chi * k_eff
-        disc = z * z - mu
-    root = np.sqrt(disc + 0j)
-    beta = 1.0 / (z + root)
-    big_f = mu * beta
-    alpha = (g0 - big_f) / g0
-    delta = -1.0 / (2.0 * root)
-    return beta, alpha, big_f, delta
-
-
-def r_functions(params, k):
-    """Factor coefficients at a single integer index difference."""
-    beta, alpha, big_f, delta = _r_arrays(params, np.array([k]))
-    return RFunctions(
-        beta=complex(beta[0]), alpha=complex(alpha[0]),
-        bigF=complex(big_f[0]), delta=complex(delta[0]),
-    )
-
-
 def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     """The resummed flow from raw rates, without the parameter checks.
 
@@ -251,34 +177,8 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     return np.exp(-1j * chi * t * k * (s - 1.0)) * out
 
 
-def _propagate_literal(rho0, t, p):
-    k_grid, s_grid = _ks(rho0.shape[0])
-    beta, alpha, big_f, delta = _r_arrays(p, k_grid)
-    chi, gm, gp = p.chi, p.gamma_minus, p.gamma_plus
-
-    # right to left; the first two factors undo the raising and lowering
-    # dressings at time zero, which is what makes t = 0 the identity
-    out = _shift_series(-beta * (2.0 * gp), rho0, RAISE)
-    out = _shift_series(-delta * (2.0 * gm), out, LOWER)
-    out = np.exp(-p.gamma0 * alpha * s_grid * t) * out
-    out = _shift_series(delta * np.exp(-2j * chi * k_grid * t) * (2.0 * gm), out, LOWER)
-    out = np.exp(big_f * t) * out
-    out = _shift_series(beta * np.exp(2j * chi * k_grid * t) * (2.0 * gp), out, RAISE)
-    out = np.exp(-1j * chi * t * k_grid * (s_grid - 1.0)) * out
-    return out * np.exp(p.c_gamma * t)
-
-
-def propagate_kerr_finite_t(rho0, t, params, method="resummed"):
-    """Evolve rho0 for time t under the finite-temperature Kerr flow.
-
-    method "resummed" is the production path; "literal" evaluates the
-    eight written factors in order and is only trustworthy on small
-    windows (see the module docstring).
-    """
+def propagate_kerr_finite_t(rho0, t, params):
+    """Evolve rho0 for time t under the finite-temperature Kerr flow."""
     rho0 = _checked_state(rho0, t)
-    if method == "resummed":
-        return _propagate_resummed(rho0, t, params.chi, params.gamma_minus,
-                                   params.gamma_plus, params.gamma0, params.c_gamma)
-    if method == "literal":
-        return _propagate_literal(rho0, t, params)
-    raise ValueError(f"unknown method {method!r}")
+    return _propagate_resummed(rho0, t, params.chi, params.gamma_minus,
+                               params.gamma_plus, params.gamma0, params.c_gamma)

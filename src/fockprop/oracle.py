@@ -54,11 +54,6 @@ class IntegratorConfig:
     richardson: bool = True
 
 
-def _entries(L):
-    m = getattr(L, "entries", L)
-    return np.asarray(m, dtype=complex)
-
-
 def _sectors(mat):
     """Index sets of the connected components of the pattern of mat | mat.T."""
     nonzero = mat != 0
@@ -107,11 +102,13 @@ def expm_dense(A, rtol=1e-12):
 
 def expm_evolve(L, rho0, t):
     """Propagate rho0 by exp(L t) acting on the vectorized state."""
-    mat = _entries(L)
+    mat = np.asarray(L, dtype=complex)
     dim = int(round(math.sqrt(mat.shape[0])))
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match generator for dim {dim}")
+    if t < 0:
+        raise ValueError("negative time")
     v = vec(rho0)
     out = np.empty_like(v)
     for idx in _sectors(mat):
@@ -127,7 +124,7 @@ def recommended_steps(L, t, accuracy=1e-12):
     (||L|| h)^4 * ||L|| t / 120. Solving for h and capping the step norm
     keeps the estimate honest when accuracy is loose.
     """
-    mat = _entries(L)
+    mat = np.asarray(L, dtype=complex)
     x = float(np.max(np.abs(mat))) * float(t)
     if x <= 0.0:
         return 2
@@ -146,7 +143,7 @@ def rk4_evolve(L, rho0, t, config=None):
     half resolution and the standard fourth-order extrapolated difference
     |y_h - y_2h| / 15 is returned; otherwise the estimate is None.
     """
-    mat = _entries(L)
+    mat = np.asarray(L, dtype=complex)
     dim = int(round(math.sqrt(mat.shape[0])))
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
@@ -222,7 +219,7 @@ def converged_window_reference(build_matrix, rho0, t, pad=16, check=8,
     dim = rho0.shape[0]
     results = []
     for big in (dim + pad, dim + pad + check):
-        mat = _entries(build_matrix(big))
+        mat = np.asarray(build_matrix(big), dtype=complex)
         state = embed(rho0, big)
         if method == "rk4":
             cfg = IntegratorConfig(steps=recommended_steps(mat, t, accuracy), richardson=False)

@@ -12,8 +12,7 @@ coordinates are the natural ones: every propagator factor in this package
 preserves k, and s counts total excitation of the element.
 
 The dense form uses column stacking: vec(rho) = rho.flatten(order="F"),
-so vec(A rho B) = (B.T kron A) vec(rho). LiouvillianMatrix carries that
-convention as a tag so downstream code can refuse a mismatched matrix.
+so vec(A rho B) = (B.T kron A) vec(rho).
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +23,9 @@ import numpy as np
 from .fock import annihilation, creation
 
 __all__ = [
-    "COLUMN_STACKING",
     "SandwichTerm",
     "DiagonalTerm",
     "SuperopExpr",
-    "LiouvillianMatrix",
     "apply",
     "commutator",
     "vec",
@@ -56,9 +53,6 @@ __all__ = [
     "pdc_generator",
     "verify_commutator_table",
 ]
-
-COLUMN_STACKING = "vec(A rho B) = (B.T kron A) vec(rho), column stacking"
-
 
 @dataclass(frozen=True)
 class SandwichTerm:
@@ -135,13 +129,6 @@ def unvec(v, dim):
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-@dataclass(frozen=True)
-class LiouvillianMatrix:
-    dim: int
-    entries: np.ndarray
-    convention: str = COLUMN_STACKING
-
-
 def build_liouvillian(expr):
     """Dense dim^2 x dim^2 matrix of expr in the column-stacking convention."""
     dim = expr.dim
@@ -158,7 +145,7 @@ def build_liouvillian(expr):
             mat += np.diag(w.flatten(order="F"))
         else:
             raise TypeError(f"unknown term type {type(t).__name__}")
-    return LiouvillianMatrix(dim=dim, entries=mat)
+    return mat
 
 
 def random_density(dim, rng):

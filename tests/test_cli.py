@@ -219,6 +219,12 @@ def test_propagate_usage_errors(tmp_path):
     for i, text in enumerate(non_finite_rates(KERR0_DECAY)):
         nan_rate = cfg_file(tmp_path, text, f"f{i}.cfg")
         assert main(["propagate", "--config", nan_rate, "--out", out]) == 2
+    backward = cfg_file(tmp_path, KERR0_DECAY.replace("0.0, 0.5, 1.0", "-1.0, 0.5"), "g.cfg")
+    for engine in ("analytic", "expm", "rk4"):
+        assert main(["propagate", "--config", backward, "--out", out, "--engine", engine]) == 2
+    for steps in (0, -2):
+        no_steps = cfg_file(tmp_path, KERR0_DECAY + f"steps = {steps}\n", "h.cfg")
+        assert main(["propagate", "--config", no_steps, "--out", out, "--engine", "rk4"]) == 2
     assert main(["propagate", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == 2
 
 
@@ -308,6 +314,11 @@ def test_verify_suites_pass_and_report(tmp_path):
     assert "UNVERIFIABLE" in text
     assert "FAIL" not in text
     assert main(["verify", "--suite", "kerr0"]) == 0
+    for seed in (24, 35):
+        assert main(["verify", "--suite", "kerrT", "--seed", str(seed)]) == 0
+    assert main(["verify", "--suite", "kerrT", "--dim", "16", "--out", str(report)]) == 0
+    wide = [line for line in report.read_text().splitlines() if "wide-window" in line]
+    assert len(wide) == 2 and all("dim=16" in line for line in wide)
 
 
 def test_verify_faults_are_caught(tmp_path):
@@ -326,3 +337,5 @@ def test_top_level_usage():
     assert main(["--version"]) == 0
     assert main([]) == 2
     assert main(["verify", "--suite", "bogus"]) == 2
+    for dim in ("0", "1"):
+        assert main(["verify", "--suite", "kerr0", "--dim", dim]) == 2

@@ -10,7 +10,6 @@ from fockprop.kerr_finite_t import (
     KerrFiniteTParams,
     _shift_series,
     propagate_kerr_finite_t,
-    r_functions,
 )
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import crop, embed, expm_evolve
@@ -50,61 +49,6 @@ def test_rate_validation_and_nbar():
         hot = KerrFiniteTParams(chi=1.0, gamma_minus=0.05, gamma_plus=0.1)
     with pytest.raises(ValueError):
         hot.nbar()
-
-
-def test_factor_coefficients_at_zero_index_difference():
-    r = r_functions(PARAMS, 0)
-    assert r.beta == pytest.approx(5.0, abs=1e-13)
-    assert r.alpha == pytest.approx(1.0 / 3.0, abs=1e-13)
-    assert r.bigF == pytest.approx(0.1, abs=1e-13)
-    assert r.delta == pytest.approx(-10.0, abs=1e-12)
-
-
-def test_factor_coefficient_identities():
-    # beta solves the quadratic; the other three are tied to it by the
-    # two identities below, for every index difference
-    g0, chi = PARAMS.gamma0, PARAMS.chi
-    mu = 4.0 * PARAMS.gamma_minus * PARAMS.gamma_plus
-    for k in range(-10, 11):
-        r = r_functions(PARAMS, k)
-        z = g0 + 1j * chi * k
-        assert abs(mu * r.beta**2 - 2.0 * z * r.beta + 1.0) < 1e-12
-        d = g0 * r.alpha + 1j * chi * k
-        assert abs(d * d - (z * z - mu)) < 1e-12
-        assert abs(r.delta + 1.0 / (2.0 * d)) < 1e-12
-        assert abs(r.bigF - mu * r.beta) < 1e-14
-
-
-def test_factor_coefficients_cold_limit():
-    cold = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=1e-12)
-    for k in (0, 3):
-        z = cold.gamma0 + 1j * cold.chi * k
-        assert abs(r_functions(cold, k).beta - 1.0 / (2.0 * z)) < 1e-9
-
-
-def test_degenerate_discriminant_is_nudged():
-    with pytest.warns(UserWarning, match="heating"):
-        params = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.1)
-    # z^2 = 4 gm gp exactly at k = 0, so delta diverges without the nudge
-    with pytest.warns(UserWarning, match="degenerate"):
-        r = r_functions(params, 0)
-    assert np.isfinite([r.beta, r.alpha, r.bigF, r.delta]).all()
-
-
-def test_zero_gamma0_rejected():
-    with pytest.warns(UserWarning, match="trace-preserving"):
-        params = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.05, gamma0=0.0)
-    with pytest.raises(ValueError):
-        r_functions(params, 0)
-
-
-def test_literal_path_is_identity_at_time_zero():
-    # the first two factors must cancel the last dressing pair exactly
-    dim = 10
-    for i in range(5):
-        rho0 = seeded_density(dim, 17, i)
-        out = propagate_kerr_finite_t(rho0, 0.0, PARAMS, method="literal")
-        assert maxabs(out - rho0) < 1e-10
 
 
 def test_cold_limit_dispatches_to_zero_temperature():
@@ -206,7 +150,7 @@ def test_thermal_state_is_stationary():
         dim, PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus,
         PARAMS.gamma0, PARAMS.c_gamma,
     ))
-    rate = (L.entries @ thermal.flatten(order="F")).reshape((dim, dim), order="F")
+    rate = (L @ thermal.flatten(order="F")).reshape((dim, dim), order="F")
     assert maxabs(rate) < 1e-10
 
     out = propagate_kerr_finite_t(thermal, 1.0, PARAMS)
@@ -226,25 +170,8 @@ def test_thermal_state_is_stationary_on_wide_windows(dim):
     assert maxabs(out - thermal) < 1e-10
 
 
-def test_literal_path_converges_to_resummed_with_window():
-    # the literal factor order amplifies the top of the window, so the two
-    # paths only agree in the wide-window limit around a confined state
-    small = seeded_density(3, 20)
-    devs = []
-    for n in (8, 16, 24):
-        big = embed(small, n)
-        devs.append(maxabs(
-            propagate_kerr_finite_t(big, 0.3, PARAMS, method="literal")
-            - propagate_kerr_finite_t(big, 0.3, PARAMS, method="resummed")
-        ))
-    assert devs[0] > devs[1] > devs[2]
-    assert devs[2] / devs[0] < 0.05
-
-
-def test_unknown_method_rejected():
+def test_negative_time_rejected():
     mixed = np.eye(4, dtype=complex) / 4.0
-    with pytest.raises(ValueError):
-        propagate_kerr_finite_t(mixed, 0.1, PARAMS, method="magic")
     with pytest.raises(ValueError):
         propagate_kerr_finite_t(mixed, -0.1, PARAMS)
 

@@ -109,7 +109,7 @@ def test_dressing_series_on_a_wide_window():
 def reference(params, rho0, t):
     """Wide-window integrator result and its self-convergence."""
     def build(n):
-        return build_liouvillian(pdc_generator(n, params.epsilon, params.gamma)).entries
+        return build_liouvillian(pdc_generator(n, params.epsilon, params.gamma))
 
     return converged_window_reference(build, rho0, t, pad=8, check=4)
 

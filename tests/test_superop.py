@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fockprop.fock import annihilation
 from fockprop.superop import (
-    COLUMN_STACKING,
     SuperopExpr,
     apply,
     build_liouvillian,
@@ -51,17 +50,10 @@ def test_vectorization_is_column_stacking():
     assert maxabs(unvec(lhs, 4) - a @ rho @ b) < 1e-13
 
 
-def test_liouvillian_carries_convention_tag():
-    L = build_liouvillian(lowering_sandwich(4, 1.0))
-    assert L.convention == COLUMN_STACKING
-    assert L.dim == 4
-    assert L.entries.shape == (16, 16)
-
-
 def test_dense_matrix_agrees_with_direct_application():
     dim = 9
     for name, expr in all_generators(dim).items():
-        L = build_liouvillian(expr).entries
+        L = build_liouvillian(expr)
         for i in range(4):
             rho = seeded_density(dim, 3, i)
             direct = apply(expr, rho)
@@ -70,7 +62,7 @@ def test_dense_matrix_agrees_with_direct_application():
 
 
 def test_number_damping_diagonal_example():
-    L = build_liouvillian(number_damping(2, 0.5)).entries
+    L = build_liouvillian(number_damping(2, 0.5))
     assert maxabs(L - np.diag([0.0, -0.5, -0.5, -1.0])) < 1e-15
 
 
@@ -180,8 +172,8 @@ def test_drive_parts_sum_to_drive():
     eps = 0.4 - 0.2j
     parts = pdc_drive_parts(dim, eps)
     assert set(parts) == {"right_raise", "left_lower", "left_raise", "right_lower"}
-    whole = build_liouvillian(pdc_drive(dim, eps)).entries
-    summed = sum(build_liouvillian(p).entries for p in parts.values())
+    whole = build_liouvillian(pdc_drive(dim, eps))
+    summed = sum(build_liouvillian(p) for p in parts.values())
     assert maxabs(whole - summed) < 1e-14
 
 
