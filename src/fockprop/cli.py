@@ -37,7 +37,6 @@ from .oracle import (
 )
 from .pdc import (
     PDCParams,
-    _candidates,
     propagate_pdc,
     transform_params,
     transformed_generator_residual,
@@ -282,8 +281,7 @@ def _propagator(cfg, params, dim, engine):
             return lambda rho0, t: propagate_kerr_zero_t(rho0, t, params)
         if model == "kerrT":
             return lambda rho0, t: propagate_kerr_finite_t(rho0, t, params)
-        xform = transform_params(params)
-        return lambda rho0, t: propagate_pdc(rho0, t, params, xform=xform)
+        return lambda rho0, t: propagate_pdc(rho0, t, params)
     mat = _generator_matrix(cfg, dim, params)
     if engine == "expm":
         return lambda rho0, t: expm_evolve(mat, rho0, t)
@@ -550,7 +548,9 @@ def _suite_pdc(dim, seed, fault):
         xform = type(xform)(alpha_plus=xform.alpha_plus,
                             alpha_minus=-xform.alpha_minus, lam=xform.lam)
     elif fault == "pdc-branch-swap":
-        xform = _candidates(params)[1]
+        # the quadratic's other root, i (gamma + r) / conj(eps), diverges as eps -> 0
+        other = 1j * params.gamma * (1.0 + xform.lam) / np.conj(params.epsilon)
+        xform = type(xform)(alpha_plus=other, alpha_minus=-xform.alpha_minus, lam=xform.lam)
 
     recs.append(_check(
         f"transformed generator matches the damping target, dim={dim}",

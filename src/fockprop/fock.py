@@ -68,10 +68,15 @@ def cat_state(dim, alpha, phase):
     """Superposition (|alpha> + e^{i phase} |-alpha>) / norm, truncated.
 
     deficit is measured against the ideal (untruncated) norm
-    2 + 2 cos(phase) exp(-2|alpha|^2), so it reflects cutoff loss only.
+    2 (1 + cos(phase)) + 2 cos(phase) expm1(-2|alpha|^2), so it reflects
+    cutoff loss only; written so, it stays accurate for odd cats at small
+    alpha. Raises where the ideal norm vanishes.
     """
     raw = _coherent_amps(dim, alpha) + np.exp(1j * phase) * _coherent_amps(dim, -alpha)
-    ideal_norm_sq = 2.0 + 2.0 * np.cos(phase) * np.exp(-2.0 * abs(alpha) ** 2)
+    cos = np.cos(phase)
+    ideal_norm_sq = 2.0 * (1.0 + cos) + 2.0 * cos * np.expm1(-2.0 * abs(alpha) ** 2)
+    if ideal_norm_sq <= 0.0:
+        raise ValueError("cat state vanishes: its two branches cancel at this alpha and phase")
     norm_sq = float(np.sum(np.abs(raw) ** 2))
     if norm_sq <= 0.0:
         raise ValueError("cat state has no support on this window")

@@ -18,10 +18,9 @@ below), and undressing an element with n, m < dim reads only that window.
 The cropped result is therefore the untruncated flow projected onto the
 window, with no cutoff error from the method.
 
-The transformation coefficients solve a quadratic; which root pairs with
-which factor is fixed empirically, by measuring the residual of the
-transformed generator against the pure damping target and keeping the
-pairing that annihilates it.
+The transformation coefficients solve a quadratic. The principal root is
+the one whose dressing goes to the identity as eps -> 0; it is taken in
+closed form, and verify checks it against the damping target.
 """
 
 import math
@@ -39,8 +38,6 @@ __all__ = [
     "transformed_generator_residual",
     "propagate_pdc",
 ]
-
-SELECTOR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,20 +84,6 @@ def _undress(rho, xform):
     return _shift_series(-xform.alpha_plus, out, PAIR_RAISE)
 
 
-def _candidates(params):
-    """Both root pairings of the de-driving quadratic."""
-    eps = complex(params.epsilon)
-    g = params.gamma
-    root = np.sqrt(g * g - abs(eps) ** 2 + 0j)
-    lam = float(np.real(root / g))
-    up = [(-g + root) / (1j * np.conj(eps)), (-g - root) / (1j * np.conj(eps))]
-    down = [-1j * np.conj(eps) / (2.0 * root), 1j * np.conj(eps) / (2.0 * root)]
-    return [
-        PDCTransform(alpha_plus=complex(up[0]), alpha_minus=complex(down[0]), lam=lam),
-        PDCTransform(alpha_plus=complex(up[1]), alpha_minus=complex(down[1]), lam=lam),
-    ]
-
-
 def _damping_rates(params, lam):
     """The de-driven target as finite-temperature Kerr rates.
 
@@ -138,25 +121,21 @@ def transformed_generator_residual(params, xform, dim=12, samples=10, seed=7):
     return worst
 
 
-def transform_params(params, dim=12, samples=3, seed=101):
-    """Select the root pairing that actually removes the drive.
+def transform_params(params):
+    """The de-driving coefficients on the principal root of the quadratic.
 
-    Tries both candidate pairings and keeps the one whose transformed
-    generator matches the damping target to better than 1e-8. Raises if
-    neither does (which would mean the window is corrupting the check or
-    the parameters are out of domain).
+    With r = sqrt(gamma^2 - |eps|^2): ap = i eps / (gamma + r),
+    am = -i conj(eps) / (2 r) and lam = r / gamma. This ap is
+    (r - gamma) / (i conj(eps)) with the cancellation taken out, so it
+    stays accurate for small drives and is exactly 0 at eps = 0.
     """
-    if params.epsilon == 0:
-        return PDCTransform(alpha_plus=0j, alpha_minus=0j, lam=1.0)
-    residuals = []
-    for cand in _candidates(params):
-        r = transformed_generator_residual(params, cand, dim=dim, samples=samples, seed=seed)
-        residuals.append(r)
-        if r < SELECTOR_TOL:
-            return cand
-    raise ValueError(
-        f"neither root pairing removes the drive: residuals {residuals[0]:.3e} "
-        f"and {residuals[1]:.3e} against tolerance {SELECTOR_TOL:g}"
+    eps = complex(params.epsilon)
+    g = params.gamma
+    r = math.sqrt(g * g - abs(eps) ** 2)
+    return PDCTransform(
+        alpha_plus=1j * eps / (g + r),
+        alpha_minus=-1j * eps.conjugate() / (2.0 * r),
+        lam=r / g,
     )
 
 
@@ -165,7 +144,8 @@ def propagate_pdc(rho0, t, params, xform=None):
 
     Runs on the window 2 dim - 1 (see the module docstring), so the result
     is the untruncated flow of rho0 projected onto its own window. xform
-    may be passed to skip re-selecting the root pairing.
+    replaces the transformation from transform_params, so that a check can
+    plant a wrong one.
     """
     rho0 = _checked_state(rho0, t)
     if xform is None:

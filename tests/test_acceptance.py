@@ -6,7 +6,6 @@ the finer-grained and negative cases. Runs in under a minute, dominated by
 the wide-window integrator references.
 """
 
-import json
 import math
 import time
 from pathlib import Path

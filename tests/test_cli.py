@@ -24,6 +24,14 @@ def read_csv(path):
     return header, rows
 
 
+def read_density(path, dim):
+    rho = np.zeros((dim, dim), dtype=complex)
+    for line in Path(path).read_text().strip().splitlines():
+        n_s, m_s, re_s, im_s = line.split()
+        rho[int(n_s), int(m_s)] = complex(float(re_s), float(im_s))
+    return rho
+
+
 KERR0_DECAY = """\
 # zero-temperature decay run
 model = kerr0
@@ -125,12 +133,8 @@ def test_propagate_density_dump(tmp_path):
     ))
     out = str(tmp_path / "run.csv")
     assert main(["propagate", "--config", cfg, "--out", out, "--dump-density"]) == 0
-    dump = Path(out + ".rho0.txt").read_text().strip().splitlines()
-    assert len(dump) == 36
-    rho = np.zeros((6, 6), dtype=complex)
-    for line in dump:
-        n_s, m_s, re_s, im_s = line.split()
-        rho[int(n_s), int(m_s)] = complex(float(re_s), float(im_s))
+    assert len(Path(out + ".rho0.txt").read_text().strip().splitlines()) == 36
+    rho = read_density(out + ".rho0.txt", 6)
     assert abs(np.trace(rho) - 1.0) < 1e-10
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
@@ -195,6 +199,28 @@ def test_pair_drive_run_stays_physical(tmp_path):
         assert 0.0 < cells["trace_re"] <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("epsilon", [0.98, 0.99])
+def test_pair_drive_run_near_threshold_matches_untruncated_flow(tmp_path, epsilon):
+    # a valid drive just below threshold must be answered, and the vacuum
+    # stays accurate there despite the dressing's growth
+    cfg = cfg_file(tmp_path, (
+        f"model = pdc\ndim = 16\nepsilon = {epsilon}\ngamma = 1.0\n"
+        "state = vacuum\ntimes = 0.1\n"
+    ))
+    out = str(tmp_path / "run.csv")
+    assert main(["propagate", "--config", cfg, "--out", out, "--dump-density"]) == 0
+    rho = read_density(out + ".rho0.txt", 16)
+
+    vac = np.zeros((16, 16), dtype=complex)
+    vac[0, 0] = 1.0
+    ref, conv = converged_window_reference(
+        lambda n: build_liouvillian(pdc_generator(n, epsilon, 1.0)), vac, 0.1,
+        pad=8, check=4, method="expm",
+    )
+    assert conv < 1e-12
+    assert np.max(np.abs(rho - ref)) <= conv + 1e-12
+
+
 def test_engine_from_config_is_used(tmp_path):
     cfg = cfg_file(tmp_path, KERR0_DECAY + "engine = expm\n")
     out = str(tmp_path / "run.csv")
@@ -225,6 +251,9 @@ def test_propagate_usage_errors(tmp_path):
     for steps in (0, -2):
         no_steps = cfg_file(tmp_path, KERR0_DECAY + f"steps = {steps}\n", "h.cfg")
         assert main(["propagate", "--config", no_steps, "--out", out, "--engine", "rk4"]) == 2
+    no_cat = cfg_file(tmp_path, KERR0_DECAY.replace(
+        "state = coherent\nalpha = 2.0", "state = cat\nalpha = 0.0\ncat_phase = 3.141592653589793"), "i.cfg")
+    assert main(["propagate", "--config", no_cat, "--out", out]) == 2
     assert main(["propagate", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == 2
 
 

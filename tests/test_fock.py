@@ -105,6 +105,17 @@ def test_cat_state_deficit_is_cutoff_only():
     assert abs(deficit) < 1e-12
 
 
+def test_odd_cat_at_small_alpha():
+    # the ideal norm of an odd cat is about 4 |alpha|^2; computed as
+    # 2 + 2 cos(phase) exp(-2|alpha|^2) it cancels to noise, or to 0
+    for alpha in (1e-6, 1e-7):
+        psi, deficit = cat_state(8, alpha, math.pi)
+        assert abs(psi[1]) == pytest.approx(1.0)
+        assert abs(deficit) < 1e-12
+    with pytest.raises(ValueError):
+        cat_state(8, 0.0, math.pi)
+
+
 def test_density_from_ket():
     psi = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho = density_from_ket(psi)

@@ -163,6 +163,22 @@ def test_moment_law_on_a_wide_window(alpha):
     assert min_eigenvalue(out) > -1e-12
 
 
+@pytest.mark.parametrize("size", [1e-8, 1e-9])
+def test_small_drive_is_kept(size):
+    # written as (r - gamma) / (i conj(eps)), alpha_plus loses its digits to
+    # cancellation at small drives and rounds to 0 at 1e-9
+    eps = size * (0.6 + 0.8j)
+    params = PDCParams(epsilon=eps, gamma=1.0)
+    rho0 = vacuum_density(8)
+
+    def build(n):
+        return build_liouvillian(pdc_generator(n, eps, 1.0))
+
+    ref, conv = converged_window_reference(build, rho0, 0.2, pad=14, check=4, method="expm")
+    assert conv < 1e-15
+    assert maxabs(propagate_pdc(rho0, 0.2, params) - ref) <= 1e-12
+
+
 def test_result_does_not_depend_on_the_window():
     # the same state on windows 64 and 100 must give the same cropped
     # result: neither carries a cutoff error

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fockprop.fock import annihilation
 from fockprop.superop import (
-    SuperopExpr,
     apply,
     build_liouvillian,
     commutator,
