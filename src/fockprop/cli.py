@@ -12,46 +12,22 @@ Every output is deterministic: same inputs, byte-identical files.
 import argparse
 import cmath
 import json
-import math
 import sys
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .fock import (
-    cat_state,
-    coherent_state,
-    density_from_ket,
-    fidelity_pure,
-    husimi_q,
-    observables,
-)
+from .fock import cat_state, coherent_state, density_from_ket, fidelity_pure, husimi_q, observables
 from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
-from .oracle import (
-    IntegratorConfig,
-    converged_window_reference,
-    expm_evolve,
-    recommended_steps,
-    rk4_evolve,
-)
-from .pdc import (
-    PDCParams,
-    propagate_pdc,
-    transform_params,
-    transformed_generator_residual,
-)
+from .oracle import IntegratorConfig, expm_evolve, recommended_steps, rk4_evolve
+from .pdc import PDCParams, propagate_pdc
 from .superop import (
-    apply,
-    build_liouvillian,
-    kerr_finite_t_generator,
-    kerr_zero_t_generator,
-    pdc_drive,
-    pdc_drive_parts,
-    pdc_generator,
-    random_density,
-    verify_commutator_table,
+    build_liouvillian, kerr_finite_t_generator, kerr_zero_t_generator, pdc_generator,
 )
+from .verify import FAULTS, SUITES, report
 
 
 class ConfigError(Exception):
@@ -188,41 +164,40 @@ def _window(cfg):
     return dim
 
 
+@dataclass(frozen=True)
+class _Model:
+    params: type           # parameter dataclass, one field per config key
+    closed_form: Callable  # rho0, t, params -> rho(t)
+    generator: Callable    # dim, params -> the generator on that window
+
+
+# The entries look this module's names up when they run, so a rebound name
+# (a profiler's wrapper, a test's monkeypatch) reaches them.
+MODELS = {
+    "kerr0": _Model(
+        KerrZeroTParams,
+        lambda rho0, t, p: propagate_kerr_zero_t(rho0, t, p),
+        lambda dim, p: kerr_zero_t_generator(dim, p.chi, p.gamma_minus),
+    ),
+    "kerrT": _Model(
+        KerrFiniteTParams,
+        lambda rho0, t, p: propagate_kerr_finite_t(rho0, t, p),
+        lambda dim, p: kerr_finite_t_generator(
+            dim, p.chi, p.gamma_minus, p.gamma_plus, p.gamma0, p.c_gamma),
+    ),
+    "pdc": _Model(
+        PDCParams,
+        lambda rho0, t, p: propagate_pdc(rho0, t, p),
+        lambda dim, p: pdc_generator(dim, p.epsilon, p.gamma, corrected=p.corrected_mode),
+    ),
+}
+
+
 def _model_params(cfg):
-    model = cfg["model"]
-    if model == "kerr0":
-        _require(cfg, "chi", "gamma_minus")
-        return KerrZeroTParams(chi=cfg["chi"], gamma_minus=cfg["gamma_minus"])
-    if model == "kerrT":
-        _require(cfg, "chi", "gamma_minus", "gamma_plus")
-        return KerrFiniteTParams(
-            chi=cfg["chi"],
-            gamma_minus=cfg["gamma_minus"],
-            gamma_plus=cfg["gamma_plus"],
-            gamma0=cfg.get("gamma0"),
-            c_gamma=cfg.get("c_gamma"),
-        )
-    _require(cfg, "epsilon", "gamma")
-    return PDCParams(
-        epsilon=cfg["epsilon"],
-        gamma=cfg["gamma"],
-        corrected_mode=cfg.get("corrected_mode", True),
-    )
-
-
-def _generator_matrix(cfg, dim, params):
-    model = cfg["model"]
-    if model == "kerr0":
-        expr = kerr_zero_t_generator(dim, params.chi, params.gamma_minus)
-    elif model == "kerrT":
-        expr = kerr_finite_t_generator(
-            dim, params.chi, params.gamma_minus, params.gamma_plus,
-            params.gamma0, params.c_gamma,
-        )
-    else:
-        expr = pdc_generator(dim, params.epsilon, params.gamma,
-                             corrected=params.corrected_mode)
-    return build_liouvillian(expr)
+    """The model's parameters from the config; fields without a default are required."""
+    cls = MODELS[cfg["model"]].params
+    _require(cfg, *(f.name for f in fields(cls) if f.default is MISSING))
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg})
 
 
 def _initial_state(cfg, dim):
@@ -275,14 +250,10 @@ def _propagator(cfg, params, dim, engine):
     steps = cfg.get("steps")
     if steps is not None and steps < 1:
         raise ConfigError("steps must be at least 1")
+    model = MODELS[cfg["model"]]
     if engine == "analytic":
-        model = cfg["model"]
-        if model == "kerr0":
-            return lambda rho0, t: propagate_kerr_zero_t(rho0, t, params)
-        if model == "kerrT":
-            return lambda rho0, t: propagate_kerr_finite_t(rho0, t, params)
-        return lambda rho0, t: propagate_pdc(rho0, t, params)
-    mat = _generator_matrix(cfg, dim, params)
+        return lambda rho0, t: model.closed_form(rho0, t, params)
+    mat = build_liouvillian(model.generator(dim, params))
     if engine == "expm":
         return lambda rho0, t: expm_evolve(mat, rho0, t)
 
@@ -299,8 +270,11 @@ def _g17(x):
 
 
 def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -406,195 +380,7 @@ def run_qfunc(config_path, out_path, engine=None):
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-FAULTS = ("kerr0-phase-sign", "pdc-alpha-minus-flip", "pdc-branch-swap")
-
-
-def _check(name, residual, tol):
-    return {
-        "name": name,
-        "kind": "check",
-        "residual": float(residual),
-        "tolerance": tol,
-        "passed": float(residual) <= tol,
-        "note": "",
-    }
-
-
-def _maxabs(x):
-    return float(np.max(np.abs(x)))
-
-
-def _suite_kerr0(dim, seed, fault):
-    dim = dim or 12
-    recs = []
-    chi, gm = 1.0, 0.1
-    params = KerrZeroTParams(chi=chi, gamma_minus=gm)
-
-    # closed form vs brute-force exponential on the same window; the
-    # closed form is exact there, so tolerance is tight
-    chi_oracle = -chi if fault == "kerr0-phase-sign" else chi
-    mat = build_liouvillian(kerr_zero_t_generator(dim, chi_oracle, gm))
-    worst = 0.0
-    for i in range(3):
-        rho0 = random_density(dim, np.random.default_rng([seed, i]))
-        a = propagate_kerr_zero_t(rho0, 0.5, params)
-        b = expm_evolve(mat, rho0, 0.5)
-        worst = max(worst, _maxabs(a - b))
-    recs.append(_check(f"propagator vs exponential, dim={dim}, t=0.5", worst, 1e-8))
-
-    # mean occupation must decay at exactly twice the amplitude rate
-    psi, _ = coherent_state(30, 2.0)
-    rho0 = density_from_ket(psi)
-    worst = 0.0
-    for t in (0.0, 0.5, 1.0, 2.0):
-        n_t = observables(propagate_kerr_zero_t(rho0, t, params))["mean_n"]
-        worst = max(worst, abs(n_t - 4.0 * math.exp(-2.0 * gm * t)))
-    recs.append(_check("mean occupation decay, coherent alpha=2, dim=30", worst, 1e-8))
-
-    # undamped revival: the phases n(n-1) chi t all return to 1 at t = pi/chi
-    psi, _ = coherent_state(20, 2.0)
-    rho0 = density_from_ket(psi)
-    lossless = KerrZeroTParams(chi=chi, gamma_minus=0.0)
-    fid = fidelity_pure(psi, propagate_kerr_zero_t(rho0, math.pi / chi, lossless))
-    recs.append(_check("undamped revival fidelity at t=pi/chi, dim=20", abs(1.0 - fid), 1e-8))
-
-    vac = np.zeros((dim, dim), dtype=complex)
-    vac[0, 0] = 1.0
-    recs.append(_check(
-        "vacuum is stationary",
-        _maxabs(propagate_kerr_zero_t(vac, 1.3, params) - vac),
-        1e-12,
-    ))
-    return recs
-
-
-def _suite_kerrt(dim, seed, fault):
-    dim = dim or 12
-    recs = []
-    params = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.05)
-
-    # continuity of the upward-rate limit against the zero-temperature form
-    psi, _ = coherent_state(12, 1.0)
-    r0 = density_from_ket(psi)
-    warm = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=1e-8)
-    cold = KerrZeroTParams(chi=1.0, gamma_minus=0.1)
-    recs.append(_check(
-        "gamma_plus -> 0 continuity, dim=12, t=0.5",
-        _maxabs(
-            propagate_kerr_finite_t(r0, 0.5, warm)
-            - propagate_kerr_zero_t(r0, 0.5, cold)
-        ),
-        1e-6,
-    ))
-
-    # thermal stationarity at nbar = 1 on a window wide enough that the
-    # geometric tail beyond the cutoff is below the tolerance
-    nth = 40
-    weights = 0.5 ** (np.arange(nth) + 1)
-    rho_th = np.diag(weights / weights.sum()).astype(complex)
-    gen = kerr_finite_t_generator(nth, 1.0, 0.1, 0.05, 0.15, -0.1)
-    recs.append(_check(
-        "thermal state annihilated by the generator, dim=40",
-        _maxabs(apply(gen, rho_th)),
-        1e-10,
-    ))
-    recs.append(_check(
-        "thermal state fixed by the propagator, dim=40, t=0.7",
-        _maxabs(propagate_kerr_finite_t(rho_th, 0.7, params) - rho_th),
-        1e-8,
-    ))
-
-    # against a wide-window integrator, which removes the oracle's own
-    # cutoff error from the comparison
-    rho0 = random_density(dim, np.random.default_rng([seed, 13]))
-
-    def build(n):
-        return build_liouvillian(kerr_finite_t_generator(n, 1.0, 0.1, 0.05, 0.15, -0.1))
-
-    ref, conv = converged_window_reference(build, rho0, 0.5, pad=16, check=8,
-                                           method="rk4", accuracy=1e-9)
-    recs.append(_check(
-        f"wide-window integrator self-convergence, dim={dim}+pad",
-        conv, 1e-10,
-    ))
-    recs.append(_check(
-        f"resummed propagator vs wide-window integrator, dim={dim}, t=0.5",
-        _maxabs(propagate_kerr_finite_t(rho0, 0.5, params) - ref),
-        1e-10,
-    ))
-    return recs
-
-
-def _suite_pdc(dim, seed, fault):
-    dim = dim or 16
-    if dim < 12:
-        raise ConfigError("pdc suite needs dim >= 12")
-    recs = []
-    params = PDCParams(epsilon=0.3, gamma=1.0)
-
-    # anchor values of the de-driving coefficients at eps=0.6, gamma=1
-    anchor = transform_params(PDCParams(epsilon=0.6, gamma=1.0))
-    worst = max(
-        abs(anchor.alpha_plus - 1j / 3.0),
-        abs(anchor.alpha_minus - (-0.375j)),
-        abs(anchor.lam - 0.8),
-    )
-    recs.append(_check("transform anchor values at eps=0.6, gamma=1", worst, 1e-12))
-
-    xform = transform_params(params)
-    if fault == "pdc-alpha-minus-flip":
-        xform = type(xform)(alpha_plus=xform.alpha_plus,
-                            alpha_minus=-xform.alpha_minus, lam=xform.lam)
-    elif fault == "pdc-branch-swap":
-        # the quadratic's other root, i (gamma + r) / conj(eps), diverges as eps -> 0
-        other = 1j * params.gamma * (1.0 + xform.lam) / np.conj(params.epsilon)
-        xform = type(xform)(alpha_plus=other, alpha_minus=-xform.alpha_minus, lam=xform.lam)
-
-    recs.append(_check(
-        f"transformed generator matches the damping target, dim={dim}",
-        transformed_generator_residual(params, xform, dim=dim),
-        1e-8,
-    ))
-
-    # drive splits into its four one-sided pieces exactly
-    parts = pdc_drive_parts(dim, params.epsilon)
-    whole = build_liouvillian(pdc_drive(dim, params.epsilon))
-    summed = sum(build_liouvillian(p) for p in parts.values())
-    recs.append(_check("drive equals the sum of its four pieces", _maxabs(whole - summed), 1e-14))
-
-    # against a wide-window integrator: the closed form solves the
-    # untruncated flow, so a same-window exponential would differ from it
-    # by the cutoff error; windows 18 and 20 keep the suite quick
-    small, t = 10, 0.4
-    vac = np.zeros((small, small), dtype=complex)
-    vac[0, 0] = 1.0
-
-    def build(n):
-        return build_liouvillian(pdc_generator(n, params.epsilon, params.gamma))
-
-    ref, conv = converged_window_reference(build, vac, t, pad=8, check=2)
-    recs.append(_check(f"wide-window integrator self-convergence, dim={small}+pad", conv, 1e-8))
-    recs.append(_check(
-        f"propagation vs wide-window integrator, vacuum, dim={small}, t={t}",
-        _maxabs(propagate_pdc(vac, t, params, xform=xform) - ref),
-        1e-8,
-    ))
-    return recs
-
-
-def _suite_tables(dim, seed, fault):
-    dim = dim or 12
-    return verify_commutator_table(dim, epsilon=0.3, gamma=1.0, samples=10, seed=seed)
-
-
-SUITES = {
-    "kerr0": _suite_kerr0,
-    "kerrT": _suite_kerrt,
-    "pdc": _suite_pdc,
-    "tables": _suite_tables,
-}
+# verify
 
 
 def run_verify(suite, dim=None, seed=0, out=None, fault=None):
@@ -602,39 +388,10 @@ def run_verify(suite, dim=None, seed=0, out=None, fault=None):
         raise ConfigError(f"unknown fault {fault!r}; known: {', '.join(FAULTS)}")
     if dim is not None and dim < 2:
         raise ConfigError("dim must be at least 2")
-    names = list(SUITES) if suite == "all" else [suite]
-
-    lines = [f"fockprop {__version__} verification report",
-             f"suite: {suite}  seed: {seed}" + (f"  fault: {fault}" if fault else "")]
-    failed = 0
-    checked = 0
-    for name in names:
-        records = SUITES[name](dim, seed, fault)
-        for rec in records:
-            kind = rec["kind"]
-            if kind == "check":
-                checked += 1
-                verdict = "PASS" if rec["passed"] else "FAIL"
-                failed += 0 if rec["passed"] else 1
-                lines.append(
-                    f"[{name}] {verdict} {rec['name']}: residual {rec['residual']:.3e}"
-                    f" tol {rec['tolerance']:.0e}"
-                )
-            elif kind == "note":
-                lines.append(
-                    f"[{name}] NOTE {rec['name']}: residual {rec['residual']:.3e}"
-                    + (f" ({rec['note']})" if rec["note"] else "")
-                )
-            else:
-                lines.append(f"[{name}] UNVERIFIABLE {rec['name']}: {rec['note']}")
-    lines.append(
-        f"{checked} checks, {failed} failed" if failed
-        else f"{checked} checks, all passed"
-    )
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
+    text, failed = report(suite, dim, seed, fault)
+    sys.stdout.write(text)
     if out:
-        _write_text(out, report)
+        _write_text(out, text)
     return 1 if failed else 0
 
 
@@ -656,7 +413,7 @@ def main(argv=None):
     p.add_argument("--dump-density", action="store_true")
 
     p = sub.add_parser("verify", help="run a self-check suite")
-    p.add_argument("--suite", required=True, choices=("kerr0", "kerrT", "pdc", "tables", "all"))
+    p.add_argument("--suite", required=True, choices=(*SUITES, "all"))
     p.add_argument("--dim", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -680,10 +437,7 @@ def main(argv=None):
             return run_verify(args.suite, dim=args.dim, seed=args.seed,
                               out=args.out, fault=args.fault)
         return run_qfunc(args.config, args.out, engine=args.engine)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ConfigError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

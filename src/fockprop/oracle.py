@@ -100,8 +100,8 @@ def expm_dense(A, rtol=1e-12):
     return acc
 
 
-def expm_evolve(L, rho0, t):
-    """Propagate rho0 by exp(L t) acting on the vectorized state."""
+def _evolve_inputs(L, rho0, t):
+    """(L, rho0, dim) as complex arrays, after checking the state's shape and t."""
     mat = np.asarray(L, dtype=complex)
     dim = int(round(math.sqrt(mat.shape[0])))
     rho0 = np.asarray(rho0, dtype=complex)
@@ -109,6 +109,12 @@ def expm_evolve(L, rho0, t):
         raise ValueError(f"state shape {rho0.shape} does not match generator for dim {dim}")
     if t < 0:
         raise ValueError("negative time")
+    return mat, rho0, dim
+
+
+def expm_evolve(L, rho0, t):
+    """Propagate rho0 by exp(L t) acting on the vectorized state."""
+    mat, rho0, dim = _evolve_inputs(L, rho0, t)
     v = vec(rho0)
     out = np.empty_like(v)
     for idx in _sectors(mat):
@@ -143,13 +149,7 @@ def rk4_evolve(L, rho0, t, config=None):
     half resolution and the standard fourth-order extrapolated difference
     |y_h - y_2h| / 15 is returned; otherwise the estimate is None.
     """
-    mat = np.asarray(L, dtype=complex)
-    dim = int(round(math.sqrt(mat.shape[0])))
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"state shape {rho0.shape} does not match generator for dim {dim}")
-    if t < 0:
-        raise ValueError("negative time")
+    mat, rho0, dim = _evolve_inputs(L, rho0, t)
     if t == 0:
         return rho0.astype(complex), 0.0
 

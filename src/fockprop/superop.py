@@ -132,14 +132,11 @@ def unvec(v, dim):
 def build_liouvillian(expr):
     """Dense dim^2 x dim^2 matrix of expr in the column-stacking convention."""
     dim = expr.dim
-    eye = np.eye(dim, dtype=complex)
     mat = np.zeros((dim * dim, dim * dim), dtype=complex)
     k, s = _ks(dim)
     for t in expr.terms:
         if isinstance(t, SandwichTerm):
-            left = t.left if t.left is not None else eye
-            right = t.right if t.right is not None else eye
-            mat += t.coeff * np.kron(right.T, left)
+            mat += t.coeff * np.kron(t.right.T, t.left)
         elif isinstance(t, DiagonalTerm):
             w = np.asarray(t.f(k, s), dtype=complex) * np.ones((dim, dim))
             mat += np.diag(w.flatten(order="F"))

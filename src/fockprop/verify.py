@@ -1,0 +1,248 @@
+"""Self-check suites behind `fockprop verify`.
+
+Each suite returns a list of record dicts: a "check" has a residual held to a
+tolerance, a "note" is reported without a verdict, and an "unverifiable"
+record names a relation the suite cannot test. report() runs suites and
+formats their records; it fails iff any check does. A planted fault (one of
+FAULTS) swaps a correct ingredient for a wrong one, and the suite that covers
+it must then fail.
+"""
+
+import math
+
+import numpy as np
+
+from . import __version__
+from .fock import coherent_state, density_from_ket, fidelity_pure, observables
+from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
+from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
+from .oracle import converged_window_reference, expm_evolve
+from .pdc import PDCParams, propagate_pdc, transform_params, transformed_generator_residual
+from .superop import (
+    _maxabs,
+    apply,
+    build_liouvillian,
+    kerr_finite_t_generator,
+    kerr_zero_t_generator,
+    pdc_drive,
+    pdc_drive_parts,
+    pdc_generator,
+    random_density,
+    verify_commutator_table,
+)
+
+FAULTS = ("kerr0-phase-sign", "pdc-alpha-minus-flip", "pdc-branch-swap")
+
+
+def _check(name, residual, tol):
+    return {
+        "name": name,
+        "kind": "check",
+        "residual": float(residual),
+        "tolerance": tol,
+        "passed": float(residual) <= tol,
+        "note": "",
+    }
+
+
+def _against_wide_window(generator, rho0, t, result, name, tol, **reference):
+    """Two checks of `result` = rho0 evolved to t on its own window.
+
+    The closed forms solve the untruncated flow, so a same-window exponential
+    would differ from them by the cutoff error. The reference is evolved on
+    wider windows instead (`converged_window_reference`); first its own
+    convergence is checked, then `result` against it.
+    """
+    def build(n):
+        return build_liouvillian(generator(n))
+
+    ref, conv = converged_window_reference(build, rho0, t, **reference)
+    return [
+        _check(f"wide-window integrator self-convergence, dim={len(rho0)}+pad", conv, tol),
+        _check(name, _maxabs(result - ref), tol),
+    ]
+
+
+def _suite_kerr0(dim, seed, fault):
+    dim = dim or 12
+    recs = []
+    chi, gm = 1.0, 0.1
+    params = KerrZeroTParams(chi=chi, gamma_minus=gm)
+
+    # closed form vs brute-force exponential on the same window; the
+    # closed form is exact there, so tolerance is tight
+    chi_oracle = -chi if fault == "kerr0-phase-sign" else chi
+    mat = build_liouvillian(kerr_zero_t_generator(dim, chi_oracle, gm))
+    worst = 0.0
+    for i in range(3):
+        rho0 = random_density(dim, np.random.default_rng([seed, i]))
+        a = propagate_kerr_zero_t(rho0, 0.5, params)
+        b = expm_evolve(mat, rho0, 0.5)
+        worst = max(worst, _maxabs(a - b))
+    recs.append(_check(f"propagator vs exponential, dim={dim}, t=0.5", worst, 1e-8))
+
+    # mean occupation must decay at exactly twice the amplitude rate
+    psi, _ = coherent_state(30, 2.0)
+    rho0 = density_from_ket(psi)
+    worst = 0.0
+    for t in (0.0, 0.5, 1.0, 2.0):
+        n_t = observables(propagate_kerr_zero_t(rho0, t, params))["mean_n"]
+        worst = max(worst, abs(n_t - 4.0 * math.exp(-2.0 * gm * t)))
+    recs.append(_check("mean occupation decay, coherent alpha=2, dim=30", worst, 1e-8))
+
+    # undamped revival: the phases n(n-1) chi t all return to 1 at t = pi/chi
+    psi, _ = coherent_state(20, 2.0)
+    rho0 = density_from_ket(psi)
+    lossless = KerrZeroTParams(chi=chi, gamma_minus=0.0)
+    fid = fidelity_pure(psi, propagate_kerr_zero_t(rho0, math.pi / chi, lossless))
+    recs.append(_check("undamped revival fidelity at t=pi/chi, dim=20", abs(1.0 - fid), 1e-8))
+
+    vac = np.zeros((dim, dim), dtype=complex)
+    vac[0, 0] = 1.0
+    recs.append(_check(
+        "vacuum is stationary",
+        _maxabs(propagate_kerr_zero_t(vac, 1.3, params) - vac),
+        1e-12,
+    ))
+    return recs
+
+
+def _suite_kerrt(dim, seed, fault):
+    dim = dim or 12
+    recs = []
+    params = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.05)
+
+    # continuity of the upward-rate limit against the zero-temperature form
+    psi, _ = coherent_state(12, 1.0)
+    r0 = density_from_ket(psi)
+    warm = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=1e-8)
+    cold = KerrZeroTParams(chi=1.0, gamma_minus=0.1)
+    recs.append(_check(
+        "gamma_plus -> 0 continuity, dim=12, t=0.5",
+        _maxabs(
+            propagate_kerr_finite_t(r0, 0.5, warm)
+            - propagate_kerr_zero_t(r0, 0.5, cold)
+        ),
+        1e-6,
+    ))
+
+    # thermal stationarity at nbar = 1 on a window wide enough that the
+    # geometric tail beyond the cutoff is below the tolerance
+    nth = 40
+    weights = 0.5 ** (np.arange(nth) + 1)
+    rho_th = np.diag(weights / weights.sum()).astype(complex)
+    gen = kerr_finite_t_generator(nth, 1.0, 0.1, 0.05, 0.15, -0.1)
+    recs.append(_check(
+        "thermal state annihilated by the generator, dim=40",
+        _maxabs(apply(gen, rho_th)),
+        1e-10,
+    ))
+    recs.append(_check(
+        "thermal state fixed by the propagator, dim=40, t=0.7",
+        _maxabs(propagate_kerr_finite_t(rho_th, 0.7, params) - rho_th),
+        1e-8,
+    ))
+
+    rho0 = random_density(dim, np.random.default_rng([seed, 13]))
+    recs += _against_wide_window(
+        lambda n: kerr_finite_t_generator(n, 1.0, 0.1, 0.05, 0.15, -0.1),
+        rho0, 0.5, propagate_kerr_finite_t(rho0, 0.5, params),
+        f"resummed propagator vs wide-window integrator, dim={dim}, t=0.5", 1e-10,
+        pad=16, check=8, method="rk4", accuracy=1e-9,
+    )
+    return recs
+
+
+def _suite_pdc(dim, seed, fault):
+    dim = dim or 16
+    if dim < 12:
+        raise ValueError("pdc suite needs dim >= 12")
+    recs = []
+    params = PDCParams(epsilon=0.3, gamma=1.0)
+
+    # anchor values of the de-driving coefficients at eps=0.6, gamma=1
+    anchor = transform_params(PDCParams(epsilon=0.6, gamma=1.0))
+    worst = max(
+        abs(anchor.alpha_plus - 1j / 3.0),
+        abs(anchor.alpha_minus - (-0.375j)),
+        abs(anchor.lam - 0.8),
+    )
+    recs.append(_check("transform anchor values at eps=0.6, gamma=1", worst, 1e-12))
+
+    xform = transform_params(params)
+    if fault == "pdc-alpha-minus-flip":
+        xform = type(xform)(alpha_plus=xform.alpha_plus,
+                            alpha_minus=-xform.alpha_minus, lam=xform.lam)
+    elif fault == "pdc-branch-swap":
+        # the quadratic's other root, i (gamma + r) / conj(eps), diverges as eps -> 0
+        other = 1j * params.gamma * (1.0 + xform.lam) / np.conj(params.epsilon)
+        xform = type(xform)(alpha_plus=other, alpha_minus=-xform.alpha_minus, lam=xform.lam)
+
+    recs.append(_check(
+        f"transformed generator matches the damping target, dim={dim}",
+        transformed_generator_residual(params, xform, dim=dim),
+        1e-8,
+    ))
+
+    # drive splits into its four one-sided pieces exactly
+    parts = pdc_drive_parts(dim, params.epsilon)
+    whole = build_liouvillian(pdc_drive(dim, params.epsilon))
+    summed = sum(build_liouvillian(p) for p in parts.values())
+    recs.append(_check("drive equals the sum of its four pieces", _maxabs(whole - summed), 1e-14))
+
+    # windows 18 and 20 keep the wide-window reference quick
+    small, t = 10, 0.4
+    vac = np.zeros((small, small), dtype=complex)
+    vac[0, 0] = 1.0
+    recs += _against_wide_window(
+        lambda n: pdc_generator(n, params.epsilon, params.gamma),
+        vac, t, propagate_pdc(vac, t, params, xform=xform),
+        f"propagation vs wide-window integrator, vacuum, dim={small}, t={t}", 1e-8,
+        pad=8, check=2,
+    )
+    return recs
+
+
+def _suite_tables(dim, seed, fault):
+    dim = dim or 12
+    return verify_commutator_table(dim, epsilon=0.3, gamma=1.0, samples=10, seed=seed)
+
+
+SUITES = {
+    "kerr0": _suite_kerr0,
+    "kerrT": _suite_kerrt,
+    "pdc": _suite_pdc,
+    "tables": _suite_tables,
+}
+
+
+def report(suite, dim, seed, fault):
+    """Run one suite, or all with suite="all". Returns (text, failed checks)."""
+    names = list(SUITES) if suite == "all" else [suite]
+    lines = [f"fockprop {__version__} verification report",
+             f"suite: {suite}  seed: {seed}" + (f"  fault: {fault}" if fault else "")]
+    failed = 0
+    checked = 0
+    for name in names:
+        for rec in SUITES[name](dim, seed, fault):
+            kind = rec["kind"]
+            if kind == "check":
+                checked += 1
+                verdict = "PASS" if rec["passed"] else "FAIL"
+                failed += 0 if rec["passed"] else 1
+                lines.append(
+                    f"[{name}] {verdict} {rec['name']}: residual {rec['residual']:.3e}"
+                    f" tol {rec['tolerance']:.0e}"
+                )
+            elif kind == "note":
+                lines.append(
+                    f"[{name}] NOTE {rec['name']}: residual {rec['residual']:.3e}"
+                    + (f" ({rec['note']})" if rec["note"] else "")
+                )
+            else:
+                lines.append(f"[{name}] UNVERIFIABLE {rec['name']}: {rec['note']}")
+    lines.append(
+        f"{checked} checks, {failed} failed" if failed
+        else f"{checked} checks, all passed"
+    )
+    return "\n".join(lines) + "\n", failed

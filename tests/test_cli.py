@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fockprop import __version__, cli, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
 from fockprop.fock import observables
 from fockprop.oracle import converged_window_reference
@@ -255,6 +257,8 @@ def test_propagate_usage_errors(tmp_path):
         "state = coherent\nalpha = 2.0", "state = cat\nalpha = 0.0\ncat_phase = 3.141592653589793"), "i.cfg")
     assert main(["propagate", "--config", no_cat, "--out", out]) == 2
     assert main(["propagate", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == 2
+    good = cfg_file(tmp_path, KERR0_DECAY, "j.cfg")
+    assert main(["propagate", "--config", good, "--out", str(tmp_path / "no" / "x.csv")]) == 2
 
 
 def test_propagate_long_times_stay_finite(tmp_path):
@@ -333,6 +337,8 @@ def test_qfunc_usage_errors(tmp_path):
     for i, text in enumerate(non_finite_rates(QFUNC_VACUUM)):
         nan_rate = cfg_file(tmp_path, text, f"e{i}.cfg")
         assert main(["qfunc", "--config", nan_rate, "--out", out]) == 2
+    good = cfg_file(tmp_path, QFUNC_VACUUM, "f.cfg")
+    assert main(["qfunc", "--config", good, "--out", str(tmp_path / "no" / "q.csv")]) == 2
 
 
 def test_verify_suites_pass_and_report(tmp_path):
@@ -362,9 +368,97 @@ def test_verify_faults_are_caught(tmp_path):
     assert main(["verify", "--suite", "kerr0", "--inject-fault", "made-up"]) == 2
 
 
-def test_top_level_usage():
+def test_top_level_usage(tmp_path):
     assert main(["--version"]) == 0
     assert main([]) == 2
     assert main(["verify", "--suite", "bogus"]) == 2
     for dim in ("0", "1"):
         assert main(["verify", "--suite", "kerr0", "--dim", dim]) == 2
+    assert main(["verify", "--suite", "kerr0", "--out", str(tmp_path / "no" / "r.txt")]) == 2
+
+
+def test_dense_engines_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
+    # a window too large for the dense dim^2 x dim^2 generator must end in a
+    # usage error, not a traceback; no real allocation is attempted here
+    def refuse(expr):
+        raise MemoryError(f"Unable to allocate the generator for dim {expr.dim}")
+
+    monkeypatch.setattr(cli, "build_liouvillian", refuse)
+    monkeypatch.setattr(verify, "build_liouvillian", refuse)
+    assert main(["verify", "--suite", "kerr0", "--dim", "400"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate the generator for dim 400\n"
+    cfg = cfg_file(tmp_path, KERR0_DECAY)
+    for engine in ("expm", "rk4"):
+        assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--engine", engine]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+# `verify --suite all --seed 0` with residuals masked: pins which checks run,
+# their names, tolerances and order
+VERIFY_ALL_SEED0 = """\
+suite: all  seed: 0
+[kerr0] PASS propagator vs exponential, dim=12, t=0.5: residual * tol 1e-08
+[kerr0] PASS mean occupation decay, coherent alpha=2, dim=30: residual * tol 1e-08
+[kerr0] PASS undamped revival fidelity at t=pi/chi, dim=20: residual * tol 1e-08
+[kerr0] PASS vacuum is stationary: residual * tol 1e-12
+[kerrT] PASS gamma_plus -> 0 continuity, dim=12, t=0.5: residual * tol 1e-06
+[kerrT] PASS thermal state annihilated by the generator, dim=40: residual * tol 1e-10
+[kerrT] PASS thermal state fixed by the propagator, dim=40, t=0.7: residual * tol 1e-08
+[kerrT] PASS wide-window integrator self-convergence, dim=12+pad: residual * tol 1e-10
+[kerrT] PASS resummed propagator vs wide-window integrator, dim=12, t=0.5: residual * tol 1e-10
+[pdc] PASS transform anchor values at eps=0.6, gamma=1: residual * tol 1e-12
+[pdc] PASS transformed generator matches the damping target, dim=16: residual * tol 1e-08
+[pdc] PASS drive equals the sum of its four pieces: residual * tol 1e-14
+[pdc] PASS wide-window integrator self-convergence, dim=10+pad: residual * tol 1e-08
+[pdc] PASS propagation vs wide-window integrator, vacuum, dim=10, t=0.4: residual * tol 1e-08
+[tables] PASS [pair_sink, jump_down_scaled] = 0: residual * tol 1e-10
+[tables] PASS [jump_down_scaled, pair_sink] = -(0): residual * tol 1e-10
+[tables] PASS [pair_sink, cross_shift_sum] = -jump_down_scaled: residual * tol 1e-10
+[tables] PASS [cross_shift_sum, pair_sink] = -(-jump_down_scaled): residual * tol 1e-10
+[tables] PASS [pair_sink, pair_source] = 4*damping_shift: residual * tol 1e-10
+[tables] PASS [pair_source, pair_sink] = -(4*damping_shift): residual * tol 1e-10
+[tables] PASS [pair_sink, jump_up_scaled] = -8*cross_shift_sum: residual * tol 1e-10
+[tables] PASS [jump_up_scaled, pair_sink] = -(-8*cross_shift_sum): residual * tol 1e-10
+[tables] PASS [jump_down_scaled, cross_shift_sum] = -4*pair_sink: residual * tol 1e-10
+[tables] PASS [cross_shift_sum, jump_down_scaled] = -(-4*pair_sink): residual * tol 1e-10
+[tables] PASS [jump_down_scaled, pair_source] = 8*cross_shift_sum: residual * tol 1e-10
+[tables] PASS [pair_source, jump_down_scaled] = -(8*cross_shift_sum): residual * tol 1e-10
+[tables] PASS [jump_down_scaled, jump_up_scaled] = -16*damping_shift: residual * tol 1e-10
+[tables] PASS [jump_up_scaled, jump_down_scaled] = -(-16*damping_shift): residual * tol 1e-10
+[tables] PASS [cross_shift_sum, pair_source] = jump_up_scaled: residual * tol 1e-10
+[tables] PASS [pair_source, cross_shift_sum] = -(jump_up_scaled): residual * tol 1e-10
+[tables] PASS [cross_shift_sum, jump_up_scaled] = 4*pair_source: residual * tol 1e-10
+[tables] PASS [jump_up_scaled, cross_shift_sum] = -(4*pair_source): residual * tol 1e-10
+[tables] PASS [pair_source, jump_up_scaled] = 0: residual * tol 1e-10
+[tables] PASS [jump_up_scaled, pair_source] = -(0): residual * tol 1e-10
+[tables] PASS [pair_sink, pair_sink] = 0: residual * tol 1e-10
+[tables] PASS [jump_down_scaled, jump_down_scaled] = 0: residual * tol 1e-10
+[tables] PASS [cross_shift_sum, cross_shift_sum] = 0: residual * tol 1e-10
+[tables] PASS [pair_source, pair_source] = 0: residual * tol 1e-10
+[tables] PASS [jump_up_scaled, jump_up_scaled] = 0: residual * tol 1e-10
+[tables] NOTE [pair_sink, jump_up_scaled] coefficient-2 variant: residual * (coefficient 2 rejected in favor of 8, residual shown)
+[tables] NOTE [jump_up_scaled, pair_sink] coefficient-2 variant: residual * (coefficient 2 rejected in favor of 8, residual shown)
+[tables] PASS closure: span{jump_down_scaled, pair_sink, cross_shift_sum}: residual * tol 1e-10
+[tables] PASS closure: span{jump_up_scaled, pair_source, cross_shift_sum}: residual * tol 1e-10
+[tables] PASS [number_damping(0.1), lowering] = 2*0.1*lowering: residual * tol 1e-10
+[tables] PASS [kerr_phase(1.0), lowering] = 2i*1.0*index_difference.lowering: residual * tol 1e-10
+[tables] PASS [index_difference, lowering] = 0: residual * tol 1e-10
+[tables] PASS [cross_raise, jump_down] rho = -2g rho adag^2: residual * tol 1e-10
+[tables] PASS [cross_raise, jump_up] rho = 2g adag^2 rho: residual * tol 1e-10
+[tables] PASS [cross_raise, drive] = (i conj(eps)/g) (jump_down + jump_up): residual * tol 1e-10
+[tables] PASS [cross_lower, jump_down] rho = -2g a^2 rho: residual * tol 1e-10
+[tables] PASS [cross_lower, jump_up] rho = 2g rho a^2: residual * tol 1e-10
+[tables] PASS [cross_lower, drive] = (-i eps/g) (jump_down + jump_up): residual * tol 1e-10
+[tables] PASS [cross_raise, number_damping] = 0: residual * tol 1e-10
+[tables] PASS [cross_lower, number_damping] = 0: residual * tol 1e-10
+[tables] UNVERIFIABLE [cross_lower, <undefined partner>] = (coupling/g)(jump_up + jump_down): the partner superoperator is never defined, so the relation cannot be evaluated; recorded, not failed
+52 checks, all passed
+"""
+
+
+def test_verify_report_lists_every_check(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    got = re.sub(r"residual -?\d\.\d{3}e[+-]\d\d", "residual *", capsys.readouterr().out)
+    want = [f"fockprop {__version__} verification report"] + VERIFY_ALL_SEED0.splitlines()
+    assert got.splitlines() == want
