@@ -68,18 +68,22 @@ def cat_state(dim, alpha, phase):
     """Superposition (|alpha> + e^{i phase} |-alpha>) / norm, truncated.
 
     deficit is measured against the ideal (untruncated) norm
-    2 (1 + cos(phase)) + 2 cos(phase) expm1(-2|alpha|^2), so it reflects
+    4 cos^2(phase/2) + 2 cos(phase) expm1(-2|alpha|^2), so it reflects
     cutoff loss only; written so, it stays accurate for odd cats at small
-    alpha. Raises where the ideal norm vanishes.
+    alpha and near phase = pi. Raises where the two branches cancel down to
+    their rounding error, since what is left of the state is noise.
     """
-    raw = _coherent_amps(dim, alpha) + np.exp(1j * phase) * _coherent_amps(dim, -alpha)
-    cos = np.cos(phase)
-    ideal_norm_sq = 2.0 * (1.0 + cos) + 2.0 * cos * np.expm1(-2.0 * abs(alpha) ** 2)
-    if ideal_norm_sq <= 0.0:
-        raise ValueError("cat state vanishes: its two branches cancel at this alpha and phase")
-    norm_sq = float(np.sum(np.abs(raw) ** 2))
-    if norm_sq <= 0.0:
+    plus = _coherent_amps(dim, alpha)
+    minus = np.exp(1j * phase) * _coherent_amps(dim, -alpha)
+    raw = plus + minus
+    branches_sq = float(np.sum(np.abs(plus) ** 2 + np.abs(minus) ** 2))
+    if branches_sq <= 0.0:
         raise ValueError("cat state has no support on this window")
+    norm_sq = float(np.sum(np.abs(raw) ** 2))
+    if norm_sq <= np.finfo(float).eps ** 2 * branches_sq:
+        raise ValueError("cat state vanishes: its two branches cancel at this alpha and phase")
+    ideal_norm_sq = (4.0 * np.cos(0.5 * phase) ** 2
+                     + 2.0 * np.cos(phase) * np.expm1(-2.0 * abs(alpha) ** 2))
     return raw / np.sqrt(norm_sq), 1.0 - norm_sq / ideal_norm_sq
 
 

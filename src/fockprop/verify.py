@@ -20,6 +20,7 @@ from .oracle import converged_window_reference, expm_evolve
 from .pdc import PDCParams, propagate_pdc, transform_params, transformed_generator_residual
 from .superop import (
     _maxabs,
+    _record,
     apply,
     build_liouvillian,
     kerr_finite_t_generator,
@@ -35,14 +36,7 @@ FAULTS = ("kerr0-phase-sign", "pdc-alpha-minus-flip", "pdc-branch-swap")
 
 
 def _check(name, residual, tol):
-    return {
-        "name": name,
-        "kind": "check",
-        "residual": float(residual),
-        "tolerance": tol,
-        "passed": float(residual) <= tol,
-        "note": "",
-    }
+    return _record(name, float(residual), tol)
 
 
 def _against_wide_window(generator, rho0, t, result, name, tol, **reference):
@@ -155,8 +149,6 @@ def _suite_kerrt(dim, seed, fault):
 
 def _suite_pdc(dim, seed, fault):
     dim = dim or 16
-    if dim < 12:
-        raise ValueError("pdc suite needs dim >= 12")
     recs = []
     params = PDCParams(epsilon=0.3, gamma=1.0)
 
@@ -215,10 +207,19 @@ SUITES = {
     "tables": _suite_tables,
 }
 
+# smallest window a suite accepts beyond the CLI's dim >= 2
+MIN_DIM = {"pdc": 12, "tables": 10}
+
 
 def report(suite, dim, seed, fault):
-    """Run one suite, or all with suite="all". Returns (text, failed checks)."""
+    """Run one suite, or all with suite="all". Returns (text, failed checks).
+
+    A dim below any selected suite's MIN_DIM is refused before a suite runs.
+    """
     names = list(SUITES) if suite == "all" else [suite]
+    for name in names:
+        if dim is not None and dim < MIN_DIM.get(name, 0):
+            raise ValueError(f"{name} suite needs dim >= {MIN_DIM[name]}")
     lines = [f"fockprop {__version__} verification report",
              f"suite: {suite}  seed: {seed}" + (f"  fault: {fault}" if fault else "")]
     failed = 0

@@ -462,3 +462,21 @@ def test_verify_report_lists_every_check(capsys):
     got = re.sub(r"residual -?\d\.\d{3}e[+-]\d\d", "residual *", capsys.readouterr().out)
     want = [f"fockprop {__version__} verification report"] + VERIFY_ALL_SEED0.splitlines()
     assert got.splitlines() == want
+
+
+def test_verify_refuses_a_small_window_before_any_suite(monkeypatch, capsys):
+    ran = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda *args, name=name: ran.append(name) or [])
+    for dim in ("10", "11"):
+        assert main(["verify", "--suite", "all", "--dim", dim]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: pdc suite needs dim >= 12\n")
+    assert main(["verify", "--suite", "tables", "--dim", "9"]) == 2
+    assert capsys.readouterr().err == "error: tables suite needs dim >= 10\n"
+    assert ran == []
+
+
+def test_verify_all_at_the_smallest_common_window(capsys):
+    assert main(["verify", "--suite", "all", "--dim", "12"]) == 0
+    assert capsys.readouterr().out.endswith("\n52 checks, all passed\n")

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,18 @@ def test_package_imports_resolve():
     for module, name in imported:
         assert hasattr(importlib.import_module(f"fockprop.{module}"), name)
         assert hasattr(fockprop, name)
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_runtime_imports_are_stdlib_numpy_or_fockprop(name):
+    # pyproject's runtime dependencies are numpy alone; scipy and the test
+    # tools may appear only under tests/
+    source = Path(fockprop.__file__).with_name(f"{name}.py").read_text(encoding="utf-8")
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fockprop"}
+    assert roots - allowed == set()

@@ -116,6 +116,15 @@ def test_odd_cat_at_small_alpha():
         cat_state(8, 0.0, math.pi)
 
 
+def test_vacuum_cat_near_pi_keeps_its_digits():
+    # at alpha = 0 the cat is the vacuum for every phase short of pi; written
+    # as 2 + 2 cos(phase), its ideal norm cancels to noise or to 0 there
+    for delta in (1e-6, 1e-7, 1e-8):
+        psi, deficit = cat_state(8, 0.0, math.pi - delta)
+        assert abs(psi[0]) == pytest.approx(1.0)
+        assert abs(deficit) <= 1e-12
+
+
 def test_density_from_ket():
     psi = np.array([1.0, 1.0j]) / math.sqrt(2)
     rho = density_from_ket(psi)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockprop import superop
 from fockprop.fock import annihilation
 from fockprop.superop import (
     apply,
@@ -202,3 +203,44 @@ def test_commutator_table_all_checks_pass():
 def test_commutator_table_needs_room():
     with pytest.raises(ValueError):
         verify_commutator_table(8, epsilon=0.3, gamma=1.0)
+
+
+def _table_verdicts(monkeypatch, name, fake):
+    monkeypatch.setattr(superop, name, fake)
+    records = verify_commutator_table(12, epsilon=0.3, gamma=1.0, samples=3, seed=0)
+    failed = {r["name"] for r in records if r["passed"] is False}
+    closures = [r["passed"] for r in records if r["name"].startswith("closure:")]
+    return failed, closures
+
+
+def test_commutator_table_blames_a_wrong_damping_shift(monkeypatch):
+    # dropping the +1 breaks exactly the cells whose right side names it
+    failed, closures = _table_verdicts(
+        monkeypatch, "damping_shift", lambda dim: number_damping(dim, 1.0))
+    assert failed == {
+        "[pair_sink, pair_source] = 4*damping_shift",
+        "[pair_source, pair_sink] = -(4*damping_shift)",
+        "[jump_down_scaled, jump_up_scaled] = -16*damping_shift",
+        "[jump_up_scaled, jump_down_scaled] = -(-16*damping_shift)",
+    }
+    assert closures == [True, True]
+
+
+def test_commutator_table_blames_a_wrong_pair_sink(monkeypatch):
+    # a doubled pair_sink breaks every cell it enters linearly, and the
+    # closure of the lowering subalgebra it belongs to, not the raising one
+    true_sink = superop.pair_sink
+    failed, closures = _table_verdicts(
+        monkeypatch, "pair_sink", lambda dim: 2.0 * true_sink(dim))
+    assert failed == {
+        "[pair_sink, cross_shift_sum] = -jump_down_scaled",
+        "[cross_shift_sum, pair_sink] = -(-jump_down_scaled)",
+        "[pair_sink, pair_source] = 4*damping_shift",
+        "[pair_source, pair_sink] = -(4*damping_shift)",
+        "[pair_sink, jump_up_scaled] = -8*cross_shift_sum",
+        "[jump_up_scaled, pair_sink] = -(-8*cross_shift_sum)",
+        "[jump_down_scaled, cross_shift_sum] = -4*pair_sink",
+        "[cross_shift_sum, jump_down_scaled] = -(-4*pair_sink)",
+        "closure: span{jump_down_scaled, pair_sink, cross_shift_sum}",
+    }
+    assert closures == [False, True]
