@@ -19,7 +19,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .fock import cat_state, coherent_state, density_from_ket, fidelity_pure, husimi_q, observables
+from .fock import (
+    _chunks, cat_state, coherent_state, density_from_ket, fidelity_pure, husimi_q, observables,
+)
 from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from .oracle import IntegratorConfig, expm_evolve, recommended_steps, rk4_evolve
@@ -167,7 +169,7 @@ def _window(cfg):
 @dataclass(frozen=True)
 class _Model:
     params: type           # parameter dataclass, one field per config key
-    closed_form: Callable  # rho0, t, params -> rho(t)
+    closed_form: Callable  # rho0, t, params -> rho(t), or the stack of a 1-D t
     generator: Callable    # dim, params -> the generator on that window
 
 
@@ -246,23 +248,38 @@ def _target_state(spec, dim):
 
 
 def _propagator(cfg, params, dim, engine):
-    """Returns a function rho0, t -> rho(t) for the chosen engine."""
+    """Returns a function rho0, times -> the states rho(t), one per time.
+
+    The closed forms return them as one (T, dim, dim) stack; the dense
+    engines evolve one time after another and keep each result's layout.
+    """
     steps = cfg.get("steps")
     if steps is not None and steps < 1:
         raise ConfigError("steps must be at least 1")
     model = MODELS[cfg["model"]]
     if engine == "analytic":
-        return lambda rho0, t: model.closed_form(rho0, t, params)
+        return lambda rho0, times: model.closed_form(rho0, times, params)
     mat = build_liouvillian(model.generator(dim, params))
-    if engine == "expm":
-        return lambda rho0, t: expm_evolve(mat, rho0, t)
 
-    def rk4(rho0, t):
+    def one(rho0, t):
+        if engine == "expm":
+            return expm_evolve(mat, rho0, t)
         n = recommended_steps(mat, t) if steps is None else steps
         out, _ = rk4_evolve(mat, rho0, t, IntegratorConfig(steps=n, richardson=False))
         return out
 
-    return rk4
+    return lambda rho0, times: [one(rho0, t) for t in times]
+
+
+def _evolved(evolve, rho0, times, dim):
+    """(t, rho(t)) for each time, evolved one chunk of times at a time.
+
+    A chunk holds as many times as the shared entry budget allows for
+    states of dim^2 entries, so memory stays bounded however many times
+    the config lists.
+    """
+    for part in _chunks(len(times), dim * dim):
+        yield from zip(times[part], evolve(rho0, times[part]))
 
 
 def _g17(x):
@@ -296,15 +313,14 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
         if target is None:
             target = psi0
 
-    step = _propagator(cfg, params, dim, engine)
+    evolve = _propagator(cfg, params, dim, engine)
     dump = dump_density or cfg.get("dump_density", False)
 
     header = "t,trace_re,trace_im,purity,mean_n,min_eig"
     if target is not None:
         header += ",fidelity_target"
     rows = [header]
-    for i, t in enumerate(cfg["times"]):
-        rho = step(rho0, t)
+    for i, (t, rho) in enumerate(_evolved(evolve, rho0, cfg["times"], dim)):
         obs = observables(rho)
         herm = 0.5 * (rho + rho.conj().T)
         min_eig = float(np.linalg.eigvalsh(herm).min())
@@ -365,7 +381,7 @@ def run_qfunc(config_path, out_path, engine=None):
     params = _model_params(cfg)
     engine = engine or cfg.get("engine", "analytic")
     psi0, _ = _initial_state(cfg, dim)
-    rho = _propagator(cfg, params, dim, engine)(density_from_ket(psi0), cfg["times"][0])
+    rho = _propagator(cfg, params, dim, engine)(density_from_ket(psi0), cfg["times"])[0]
 
     res = np.linspace(cfg["re_min"], cfg["re_max"], pts)
     ims = np.linspace(cfg["im_min"], cfg["im_max"], pts)

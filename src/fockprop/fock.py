@@ -37,13 +37,33 @@ def number_op(dim):
     return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
+# complex entries one batched pass may hold: a stack of T states of dim^2
+# entries each, or the dim x P coherent amplitudes of P phase-space points.
+# On the benchmark's kerr_timeseries batch (2-core VM, one BLAS thread),
+# 2^16 ran about 10% faster but raised the peak RSS from 35 to 40 MB, and
+# 2^12 kept it at 34 MB but ran 1.7 times slower.
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _chunks(n, size):
+    """Consecutive slices of range(n) of at most _CHUNK_ENTRIES // size items.
+
+    Every slice holds at least one item, so an item larger than the budget
+    is taken alone.
+    """
+    step = max(1, _CHUNK_ENTRIES // size)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _coherent_amps(dim, alpha):
     """Raw truncated coherent amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!).
 
     No renormalization. The recurrence c_n = c_{n-1} * alpha / sqrt(n)
-    avoids overflow in alpha^n and n! separately.
+    avoids overflow in alpha^n and n! separately. alpha may be an array of
+    points; the amplitudes then run down the first axis, one column per
+    point.
     """
-    amps = np.zeros(dim, dtype=complex)
+    amps = np.zeros((dim,) + np.shape(alpha), dtype=complex)
     amps[0] = np.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / np.sqrt(n)
@@ -131,12 +151,14 @@ def husimi_q(rho, alphas):
     Uses the raw truncated coherent amplitudes (no renormalization): the
     quadrature of Q over all of phase space is then 1 up to truncation
     error, and values at alpha far outside the window decay to zero
-    instead of being inflated by renormalization.
+    instead of being inflated by renormalization. The points are taken in
+    chunks, each one (dim, P) recurrence and one product with rho.
     """
     rho = np.asarray(rho, dtype=complex)
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     dim = rho.shape[0]
     out = np.empty(len(alphas), dtype=float)
-    for i, alpha in enumerate(alphas):
-        c = _coherent_amps(dim, alpha)
-        out[i] = float(np.real(c.conj() @ rho @ c)) / np.pi
+    for part in _chunks(len(alphas), dim):
+        c = _coherent_amps(dim, alphas[part])
+        out[part] = np.real(np.sum(c.conj() * (rho @ c), axis=0)) / np.pi
     return out

@@ -50,39 +50,65 @@ def _shift_series(c, rho, read):
     its own and large windows neither overflow nor divide infinities. The
     sum terminates at the window edge, so it is exact on the window, and it
     stops once every weight underflows to zero.
+
+    Either argument may also be a (T, dim, dim) stack, with a weight per
+    slice or a state per slice; the other is shared by every slice. Each
+    slice is the series of its own weight and state, bit for bit: a slice
+    leaves the loop once its own weight underflows, as it would alone.
     """
     rho = np.asarray(rho, dtype=complex)
-    out = rho.copy()                            # term 0
     c = np.asarray(c, dtype=complex)
+    dim = rho.shape[-1]
+    out = np.array(np.broadcast_to(rho, np.broadcast_shapes(rho.shape, c.shape)))  # term 0
     if not c.any():
         return out
-    dim = rho.shape[0]
-    c = np.broadcast_to(c, (dim, dim))
+    stack = out.reshape(-1, dim, dim)           # a view: out is a fresh array
+    src = rho.reshape(-1, dim, dim)
+    c = np.broadcast_to(c, (c.shape[0] if c.ndim == 3 else 1, dim, dim))
     root = np.sqrt(np.arange(dim, dtype=float))
-    w = np.ones((1, 1), dtype=complex)          # broadcasts to the first block
+    w = np.ones((1, 1, 1), dtype=complex)       # broadcasts to the first block
+    live = slice(None)                          # slices whose weight is not all zero
     for j in range(1, dim):
         d = dim - j
-        w = w[:d, :d] * c[:d, :d]
-        if not w.any():
-            break
+        w = w[:, :d, :d] * c[:, :d, :d]
+        alive = w.any(axis=(1, 2))
+        if not alive.all():
+            if not alive.any():
+                break
+            # only a per-slice weight can die alone; adding its zero terms
+            # would still turn a -0.0 of that slice into 0.0
+            w, c = w[alive], c[alive]
+            live = np.flatnonzero(alive) if isinstance(live, slice) else live[alive]
         r = root[j:]
         w *= r[:, None]
         w *= r / j
         head, tail = slice(None, d), slice(j, None)
         out_rows, src_rows = (head, tail) if read[0] > 0 else (tail, head)
         out_cols, src_cols = (head, tail) if read[1] > 0 else (tail, head)
-        out[out_rows, out_cols] += w * rho[src_rows, src_cols]
+        src_live = live if len(src) > 1 else slice(None)
+        # not w * src[...]: past 256 KiB numpy reuses a temporary right
+        # operand for the result and swaps the operands, which moves the
+        # last bit of a complex product, so a slice's bits would depend on
+        # the stack size
+        stack[live, out_rows, out_cols] += np.multiply(w, src[src_live, src_rows, src_cols])
     return out
 
 
 def _checked_state(rho0, t):
-    """rho0 as a complex array; rejects a non-square state or negative time."""
+    """rho0 as a complex array and t as a float array of times.
+
+    Rejects a non-square state, times with more than one axis, and any
+    negative time.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
         raise ValueError("state must be a square matrix")
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    if (t < 0).any():
         raise ValueError("negative time")
-    return rho0
+    return rho0, t
 
 
 @dataclass(frozen=True)
@@ -135,11 +161,12 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
 
     Returns the untruncated flow of rho0 projected onto its window: the
     lowering series reads only from above each element, where rho0 is
-    zero past the window, and the raising series only from below.
+    zero past the window, and the raising series only from below. t is a
+    time or a 1-D array of times; the result has shape t.shape + rho0.shape.
 
-    The weights depend on k alone, so they are evaluated once on the
-    2 dim - 1 index differences and gathered onto the grid. With
-    h = (1 - exp(-2 D t)) / (2 D) they read
+    The weights depend on k and t alone, so they are evaluated once on the
+    grid of times by 2 dim - 1 index differences and gathered onto a stack
+    of windows. With h = (1 - exp(-2 D t)) / (2 D) they read
 
       q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
 
@@ -149,7 +176,7 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     """
     dim = rho0.shape[0]
     k, s = _ks(dim)
-    at = k + (dim - 1)                           # row of each k in the line
+    at = k + (dim - 1)                           # column of each k in the line
     k_line = np.arange(1 - dim, dim, dtype=float)
     z = g0 + 1j * chi * k_line
     mu = 4.0 * gm * gp
@@ -158,27 +185,33 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
         zmd = mu / (z + root)                    # z - D; z + D = 0 needs mu = 0
     else:
         root, zmd = z, 0.0                       # D = z, so q = hinv = 1 exactly
-    rt = root * t
+    times = np.asarray(t, dtype=float).reshape(-1, 1)   # one row per time
+    rt = root * times
     small = np.abs(rt) < TAYLOR_SWITCH
     h = np.where(
         small,
-        t * (1.0 - rt * (1.0 - rt * (2.0 / 3.0))),
+        times * (1.0 - np.multiply(rt, 1.0 - rt * (2.0 / 3.0))),   # not *: see _shift_series
         -np.expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
     )
     q = 1.0 + zmd * h
     u = h / q                                    # accumulated lowering weight
-    b = np.exp(2j * chi * k_line * t) * u        # raising weight, rotated frame
-    log_hinv = zmd * t - np.log(q)               # envelope base, power s+1 below
+    b = np.exp(2j * chi * k_line * times) * u    # raising weight, rotated frame
+    log_hinv = zmd * times - np.log(q)           # envelope base, power s+1 below
 
-    out = _shift_series((2.0 * gm * u)[at], rho0, LOWER)
+    out = _shift_series((2.0 * gm * u)[:, at], rho0, LOWER)
+    times = times[:, :, None]
     # integer power of hinv, so the branch of log q cancels
-    out *= np.exp((s + 1) * log_hinv[at] - (g0 * t) * s + cg * t)
-    out = _shift_series((2.0 * gp * b)[at], out, RAISE)
-    return np.exp(-1j * chi * t * k * (s - 1.0)) * out
+    out *= np.exp((s + 1) * log_hinv[:, at] - (g0 * times) * s + cg * times)
+    out = _shift_series((2.0 * gp * b)[:, at], out, RAISE)
+    out = np.exp(-1j * chi * times * k * (s - 1.0)) * out
+    return out.reshape(np.shape(t) + rho0.shape)
 
 
 def propagate_kerr_finite_t(rho0, t, params):
-    """Evolve rho0 for time t under the finite-temperature Kerr flow."""
-    rho0 = _checked_state(rho0, t)
+    """Evolve rho0 for time t under the finite-temperature Kerr flow.
+
+    t is a time, or a 1-D array of times for a (T, dim, dim) stack of states.
+    """
+    rho0, t = _checked_state(rho0, t)
     return _propagate_resummed(rho0, t, params.chi, params.gamma_minus,
                                params.gamma_plus, params.gamma0, params.c_gamma)

@@ -36,7 +36,9 @@ def propagate_kerr_zero_t(rho0, t, params):
 
     Factor order, right to left: lowering series with the accumulated decay
     weight, then the damping envelope exp(-gm t (n + m)), then the Kerr
-    phase exp(-i chi t k (s - 1)).
+    phase exp(-i chi t k (s - 1)). t is a time, or a 1-D array of times
+    for a (T, dim, dim) stack of states.
     """
+    rho0, t = _checked_state(rho0, t)
     gm = params.gamma_minus
-    return _propagate_resummed(_checked_state(rho0, t), t, params.chi, gm, 0.0, gm, 0.0)
+    return _propagate_resummed(rho0, t, params.chi, gm, 0.0, gm, 0.0)

@@ -143,11 +143,13 @@ def propagate_pdc(rho0, t, params, xform=None):
     """Evolve rho0 for time t: dress, run the damping flow, undress, crop.
 
     Runs on the window 2 dim - 1 (see the module docstring), so the result
-    is the untruncated flow of rho0 projected onto its own window. xform
-    replaces the transformation from transform_params, so that a check can
-    plant a wrong one.
+    is the untruncated flow of rho0 projected onto its own window. t is a
+    time, or a 1-D array of times for a (T, dim, dim) stack of states: the
+    state is dressed once and the stack undressed together. xform replaces
+    the transformation from transform_params, so that a check can plant a
+    wrong one.
     """
-    rho0 = _checked_state(rho0, t)
+    rho0, t = _checked_state(rho0, t)
     if xform is None:
         xform = transform_params(params)
     if not params.corrected_mode and 2.0 * xform.lam > 1.0:
@@ -156,11 +158,13 @@ def propagate_pdc(rho0, t, params, xform=None):
         # it the closed form is an analytic continuation with no meaning
         r = math.sqrt(4.0 * xform.lam**2 - 1.0)
         t_max = (0.5 * math.pi + math.atan(1.0 / r)) / (params.gamma * r)
-        if t >= t_max:
-            raise ValueError(f"the uncorrected flow diverges at t = {t_max:.6g}, before t = {t:g}")
+        late = t[t >= t_max]
+        if late.size:
+            raise ValueError(
+                f"the uncorrected flow diverges at t = {t_max:.6g}, before t = {late[0]:g}")
     dim = rho0.shape[0]
     wide = np.zeros((2 * dim - 1, 2 * dim - 1), dtype=complex)
     wide[:dim, :dim] = rho0
 
     out = _propagate_resummed(_dress(wide, xform), t, *_damping_rates(params, xform.lam))
-    return _undress(out, xform)[:dim, :dim]
+    return _undress(out, xform)[..., :dim, :dim]

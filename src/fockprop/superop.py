@@ -346,6 +346,10 @@ def verify_commutator_table(dim, epsilon, gamma, samples=10, seed=7):
     """
     if dim < 10:
         raise ValueError("need dim >= 10 so the checked sub-block is non-trivial")
+    if samples < 1:
+        raise ValueError("need samples >= 1; with none, every residual reads 0 unchecked")
+    if gamma == 0:
+        raise ValueError("need gamma != 0; the pair-drive relations divide by it")
 
     a = annihilation(dim)
     a2, ad2 = a @ a, a.conj().T @ a.conj().T

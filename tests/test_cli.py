@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,56 @@ def test_propagate_density_dump(tmp_path):
     rho = read_density(out + ".rho0.txt", 6)
     assert abs(np.trace(rho) - 1.0) < 1e-10
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+
+
+def test_chunked_times_match_one_time_runs(tmp_path):
+    # 60 times at window 24 span several chunks of the time stack; each row
+    # and dump must not depend on which chunk, or which other times, it ran with
+    base = ("model = kerrT\ndim = 24\nchi = -1.1\ngamma_minus = 0.3\ngamma_plus = 0.02\n"
+            "state = cat\nalpha = (0.9-0.6j)\ncat_phase = 1.2\ntarget = initial\n")
+    times = [0.05 * i for i in range(60)]
+    many = str(tmp_path / "many.csv")
+    cfg = cfg_file(tmp_path, base + "times = " + ", ".join(map(repr, times)) + "\n")
+    assert main(["propagate", "--config", cfg, "--out", many, "--dump-density"]) == 0
+    rows = Path(many).read_text().splitlines()
+    assert len(rows) == 61
+    for i, t in enumerate(times):
+        one = str(tmp_path / f"one{i}.csv")
+        cfg = cfg_file(tmp_path, base + f"times = {t!r}\n", name=f"one{i}.cfg")
+        assert main(["propagate", "--config", cfg, "--out", one, "--dump-density"]) == 0
+        header, row = Path(one).read_text().splitlines()
+        assert (header, row) == (rows[0], rows[i + 1])
+        assert Path(f"{one}.rho0.txt").read_bytes() == Path(f"{many}.rho{i}.txt").read_bytes()
+
+
+def _peak_mib(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_time_series_runs_in_bounded_memory(tmp_path):
+    # numpy reports its buffers to tracemalloc: 400 states of window 48
+    # held at once would take 14 MiB, and their temporaries 73 MiB
+    times = ", ".join(repr(0.01 * (i + 1)) for i in range(400))
+    cfg = cfg_file(tmp_path, (
+        "model = kerrT\ndim = 48\nchi = 1.0\ngamma_minus = 0.2\ngamma_plus = 0.01\n"
+        f"state = coherent\nalpha = 1.5\ntarget = initial\ntimes = {times}\n"
+    ))
+    assert _peak_mib(["propagate", "--config", cfg, "--out", str(tmp_path / "run.csv")]) < 4.0
+
+
+def test_large_qfunc_grid_runs_in_bounded_memory(tmp_path):
+    # the 22,500 coherent amplitude columns of window 48 take 16 MiB at once
+    cfg = cfg_file(tmp_path, (
+        "model = kerr0\ndim = 48\nchi = 1.0\ngamma_minus = 0.1\ntimes = 0.5\n"
+        "state = coherent\nalpha = 1.5\n"
+        "re_min = -4.0\nre_max = 4.0\nim_min = -4.0\nim_max = 4.0\npoints_per_axis = 150\n"
+    ))
+    assert _peak_mib(["qfunc", "--config", cfg, "--out", str(tmp_path / "q.csv")]) < 12.0
 
 
 KERRT_BASE = (

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockprop import fock
 from fockprop.fock import (
+    _coherent_amps,
     annihilation,
     cat_state,
     coherent_state,
@@ -17,7 +19,7 @@ from fockprop.fock import (
     observables,
 )
 
-from helpers import maxabs
+from helpers import maxabs, seeded_density
 
 
 def test_ladder_matrix_elements():
@@ -177,3 +179,22 @@ def test_husimi_peaks_at_coherent_amplitude():
     q_peak, q_off = husimi_q(rho, [1.5, -1.5])
     assert abs(q_peak - 1.0 / math.pi) < 1e-9
     assert q_off < q_peak * 1e-3
+
+
+def test_husimi_chunks_match_a_per_point_loop():
+    # two full chunks of points and a partial third, in scrambled order
+    dim = 40
+    rho = seeded_density(dim, 60)
+    n = 2 * (fock._CHUNK_ENTRIES // dim) + 7
+    rng = np.random.default_rng(61)
+    pts = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    got = husimi_q(rho, list(pts))
+    want = [np.real(_coherent_amps(dim, a).conj() @ rho @ _coherent_amps(dim, a)) / np.pi
+            for a in pts]
+    assert got.shape == (n,)
+    assert maxabs(got - want) <= 1e-15
+
+
+def test_husimi_of_no_points_is_empty():
+    q = husimi_q(np.eye(5, dtype=complex) / 5.0, [])
+    assert q.shape == (0,)

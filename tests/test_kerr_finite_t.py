@@ -7,6 +7,7 @@ from fockprop.fock import annihilation, coherent_state, creation, density_from_k
 from fockprop.kerr_finite_t import (
     LOWER,
     RAISE,
+    TAYLOR_SWITCH,
     KerrFiniteTParams,
     _shift_series,
     propagate_kerr_finite_t,
@@ -174,6 +175,41 @@ def test_negative_time_rejected():
     mixed = np.eye(4, dtype=complex) / 4.0
     with pytest.raises(ValueError):
         propagate_kerr_finite_t(mixed, -0.1, PARAMS)
+    with pytest.raises(ValueError, match="negative time"):
+        propagate_kerr_finite_t(mixed, [0.5, 1.0, -0.1, 2.0], PARAMS)
+    with pytest.raises(ValueError, match="1-D"):
+        propagate_kerr_finite_t(mixed, [[0.5, 1.0]], PARAMS)
+
+
+# t = 0; times on both sides of the series switch of (1 - exp(-2 D t)) / (2 D),
+# whose |D| runs from g0 at k = 0 to about chi (dim - 1) at the corner; and a
+# long time, where every weight has settled
+BATCH_TIMES = [0.0, 0.25 * TAYLOR_SWITCH, 4.0 * TAYLOR_SWITCH, 0.3, 1.7, 1500.0]
+
+
+# the second case is a stack of more than 256 KiB behind its t = 0 slice,
+# past which numpy reuses temporaries for results
+@pytest.mark.parametrize("dim, times", [
+    (10, BATCH_TIMES),
+    (24, [0.0] + [0.05 * (i + 1) for i in range(39)]),
+], ids=["edge-times", "large-stack"])
+def test_a_stack_of_times_equals_the_scalar_calls(dim, times):
+    rho0 = seeded_density(dim, 40)
+    cold = KerrZeroTParams(chi=1.3, gamma_minus=0.2)
+    for run, params in ((propagate_kerr_zero_t, cold), (propagate_kerr_finite_t, PARAMS)):
+        got = run(rho0, np.array(times), params)
+        want = np.stack([run(rho0, t, params) for t in times])
+        assert got.shape == (len(times), dim, dim)
+        assert got.tobytes() == want.tobytes()
+        assert run(rho0, times[1:2], params).shape == (1, dim, dim)
+
+
+def _with_signed_zeros(rho):
+    # -0.0 entries, which an added zero term would turn into 0.0
+    rho = rho.copy()
+    rho.real[::3, 1::2] = -0.0
+    rho.imag[1::2, ::3] = -0.0
+    return rho
 
 
 @pytest.mark.parametrize("read, left, right", [
@@ -195,6 +231,26 @@ def test_shift_series_against_brute_force(read, left, right):
         term = lop @ term @ rop
     assert maxabs(_shift_series(c, rho, read) - ref) < 1e-12
     assert maxabs(_shift_series(0.0, rho, read) - rho) == 0.0
+
+
+@pytest.mark.parametrize("read", [LOWER, RAISE, PAIR_RAISE, PAIR_LOWER],
+                         ids=["a-adag", "adag-a", "adag-adag", "a-a"])
+def test_shift_series_on_a_stack_equals_each_slice(read):
+    dim = 9
+    grid = (0.3 + 0.2j) * np.exp(-0.1j * np.subtract.outer(np.arange(dim), np.arange(dim)))
+    # per-slice weights; the second dies after one term, the third at once,
+    # while the others run on, and each must stop as it would alone
+    c = np.stack([grid, np.full((dim, dim), 1e-200), np.zeros((dim, dim)), 2.0 * grid])
+    states = np.stack([_with_signed_zeros(seeded_density(dim, 50, i)) for i in range(4)])
+    cases = [
+        (c, states, lambda i: (c[i], states[i])),              # a weight and a state per slice
+        (c, states[0], lambda i: (c[i], states[0])),           # one state, a weight per slice
+        (0.3 - 0.1j, states, lambda i: (0.3 - 0.1j, states[i])),  # one weight, a state per slice
+    ]
+    for weight, rho, per_slice in cases:
+        got = _shift_series(weight, rho, read)
+        want = np.stack([_shift_series(*per_slice(i), read) for i in range(4)])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_raising_series_against_dense_exponential():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fockprop.fock import coherent_state, density_from_ket, observables
-from fockprop.kerr_finite_t import LOWER, RAISE, _shift_series
+from fockprop.kerr_finite_t import LOWER, RAISE, TAYLOR_SWITCH, _shift_series
 from fockprop.oracle import converged_window_reference, embed
 from fockprop.pdc import (
     PAIR_LOWER,
@@ -197,6 +197,18 @@ def test_propagation_time_zero_and_validation():
         propagate_pdc(np.zeros((3, 4)), 0.5, PARAMS)
 
 
+def test_a_stack_of_times_equals_the_scalar_calls():
+    rho0 = seeded_density(12, 34)
+    times = [0.0, 0.25 * TAYLOR_SWITCH, 4.0 * TAYLOR_SWITCH, 0.3, 1.7, 1500.0]
+    for params in (PARAMS, PDCParams(epsilon=0.3 - 0.4j, gamma=0.7)):
+        got = propagate_pdc(rho0, times, params)
+        want = np.stack([propagate_pdc(rho0, t, params) for t in times])
+        assert got.shape == (len(times), 12, 12)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="negative time"):
+        propagate_pdc(rho0, [0.1, -0.5, 0.2], PARAMS)
+
+
 def test_propagation_accepts_precomputed_transform():
     xf = transform_params(PARAMS)
     rho0 = vacuum_density(12)
@@ -238,3 +250,7 @@ def test_uncorrected_mode_diverges_in_finite_time():
     assert np.real(np.trace(propagate_pdc(rho0, 1.7, raw))) > 1e10
     with pytest.raises(ValueError, match="diverges"):
         propagate_pdc(rho0, 1.9, raw)
+    # a list of times names its first time past the divergence, in list order
+    first = r"^the uncorrected flow diverges at t = 1\.79\d*, before t = 2\.5$"
+    with pytest.raises(ValueError, match=first):
+        propagate_pdc(rho0, [0.5, 2.5, 1.9, 1.0], raw)

@@ -205,6 +205,14 @@ def test_commutator_table_needs_room():
         verify_commutator_table(8, epsilon=0.3, gamma=1.0)
 
 
+def test_commutator_table_refuses_what_it_cannot_check():
+    # no samples would pass every check unevaluated; gamma = 0 would divide by zero
+    with pytest.raises(ValueError, match="samples"):
+        verify_commutator_table(12, epsilon=0.3, gamma=1.0, samples=0)
+    with pytest.raises(ValueError, match="gamma"):
+        verify_commutator_table(12, epsilon=0.3, gamma=0.0)
+
+
 def _table_verdicts(monkeypatch, name, fake):
     monkeypatch.setattr(superop, name, fake)
     records = verify_commutator_table(12, epsilon=0.3, gamma=1.0, samples=3, seed=0)
