@@ -37,19 +37,48 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Model plumbing
+
+
+@dataclass(frozen=True)
+class _Model:
+    params: type           # parameter dataclass, one field per config key
+    closed_form: Callable  # rho0, t, params -> rho(t), or the stack of a 1-D t
+    generator: Callable    # dim, params -> the generator on that window
+
+
+# The entries look this module's names up when they run, so a rebound name
+# (a profiler's wrapper, a test's monkeypatch) reaches them.
+MODELS = {
+    "kerr0": _Model(
+        KerrZeroTParams,
+        lambda rho0, t, p: propagate_kerr_zero_t(rho0, t, p),
+        lambda dim, p: kerr_zero_t_generator(dim, p.chi, p.gamma_minus),
+    ),
+    "kerrT": _Model(
+        KerrFiniteTParams,
+        lambda rho0, t, p: propagate_kerr_finite_t(rho0, t, p),
+        lambda dim, p: kerr_finite_t_generator(
+            dim, p.chi, p.gamma_minus, p.gamma_plus, p.gamma0, p.c_gamma),
+    ),
+    "pdc": _Model(
+        PDCParams,
+        lambda rho0, t, p: propagate_pdc(rho0, t, p),
+        lambda dim, p: pdc_generator(dim, p.epsilon, p.gamma, corrected=p.corrected_mode),
+    ),
+}
+
+
+PARAM_KINDS = {f.name: f.type.__name__ for m in MODELS.values() for f in fields(m.params)}
+
+
+# ---------------------------------------------------------------------------
 # Config files: "key = value" lines, # comments, comma-separated lists
 
 KEY_TYPES = {
-    "model": ("choice", ("kerr0", "kerrT", "pdc")),
+    "model": ("choice", tuple(MODELS)),
     "dim": ("int", None),
-    "chi": ("float", None),
-    "gamma_minus": ("float", None),
-    "gamma_plus": ("float", None),
-    "gamma0": ("float", None),
-    "c_gamma": ("float", None),
-    "epsilon": ("complex", None),
-    "gamma": ("float", None),
-    "corrected_mode": ("bool", None),
+    **{key: (kind, None) for key, kind in PARAM_KINDS.items()},
     "state": ("choice", ("vacuum", "coherent", "fock", "cat")),
     "alpha": ("complex", None),
     "fock_n": ("int", None),
@@ -155,10 +184,6 @@ def _require(cfg, *keys):
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
 
-# ---------------------------------------------------------------------------
-# Model plumbing
-
-
 def _window(cfg):
     dim = cfg["dim"]
     if dim < 2:
@@ -166,38 +191,12 @@ def _window(cfg):
     return dim
 
 
-@dataclass(frozen=True)
-class _Model:
-    params: type           # parameter dataclass, one field per config key
-    closed_form: Callable  # rho0, t, params -> rho(t), or the stack of a 1-D t
-    generator: Callable    # dim, params -> the generator on that window
-
-
-# The entries look this module's names up when they run, so a rebound name
-# (a profiler's wrapper, a test's monkeypatch) reaches them.
-MODELS = {
-    "kerr0": _Model(
-        KerrZeroTParams,
-        lambda rho0, t, p: propagate_kerr_zero_t(rho0, t, p),
-        lambda dim, p: kerr_zero_t_generator(dim, p.chi, p.gamma_minus),
-    ),
-    "kerrT": _Model(
-        KerrFiniteTParams,
-        lambda rho0, t, p: propagate_kerr_finite_t(rho0, t, p),
-        lambda dim, p: kerr_finite_t_generator(
-            dim, p.chi, p.gamma_minus, p.gamma_plus, p.gamma0, p.c_gamma),
-    ),
-    "pdc": _Model(
-        PDCParams,
-        lambda rho0, t, p: propagate_pdc(rho0, t, p),
-        lambda dim, p: pdc_generator(dim, p.epsilon, p.gamma, corrected=p.corrected_mode),
-    ),
-}
-
-
 def _model_params(cfg):
-    """The model's parameters from the config; fields without a default are required."""
+    """The model's parameters from the config; another model's keys are refused."""
     cls = MODELS[cfg["model"]].params
+    foreign = [k for k in cfg if k in PARAM_KINDS and k not in {f.name for f in fields(cls)}]
+    if foreign:
+        raise ConfigError(f"model {cfg['model']} takes no {', '.join(foreign)}")
     _require(cfg, *(f.name for f in fields(cls) if f.default is MISSING))
     return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg})
 

@@ -116,13 +116,13 @@ def observables(rho):
     """Trace, purity, and mean occupation of a density matrix.
 
     trace is reported as a complex number so drift off the real axis is
-    visible. purity = tr(rho^2) must come out real; a residual imaginary
-    part above 1e-12 signals a corrupted input and raises.
+    visible. purity = tr(rho^2) must come out real; an imaginary part above
+    1e-12 max(1, |tr rho|)^2 signals a corrupted input and raises.
     """
     rho = np.asarray(rho, dtype=complex)
     tr = complex(np.trace(rho))
     pur = complex(np.trace(rho @ rho))
-    if abs(pur.imag) > 1e-12:
+    if abs(pur.imag) > 1e-12 * max(1.0, abs(tr)) ** 2:
         raise ValueError(f"purity has imaginary part {pur.imag:g}, input is not a density matrix")
     n = np.arange(rho.shape[0])
     mean_n = float(np.real(np.sum(n * np.diag(rho))))
@@ -130,19 +130,20 @@ def observables(rho):
 
 
 def fidelity_pure(psi, rho):
-    """<psi|rho|psi> for a pure target, clamped to [0, 1 + 1e-10].
+    """<psi|rho|psi> for a pure target, clamped to [0, (1 + 1e-10) c].
 
-    Raises on dimension mismatch or if the quadratic form has imaginary
-    part above 1e-12 (rho too far from Hermitian to call this a fidelity).
+    c = max(1, |tr rho|). Raises on dimension mismatch or if the quadratic
+    form has imaginary part above 1e-12 c (rho too far from Hermitian).
     """
     psi = np.asarray(psi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (psi.size, psi.size):
         raise ValueError(f"shape mismatch: state {psi.size}, matrix {rho.shape}")
     val = complex(psi.conj() @ rho @ psi)
-    if abs(val.imag) > 1e-12:
+    c = max(1.0, abs(np.trace(rho)))
+    if abs(val.imag) > 1e-12 * c:
         raise ValueError(f"fidelity has imaginary part {val.imag:g}")
-    return min(max(val.real, 0.0), 1.0 + 1e-10)
+    return min(max(val.real, 0.0), (1.0 + 1e-10) * c)
 
 
 def husimi_q(rho, alphas):

@@ -3,11 +3,12 @@
 At finite temperature upward and downward jumps do not commute, so the
 flow disentangles into an eight-factor operator product whose scalar
 coefficients depend on the index difference k only. That product collapses
-into one lowering series, an elementwise envelope and one raising series,
-whose combined weights solve the Riccati flow
-du/dt = 1 - 2 z u + 4 gm gp u^2 with u(0) = 0, z = g0 + i chi k. The
-weights stay bounded on the window and are smooth through a vanishing
-discriminant, so the flow is accurate at any window size and any time.
+into a lowering series, the elementwise factor exp(t d) hinv^(s+1), with d
+the generator's diagonal, and a raising series. Both series take one
+weight u, which solves the Riccati flow du/dt = 1 - 2 z u + 4 gm gp u^2
+with u(0) = 0, z = g0 + i chi k. The weights stay bounded on the window
+and are smooth through a vanishing discriminant, so the flow is accurate
+at any window size and any time.
 The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
 and the de-driven pair drive (pdc) is it at chi = 0; every series factor
 here and in pdc is one kernel, _shift_series.
@@ -59,10 +60,9 @@ def _shift_series(c, rho, read):
     rho = np.asarray(rho, dtype=complex)
     c = np.asarray(c, dtype=complex)
     dim = rho.shape[-1]
-    out = np.array(np.broadcast_to(rho, np.broadcast_shapes(rho.shape, c.shape)))  # term 0
-    if not c.any():
-        return out
-    stack = out.reshape(-1, dim, dim)           # a view: out is a fresh array
+    shape = np.broadcast_shapes(rho.shape, c.shape)
+    out = np.array(np.broadcast_to(rho, shape), order="C")  # term 0
+    stack = out.reshape(-1, dim, dim)           # a view: out is fresh and C-ordered
     src = rho.reshape(-1, dim, dim)
     c = np.broadcast_to(c, (c.shape[0] if c.ndim == 3 else 1, dim, dim))
     root = np.sqrt(np.arange(dim, dtype=float))
@@ -171,8 +171,10 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
       q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
 
     with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t,
-    and the envelope exp(-g0 s t) hinv^(s+1) exp(c_gamma t) is one
-    exponential, so its decaying and growing parts never meet as 0 * inf.
+    and the factor exp(t d) hinv^(s+1), d = c_gamma - g0 s - i chi k (s - 1)
+    the generator's diagonal, is one exponential, so its decaying and
+    growing parts never meet as 0 * inf. Each raising order adds 2 to s at
+    fixed k, so the Kerr phase in d commutes with the raising series.
     """
     dim = rho0.shape[0]
     k, s = _ks(dim)
@@ -194,16 +196,16 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
         -np.expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
     )
     q = 1.0 + zmd * h
-    u = h / q                                    # accumulated lowering weight
-    b = np.exp(2j * chi * k_line * times) * u    # raising weight, rotated frame
-    log_hinv = zmd * times - np.log(q)           # envelope base, power s+1 below
+    u = h / q                                    # weight of both series
+    log_hinv = zmd * times - np.log(q)           # factor base, power s+1 below
 
-    out = _shift_series((2.0 * gm * u)[:, at], rho0, LOWER)
+    out = _shift_series(np.take(2.0 * gm * u, at, axis=1), rho0, LOWER)  # gathered C-ordered
     times = times[:, :, None]
-    # integer power of hinv, so the branch of log q cancels
-    out *= np.exp((s + 1) * log_hinv[:, at] - (g0 * times) * s + cg * times)
-    out = _shift_series((2.0 * gp * b)[:, at], out, RAISE)
-    out = np.exp(-1j * chi * times * k * (s - 1.0)) * out
+    # exp(t d) hinv^(s+1); an integer power of hinv, so the branch of log q cancels
+    out = np.exp((s + 1) * np.take(log_hinv, at, axis=1) - (g0 * times) * s + cg * times
+                 - 1j * times * (chi * k * (s - 1.0))) * out
+    if gp:
+        out = _shift_series(np.take(2.0 * gp * u, at, axis=1), out, RAISE)
     return out.reshape(np.shape(t) + rho0.shape)
 
 

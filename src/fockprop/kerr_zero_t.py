@@ -1,14 +1,13 @@
 """Closed-form propagator for the damped Kerr oscillator at zero temperature.
 
 This is the finite-temperature resummed flow (kerr_finite_t) with no
-upward jumps: gamma_plus = 0, gamma0 = gamma_minus, c_gamma = 0. There the
-discriminant root is z = gamma_minus + i chi k itself and the raising
-series is the identity, so the flow is three factors applied right to
-left: a lowering series whose weight (1 - exp(-2 z t)) / (2 z) depends
-only on the index difference k = n - m, the damping envelope
-exp(-gamma_minus t (n + m)) and the Kerr phase. Each factor is exact on the
-window (the lowering series terminates after at most dim terms), so the
-only error left is the physical truncation of the initial state.
+upward jumps: gamma_plus = 0, gamma0 = gamma_minus, c_gamma = 0. There
+hinv = 1 and the raising series drops out, leaving the textbook form: a
+lowering series whose weight (1 - exp(-2 z t)) / (2 z), z = gamma_minus +
+i chi k, depends only on k = n - m, then exp(t d) with d = -gamma_minus s -
+i chi k (s - 1) the generator's diagonal. The series terminates after at
+most dim terms, so the only error left is the truncation of the initial
+state.
 """
 
 from dataclasses import dataclass
@@ -34,10 +33,8 @@ class KerrZeroTParams:
 def propagate_kerr_zero_t(rho0, t, params):
     """Evolve rho0 for time t under the zero-temperature damped Kerr flow.
 
-    Factor order, right to left: lowering series with the accumulated decay
-    weight, then the damping envelope exp(-gm t (n + m)), then the Kerr
-    phase exp(-i chi t k (s - 1)). t is a time, or a 1-D array of times
-    for a (T, dim, dim) stack of states.
+    The lowering series, then exp(t d). t is a time, or a 1-D array of
+    times for a (T, dim, dim) stack of states.
     """
     rho0, t = _checked_state(rho0, t)
     gm = params.gamma_minus

@@ -9,7 +9,7 @@ import pytest
 
 from fockprop import __version__, cli, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
-from fockprop.fock import observables
+from fockprop.fock import coherent_state, observables
 from fockprop.oracle import converged_window_reference
 from fockprop.superop import build_liouvillian, pdc_generator
 
@@ -324,6 +324,59 @@ def test_propagate_long_times_stay_finite(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 2
     assert all(math.isfinite(cell) for row in rows for cell in row)
+
+
+# trace-changing modes: the trace grows by orders of magnitude, and with it
+# the rounding of tr(rho^2) and <psi|rho|psi>
+TRACE_CHANGING = {
+    "kerrT-c_gamma": ("model = kerrT\ndim = 24\nchi = 1.0\ngamma_minus = 0.1\ngamma_plus = 0.05\n"
+                      "c_gamma = 5.0\nstate = coherent\nalpha = 2.0\ntimes = 1.0, 3.0\n"),
+    "pdc-uncorrected": ("model = pdc\ndim = 16\nepsilon = 0.3\ngamma = 1.0\ncorrected_mode = false\n"
+                        "state = coherent\nalpha = 1.5\ntimes = 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("text", TRACE_CHANGING.values(), ids=TRACE_CHANGING)
+def test_trace_changing_runs_report_raw_purity_and_fidelity(tmp_path, text):
+    out = str(tmp_path / "grow.csv")
+    argv = ["propagate", "--config", cfg_file(tmp_path, text + "target = initial\n"),
+            "--out", out, "--dump-density"]
+    if "c_gamma" in text:
+        with pytest.warns(UserWarning, match="trace-preserving"):
+            assert main(argv) == 0
+    else:
+        assert main(argv) == 0
+    header, rows = read_csv(out)
+    cfg = parse_config(text)
+    dim = cfg["dim"]
+    psi = coherent_state(dim, cfg["alpha"])[0]
+    for i, row in enumerate(rows):
+        rho = read_density(f"{out}.rho{i}.txt", dim)
+        cells = dict(zip(header, row))
+        assert cells["trace_re"] > 100.0
+        assert cells["purity"] == pytest.approx(np.trace(rho @ rho).real, rel=1e-12)
+        assert cells["fidelity_target"] == pytest.approx((psi.conj() @ rho @ psi).real, rel=1e-12)
+        assert cells["fidelity_target"] > 1.0
+
+
+@pytest.mark.parametrize("text, key", [
+    ("model = kerr0\ndim = 8\nchi = 1.0\ngamma_minus = 0.1\ngamma_plus = 0.3\ntimes = 0.5\n",
+     "gamma_plus"),
+    ("model = pdc\ndim = 12\nepsilon = 0.3\ngamma = 1.0\nchi = 1.0\ntimes = 0.5\n", "chi"),
+], ids=["kerr0-gamma_plus", "pdc-chi"])
+def test_a_key_of_another_model_is_refused(tmp_path, capsys, text, key):
+    out = str(tmp_path / "x.csv")
+    assert main(["propagate", "--config", cfg_file(tmp_path, text), "--out", out]) == 2
+    assert key in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+def test_finite_temperature_run_takes_all_five_rate_keys(tmp_path):
+    cfg = cfg_file(tmp_path, (
+        "model = kerrT\ndim = 8\nchi = 1.0\ngamma_minus = 0.25\ngamma_plus = 0.125\n"
+        "gamma0 = 0.375\nc_gamma = -0.25\ntimes = 0.5\n"
+    ))
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
 
 
 QFUNC_VACUUM = (

@@ -204,6 +204,20 @@ def test_a_stack_of_times_equals_the_scalar_calls(dim, times):
         assert run(rho0, times[1:2], params).shape == (1, dim, dim)
 
 
+def test_closed_forms_return_c_ordered_states():
+    # matmul rounds by memory layout, so each slice of a stack must be laid
+    # out as the one-time result is for the CSV values to agree to the bit
+    rho0 = seeded_density(12, 41)
+    cold = KerrZeroTParams(chi=1.3, gamma_minus=0.2)
+    for run, params in ((propagate_kerr_zero_t, cold), (propagate_kerr_finite_t, PARAMS)):
+        assert run(rho0, 0.7, params).flags.c_contiguous
+        stack = run(rho0, [0.0, 0.7, 2.0], params)
+        assert stack.flags.c_contiguous
+        assert all(piece.flags.c_contiguous for piece in stack)
+    for c in (0.3, np.full((3, 12, 12), 0.3)):
+        assert _shift_series(c, rho0, RAISE).flags.c_contiguous
+
+
 def _with_signed_zeros(rho):
     # -0.0 entries, which an added zero term would turn into 0.0
     rho = rho.copy()
