@@ -320,7 +320,13 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
         header += ",fidelity_target"
     rows = [header]
     for i, (t, rho) in enumerate(_evolved(evolve, rho0, cfg["times"], dim)):
-        obs = observables(rho)
+        try:
+            obs = observables(rho)
+            fidelity = None if target is None else fidelity_pure(target, rho)
+        except ValueError as e:
+            # the input is a valid state, so a failed check blames the engine
+            raise ValueError(
+                f"the {engine} engine's state at t = {t:g} failed its checks: {e}") from None
         herm = 0.5 * (rho + rho.conj().T)
         min_eig = float(np.linalg.eigvalsh(herm).min())
         cells = [
@@ -331,8 +337,8 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
             _g17(obs["mean_n"]),
             _g17(min_eig),
         ]
-        if target is not None:
-            cells.append(_g17(fidelity_pure(target, rho)))
+        if fidelity is not None:
+            cells.append(_g17(fidelity))
         rows.append(",".join(cells))
         if dump:
             dump_lines = []

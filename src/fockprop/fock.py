@@ -123,7 +123,7 @@ def observables(rho):
     tr = complex(np.trace(rho))
     pur = complex(np.trace(rho @ rho))
     if abs(pur.imag) > 1e-12 * max(1.0, abs(tr)) ** 2:
-        raise ValueError(f"purity has imaginary part {pur.imag:g}, input is not a density matrix")
+        raise ValueError(f"purity has imaginary part {pur.imag:g}, not a density matrix")
     n = np.arange(rho.shape[0])
     mean_n = float(np.real(np.sum(n * np.diag(rho))))
     return {"trace": tr, "purity": pur.real, "mean_n": mean_n}

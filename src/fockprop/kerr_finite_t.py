@@ -11,11 +11,12 @@ and are smooth through a vanishing discriminant, so the flow is accurate
 at any window size and any time.
 The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
 and the de-driven pair drive (pdc) is it at chi = 0; every series factor
-here and in pdc is one kernel, _shift_series.
+here and in pdc is one kernel, _shift_series, summed by Horner's rule. A
+zero rate skips its series, so lossless runs cost the elementwise factor.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,58 +40,37 @@ RAISE = (-1, -1)    # a^dag^j rho a^j
 def _shift_series(c, rho, read):
     """sum_j c^j / j! L^j rho R^j on the window, with L and R each a or a^dag.
 
-    read gives the direction per axis (see LOWER and RAISE). With p and q
-    the smaller of the source and output index on each axis, term j is
-
-      c[p, q]^j / j! * sqrt((p+j)! / p!) * sqrt((q+j)! / q!) * rho[source]
-
-    where c is a scalar or a dim x dim array. LOWER and RAISE preserve
-    k = n - m, so a k-dependent weight agrees at source and output. Each
-    term's weight is the previous one, cropped to the block that still has
-    a source, times c sqrt((p+j) (q+j)) / j, so no factorial is formed on
-    its own and large windows neither overflow nor divide infinities. The
-    sum terminates at the window edge, so it is exact on the window, and it
-    stops once every weight underflows to zero.
+    read gives the direction per axis (see LOWER and RAISE). One step of the
+    series reads each element's neighbour one index along read and scales it
+    by g = c sqrt(p+1) sqrt(q+1), p and q the smaller of the two indices per
+    axis. Horner's rule, rho + g (rho + g/2 (rho + ...)), runs from order
+    dim - 1 down, on blocks that grow by one index, with no early exit. It
+    needs c constant along each read chain: a function of k = n - m for
+    LOWER and RAISE, which preserve k, and a scalar for the pair shifts. No
+    factorial is formed, so large windows do not overflow, and the sum ends
+    at the window edge, so it is exact on the window.
 
     Either argument may also be a (T, dim, dim) stack, with a weight per
     slice or a state per slice; the other is shared by every slice. Each
-    slice is the series of its own weight and state, bit for bit: a slice
-    leaves the loop once its own weight underflows, as it would alone.
+    slice is the series of its own weight and state, bit for bit.
     """
     rho = np.asarray(rho, dtype=complex)
-    c = np.asarray(c, dtype=complex)
     dim = rho.shape[-1]
-    shape = np.broadcast_shapes(rho.shape, c.shape)
-    out = np.array(np.broadcast_to(rho, shape), order="C")  # term 0
-    stack = out.reshape(-1, dim, dim)           # a view: out is fresh and C-ordered
-    src = rho.reshape(-1, dim, dim)
-    c = np.broadcast_to(c, (c.shape[0] if c.ndim == 3 else 1, dim, dim))
-    root = np.sqrt(np.arange(dim, dtype=float))
-    w = np.ones((1, 1, 1), dtype=complex)       # broadcasts to the first block
-    live = slice(None)                          # slices whose weight is not all zero
-    for j in range(1, dim):
+    root = np.sqrt(np.arange(dim + 1, dtype=float))
+    rows, cols = (root[1:] if r > 0 else root[:-1] for r in read)
+    g = np.asarray(c, dtype=complex) * rows[:, None] * cols    # at each output
+    out = np.array(np.broadcast_to(rho, np.broadcast_shapes(rho.shape, g.shape)), order="C")
+    for j in range(dim - 1, 0, -1):
+        # order j: dim - j indices per axis, each read one step along read
         d = dim - j
-        w = w[:, :d, :d] * c[:, :d, :d]
-        alive = w.any(axis=(1, 2))
-        if not alive.all():
-            if not alive.any():
-                break
-            # only a per-slice weight can die alone; adding its zero terms
-            # would still turn a -0.0 of that slice into 0.0
-            w, c = w[alive], c[alive]
-            live = np.flatnonzero(alive) if isinstance(live, slice) else live[alive]
-        r = root[j:]
-        w *= r[:, None]
-        w *= r / j
-        head, tail = slice(None, d), slice(j, None)
-        out_rows, src_rows = (head, tail) if read[0] > 0 else (tail, head)
-        out_cols, src_cols = (head, tail) if read[1] > 0 else (tail, head)
-        src_live = live if len(src) > 1 else slice(None)
-        # not w * src[...]: past 256 KiB numpy reuses a temporary right
-        # operand for the result and swaps the operands, which moves the
-        # last bit of a complex product, so a slice's bits would depend on
-        # the stack size
-        stack[live, out_rows, out_cols] += np.multiply(w, src[src_live, src_rows, src_cols])
+        r0, c0 = (j - 1 if r > 0 else 1 for r in read)
+        r1, c1 = r0 + read[0], c0 + read[1]
+        blk = (..., slice(r0, r0 + d), slice(c0, c0 + d))
+        # not *: numpy may reuse a temporary right operand and swap the
+        # operands, which moves a complex product's last bit (see README)
+        step = np.multiply(g[blk], out[..., r1:r1 + d, c1:c1 + d])
+        step *= 1.0 / j
+        np.add(step, rho[blk], out=out[blk])
     return out
 
 
@@ -98,7 +78,7 @@ def _checked_state(rho0, t):
     """rho0 as a complex array and t as a float array of times.
 
     Rejects a non-square state, times with more than one axis, and any
-    negative time.
+    negative or non-finite time.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
@@ -106,9 +86,18 @@ def _checked_state(rho0, t):
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise ValueError("times must be a scalar or a 1-D array")
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
     if (t < 0).any():
         raise ValueError("negative time")
     return rho0, t
+
+
+def _check_finite(params):
+    """Refuses a parameter set with a nan or infinite field."""
+    for f in fields(params):
+        if not np.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -134,6 +123,7 @@ class KerrFiniteTParams:
             object.__setattr__(self, "gamma0", self.gamma_minus + self.gamma_plus)
         if self.c_gamma is None:
             object.__setattr__(self, "c_gamma", -2.0 * self.gamma_plus)
+        _check_finite(self)
         trace_preserving = (
             abs(self.gamma0 - (self.gamma_minus + self.gamma_plus)) == 0.0
             and abs(self.c_gamma - (-2.0 * self.gamma_plus)) == 0.0
@@ -199,7 +189,7 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     u = h / q                                    # weight of both series
     log_hinv = zmd * times - np.log(q)           # factor base, power s+1 below
 
-    out = _shift_series(np.take(2.0 * gm * u, at, axis=1), rho0, LOWER)  # gathered C-ordered
+    out = _shift_series(np.take(2.0 * gm * u, at, axis=1), rho0, LOWER) if gm else rho0
     times = times[:, :, None]
     # exp(t d) hinv^(s+1); an integer power of hinv, so the branch of log q cancels
     out = np.exp((s + 1) * np.take(log_hinv, at, axis=1) - (g0 * times) * s + cg * times

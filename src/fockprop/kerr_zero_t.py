@@ -12,7 +12,7 @@ state.
 
 from dataclasses import dataclass
 
-from .kerr_finite_t import _checked_state, _propagate_resummed
+from .kerr_finite_t import _check_finite, _checked_state, _propagate_resummed
 
 __all__ = [
     "KerrZeroTParams",
@@ -26,6 +26,7 @@ class KerrZeroTParams:
     gamma_minus: float
 
     def __post_init__(self):
+        _check_finite(self)
         if self.gamma_minus < 0:
             raise ValueError("gamma_minus must be non-negative")
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kerr_finite_t import _checked_state, _propagate_resummed, _shift_series
+from .kerr_finite_t import _check_finite, _checked_state, _propagate_resummed, _shift_series
 from .superop import apply, kerr_finite_t_generator, pdc_generator, random_density
 
 __all__ = [
@@ -47,6 +47,7 @@ class PDCParams:
     corrected_mode: bool = True
 
     def __post_init__(self):
+        _check_finite(self)
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if abs(self.epsilon) >= self.gamma:

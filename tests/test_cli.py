@@ -498,6 +498,22 @@ def test_dense_engines_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
+def test_propagate_blames_the_engine_for_a_bad_state(tmp_path, monkeypatch, capsys):
+    # a non-Hermitian output must name the engine and the time, not the input
+    def skewed(rho0, t, params):
+        out = np.tile(np.asarray(rho0, dtype=complex), (len(t), 1, 1))
+        out[:, 0, 1] += 1.0
+        out[:, 1, 0] += 1.0j
+        return out
+
+    monkeypatch.setattr(cli, "propagate_kerr_zero_t", skewed)
+    cfg = cfg_file(tmp_path, KERR0_DECAY)
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "analytic" in err and "t = " in err
+    assert "input" not in err
+
+
 # `verify --suite all --seed 0` with residuals masked: pins which checks run,
 # their names, tolerances and order
 VERIFY_ALL_SEED0 = """\

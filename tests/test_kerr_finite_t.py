@@ -14,7 +14,7 @@ from fockprop.kerr_finite_t import (
 )
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import crop, embed, expm_evolve
-from fockprop.pdc import PAIR_LOWER, PAIR_RAISE
+from fockprop.pdc import PAIR_LOWER, PAIR_RAISE, PDCParams, propagate_pdc
 from fockprop.superop import build_liouvillian, kerr_finite_t_generator, raising_sandwich
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density
@@ -26,6 +26,26 @@ PARAMS = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.05)
 def test_trace_preserving_defaults():
     assert PARAMS.gamma0 == PARAMS.gamma_minus + PARAMS.gamma_plus
     assert PARAMS.c_gamma == -2.0 * PARAMS.gamma_plus
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: propagate_kerr_zero_t(np.eye(8) / 8, NAN, KerrZeroTParams(chi=1.0, gamma_minus=0.1)),
+    lambda: propagate_kerr_finite_t(np.eye(8) / 8, [0.5, INF], PARAMS),
+    lambda: propagate_pdc(np.eye(8) / 8, -INF, PDCParams(epsilon=0.3, gamma=1.0)),
+    lambda: KerrZeroTParams(chi=NAN, gamma_minus=0.1),
+    lambda: KerrZeroTParams(chi=1.0, gamma_minus=INF),
+    lambda: KerrFiniteTParams(chi=1.0, gamma_minus=NAN, gamma_plus=0.05),
+    lambda: KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.05, c_gamma=NAN),
+    lambda: PDCParams(epsilon=complex(0.3, NAN), gamma=1.0),
+    lambda: PDCParams(epsilon=0.3, gamma=NAN),
+], ids=["kerr0-t", "kerrT-t", "pdc-t", "kerr0-chi", "kerr0-gamma", "kerrT-gamma",
+        "kerrT-c_gamma", "pdc-epsilon", "pdc-gamma"])
+def test_non_finite_inputs_are_refused(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_off_convention_warns():
@@ -235,15 +255,18 @@ def _with_signed_zeros(rho):
 def test_shift_series_against_brute_force(read, left, right):
     # exp(c J) rho = sum_j c^j / j! L^j rho R^j, summed with dense matrices
     dim = 9
-    c = 0.3 + 0.2j
     rho = seeded_density(dim, 30)
     lop, rop = left(dim), right(dim)
-    ref = np.zeros_like(rho)
-    term = rho
-    for j in range(dim):
-        ref += c**j / math.factorial(j) * term
-        term = lop @ term @ rop
-    assert maxabs(_shift_series(c, rho, read) - ref) < 1e-12
+    # -3.5 + 1j is the size of pdc's undressing weight near |eps| / gamma = 0.99;
+    # its terms reach thousands, so it is held to a relative bound
+    for c in (0.3 + 0.2j, -3.5 + 1j):
+        ref = np.zeros_like(rho)
+        term = rho
+        for j in range(dim):
+            ref += c**j / math.factorial(j) * term
+            term = lop @ term @ rop
+        tol = 1e-12 * (maxabs(ref) if abs(c) > 1 else 1.0)
+        assert maxabs(_shift_series(c, rho, read) - ref) < tol
     assert maxabs(_shift_series(0.0, rho, read) - rho) == 0.0
 
 
@@ -252,8 +275,9 @@ def test_shift_series_against_brute_force(read, left, right):
 def test_shift_series_on_a_stack_equals_each_slice(read):
     dim = 9
     grid = (0.3 + 0.2j) * np.exp(-0.1j * np.subtract.outer(np.arange(dim), np.arange(dim)))
-    # per-slice weights; the second dies after one term, the third at once,
-    # while the others run on, and each must stop as it would alone
+    # per-slice weights; the second underflows after one order and the third
+    # is zero, so an added zero term would flip their -0.0 entries unless
+    # every slice runs the same arithmetic as it would alone
     c = np.stack([grid, np.full((dim, dim), 1e-200), np.zeros((dim, dim)), 2.0 * grid])
     states = np.stack([_with_signed_zeros(seeded_density(dim, 50, i)) for i in range(4)])
     cases = [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockprop import kerr_finite_t
 from fockprop.fock import coherent_state, density_from_ket, fidelity_pure, observables
 from fockprop.kerr_finite_t import LOWER, TAYLOR_SWITCH, _shift_series
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
@@ -92,6 +93,21 @@ def test_decay_weight_branches():
         out = propagate_kerr_zero_t(rho, t, lossless)
         assert np.isfinite(out).all()
         assert maxabs(out - np.exp(-1j * t * k * (s - 1.0)) * rho) == 0.0
+
+
+def test_lossless_flow_runs_no_series(monkeypatch):
+    # a zero rate skips its series, so lossless runs cost the Kerr phase alone
+    def refuse(*args):
+        raise AssertionError("series kernel called at a zero rate")
+
+    monkeypatch.setattr(kerr_finite_t, "_shift_series", refuse)
+    lossless = KerrZeroTParams(chi=1.0, gamma_minus=0.0)
+    rho = seeded_density(6, 8)
+    k, s = _ks(6)
+    for t in (0.0, 2.5, [0.0, 2.5]):
+        out = propagate_kerr_zero_t(rho, t, lossless)
+        want = np.exp(-1j * np.multiply.outer(t, k * (s - 1.0))) * rho
+        assert out.tobytes() == want.tobytes()
 
 
 def test_decay_weight_closed_form_region():
