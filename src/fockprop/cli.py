@@ -96,8 +96,6 @@ KEY_TYPES = {
     "points_per_axis": ("int", None),
 }
 
-KEY_ORDER = list(KEY_TYPES)
-
 
 def _parse_value(key, raw):
     kind, extra = KEY_TYPES[key]
@@ -166,7 +164,7 @@ def _format_value(key, value):
 
 
 def serialize_config(cfg):
-    lines = [f"{key} = {_format_value(key, cfg[key])}" for key in KEY_ORDER if key in cfg]
+    lines = [f"{key} = {_format_value(key, cfg[key])}" for key in KEY_TYPES if key in cfg]
     return "\n".join(lines) + "\n"
 
 
@@ -226,18 +224,18 @@ def _fock_ket(n, dim, what):
     return psi
 
 
-def _target_state(spec, dim):
+def _target_state(spec, initial):
     parts = spec.split()
     try:
         if parts[0] == "initial":
-            return None  # resolved by caller against the initial state
+            return initial
         if parts[0] == "fock" and len(parts) == 2:
-            return _fock_ket(int(parts[1]), dim, "target fock")
+            return _fock_ket(int(parts[1]), initial.size, "target fock")
         nums = [_finite(float(p)) for p in parts[1:]]
         if parts[0] == "coherent" and len(nums) == 2:
-            return coherent_state(dim, complex(nums[0], nums[1]))[0]
+            return coherent_state(initial.size, complex(nums[0], nums[1]))[0]
         if parts[0] == "cat" and len(nums) == 3:
-            return cat_state(dim, complex(nums[0], nums[1]), nums[2])[0]
+            return cat_state(initial.size, complex(nums[0], nums[1]), nums[2])[0]
     except (ValueError, IndexError):
         pass
     raise ConfigError(
@@ -247,10 +245,10 @@ def _target_state(spec, dim):
 
 
 def _propagator(cfg, params, dim, engine):
-    """Returns a function rho0, times -> the states rho(t), one per time.
+    """Returns a function rho0, times -> the (T, dim, dim) stack of rho(t).
 
-    The closed forms return them as one (T, dim, dim) stack; the dense
-    engines evolve one time after another and keep each result's layout.
+    The closed forms evolve the times together; the dense engines evolve
+    one time after another into the stack.
     """
     steps = cfg.get("steps")
     if steps is not None and steps < 1:
@@ -264,21 +262,20 @@ def _propagator(cfg, params, dim, engine):
         if engine == "expm":
             return expm_evolve(mat, rho0, t)
         n = recommended_steps(mat, t) if steps is None else steps
-        out, _ = rk4_evolve(mat, rho0, t, IntegratorConfig(steps=n, richardson=False))
-        return out
+        return rk4_evolve(mat, rho0, t, IntegratorConfig(steps=n, richardson=False))[0]
 
-    return lambda rho0, times: [one(rho0, t) for t in times]
+    return lambda rho0, times: np.stack([one(rho0, t) for t in times])
 
 
 def _evolved(evolve, rho0, times, dim):
-    """(t, rho(t)) for each time, evolved one chunk of times at a time.
+    """(times, stack) per chunk: a slice of the times and their states.
 
     A chunk holds as many times as the shared entry budget allows for
     states of dim^2 entries, so memory stays bounded however many times
     the config lists.
     """
     for part in _chunks(len(times), dim * dim):
-        yield from zip(times[part], evolve(rho0, times[part]))
+        yield times[part], evolve(rho0, times[part])
 
 
 def _g17(x):
@@ -306,11 +303,7 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
     psi0, deficit = _initial_state(cfg, dim)
     rho0 = density_from_ket(psi0)
 
-    target = None
-    if "target" in cfg:
-        target = _target_state(cfg["target"], dim)
-        if target is None:
-            target = psi0
+    target = _target_state(cfg["target"], psi0) if "target" in cfg else None
 
     evolve = _propagator(cfg, params, dim, engine)
     dump = dump_density or cfg.get("dump_density", False)
@@ -319,35 +312,23 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
     if target is not None:
         header += ",fidelity_target"
     rows = [header]
-    for i, (t, rho) in enumerate(_evolved(evolve, rho0, cfg["times"], dim)):
+    for ts, rhos in _evolved(evolve, rho0, cfg["times"], dim):
         try:
-            obs = observables(rho)
-            fidelity = None if target is None else fidelity_pure(target, rho)
+            obs = observables(rhos)
+            fidelity = [] if target is None else [fidelity_pure(target, rhos)]
         except ValueError as e:
             # the input is a valid state, so a failed check blames the engine
-            raise ValueError(
-                f"the {engine} engine's state at t = {t:g} failed its checks: {e}") from None
-        herm = 0.5 * (rho + rho.conj().T)
-        min_eig = float(np.linalg.eigvalsh(herm).min())
-        cells = [
-            _g17(t),
-            _g17(obs["trace"].real),
-            _g17(obs["trace"].imag),
-            _g17(obs["purity"]),
-            _g17(obs["mean_n"]),
-            _g17(min_eig),
-        ]
-        if fidelity is not None:
-            cells.append(_g17(fidelity))
-        rows.append(",".join(cells))
+            raise ValueError(f"the {engine} engine's state at t = {ts[e.index]:g} "
+                             f"failed its checks: {e}") from None
+        min_eig = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(-1, -2))).min(axis=-1)
+        columns = [ts, obs["trace"].real, obs["trace"].imag, obs["purity"], obs["mean_n"],
+                   min_eig, *fidelity]
         if dump:
-            dump_lines = []
-            for n in range(dim):
-                for m in range(dim):
-                    dump_lines.append(
-                        f"{n} {m} {_g17(rho[n, m].real)} {_g17(rho[n, m].imag)}"
-                    )
-            _write_text(f"{out_path}.rho{i}.txt", "\n".join(dump_lines) + "\n")
+            for i, rho in enumerate(rhos, start=len(rows) - 1):
+                lines = [f"{n} {m} {_g17(z.real)} {_g17(z.imag)}"
+                         for (n, m), z in np.ndenumerate(rho)]
+                _write_text(f"{out_path}.rho{i}.txt", "\n".join(lines) + "\n")
+        rows.extend(",".join(map(_g17, cells)) for cells in zip(*columns))
 
     _write_text(out_path, "\n".join(rows) + "\n")
 
@@ -393,9 +374,7 @@ def run_qfunc(config_path, out_path, engine=None):
     alphas = [complex(re, im) for im in ims for re in res]  # row-major, im outer
     q = husimi_q(rho, alphas)
 
-    rows = ["re,im,q"]
-    for (alpha, val) in zip(alphas, q):
-        rows.append(f"{_g17(alpha.real)},{_g17(alpha.imag)},{_g17(val)}")
+    rows = ["re,im,q"] + [f"{_g17(a.real)},{_g17(a.imag)},{_g17(v)}" for a, v in zip(alphas, q)]
     _write_text(out_path, "\n".join(rows) + "\n")
     return 0
 

@@ -112,21 +112,34 @@ def density_from_ket(psi):
     return np.outer(psi, psi.conj())
 
 
+def _refuse_imaginary(value, limit, message):
+    """Raises message.format(imaginary part) at the first entry past limit;
+    on a stack the error names that slice (C order) and keeps it as .index."""
+    bad = np.flatnonzero(np.abs(np.imag(value)) > limit)
+    if bad.size:
+        where = f"slice {bad[0]}: " if np.ndim(value) else ""
+        err = ValueError(where + message.format(np.imag(value).flat[bad[0]]))
+        err.index = int(bad[0])
+        raise err
+
+
 def observables(rho):
     """Trace, purity, and mean occupation of a density matrix.
 
     trace is reported as a complex number so drift off the real axis is
     visible. purity = tr(rho^2) must come out real; an imaginary part above
-    1e-12 max(1, |tr rho|)^2 signals a corrupted input and raises.
+    1e-12 max(1, |tr rho|)^2 signals a corrupted input and raises. rho may
+    be a (..., dim, dim) stack: each value is then an array over the leading
+    axes, and the error names the first failing slice, also as its .index.
     """
     rho = np.asarray(rho, dtype=complex)
-    tr = complex(np.trace(rho))
-    pur = complex(np.trace(rho @ rho))
-    if abs(pur.imag) > 1e-12 * max(1.0, abs(tr)) ** 2:
-        raise ValueError(f"purity has imaginary part {pur.imag:g}, not a density matrix")
-    n = np.arange(rho.shape[0])
-    mean_n = float(np.real(np.sum(n * np.diag(rho))))
-    return {"trace": tr, "purity": pur.real, "mean_n": mean_n}
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    pur = np.trace(rho @ rho, axis1=-2, axis2=-1)
+    _refuse_imaginary(pur, 1e-12 * np.maximum(1.0, np.abs(tr)) ** 2,
+                      "purity has imaginary part {:g}, not a density matrix")
+    mean_n = np.real(np.sum(np.arange(rho.shape[-1]) * rho.diagonal(0, -2, -1), axis=-1))
+    obs = {"trace": tr, "purity": pur.real, "mean_n": mean_n}
+    return {k: v.item() for k, v in obs.items()} if rho.ndim == 2 else obs
 
 
 def fidelity_pure(psi, rho):
@@ -134,16 +147,18 @@ def fidelity_pure(psi, rho):
 
     c = max(1, |tr rho|). Raises on dimension mismatch or if the quadratic
     form has imaginary part above 1e-12 c (rho too far from Hermitian).
+    rho may be a (..., dim, dim) stack, for an array over its leading axes;
+    the error then names the first failing slice, also as its .index.
     """
     psi = np.asarray(psi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (psi.size, psi.size):
+    if rho.shape[-2:] != (psi.size, psi.size):
         raise ValueError(f"shape mismatch: state {psi.size}, matrix {rho.shape}")
-    val = complex(psi.conj() @ rho @ psi)
-    c = max(1.0, abs(np.trace(rho)))
-    if abs(val.imag) > 1e-12 * c:
-        raise ValueError(f"fidelity has imaginary part {val.imag:g}")
-    return min(max(val.real, 0.0), (1.0 + 1e-10) * c)
+    val = ((psi.conj()[None, None, :] @ rho) @ psi).reshape(rho.shape[:-2])
+    c = np.maximum(1.0, np.abs(np.trace(rho, axis1=-2, axis2=-1)))
+    _refuse_imaginary(val, 1e-12 * c, "fidelity has imaginary part {:g}")
+    out = np.minimum(np.maximum(val.real, 0.0), (1.0 + 1e-10) * c)
+    return out.item() if rho.ndim == 2 else out
 
 
 def husimi_q(rho, alphas):

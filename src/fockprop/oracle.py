@@ -107,6 +107,8 @@ def _evolve_inputs(L, rho0, t):
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (dim, dim):
         raise ValueError(f"state shape {rho0.shape} does not match generator for dim {dim}")
+    if not math.isfinite(t):
+        raise ValueError("times must be finite")
     if t < 0:
         raise ValueError("negative time")
     return mat, rho0, dim

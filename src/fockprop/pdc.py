@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import _chunks
 from .kerr_finite_t import _check_finite, _checked_state, _propagate_resummed, _shift_series
 from .superop import apply, kerr_finite_t_generator, pdc_generator, random_density
 
@@ -146,9 +147,10 @@ def propagate_pdc(rho0, t, params, xform=None):
     Runs on the window 2 dim - 1 (see the module docstring), so the result
     is the untruncated flow of rho0 projected onto its own window. t is a
     time, or a 1-D array of times for a (T, dim, dim) stack of states: the
-    state is dressed once and the stack undressed together. xform replaces
-    the transformation from transform_params, so that a check can plant a
-    wrong one.
+    state is dressed once, and the times run in chunks that the shared
+    entry budget sizes by the wide window, each chunk undressed together.
+    xform replaces the transformation from transform_params, so that a
+    check can plant a wrong one.
     """
     rho0, t = _checked_state(rho0, t)
     if xform is None:
@@ -166,6 +168,9 @@ def propagate_pdc(rho0, t, params, xform=None):
     dim = rho0.shape[0]
     wide = np.zeros((2 * dim - 1, 2 * dim - 1), dtype=complex)
     wide[:dim, :dim] = rho0
-
-    out = _propagate_resummed(_dress(wide, xform), t, *_damping_rates(params, xform.lam))
-    return _undress(out, xform)[..., :dim, :dim]
+    dressed, rates = _dress(wide, xform), _damping_rates(params, xform.lam)
+    out = np.empty(t.shape + rho0.shape, dtype=complex)
+    for part in _chunks(t.size, wide.size):
+        flow = _propagate_resummed(dressed, t.reshape(-1)[part], *rates)
+        out.reshape(-1, dim, dim)[part] = _undress(flow, xform)[..., :dim, :dim]
+    return out

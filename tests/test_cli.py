@@ -143,23 +143,27 @@ def test_propagate_density_dump(tmp_path):
 
 
 def test_chunked_times_match_one_time_runs(tmp_path):
-    # 60 times at window 24 span several chunks of the time stack; each row
-    # and dump must not depend on which chunk, or which other times, it ran with
-    base = ("model = kerrT\ndim = 24\nchi = -1.1\ngamma_minus = 0.3\ngamma_plus = 0.02\n"
-            "state = cat\nalpha = (0.9-0.6j)\ncat_phase = 1.2\ntarget = initial\n")
-    times = [0.05 * i for i in range(60)]
-    many = str(tmp_path / "many.csv")
-    cfg = cfg_file(tmp_path, base + "times = " + ", ".join(map(repr, times)) + "\n")
-    assert main(["propagate", "--config", cfg, "--out", many, "--dump-density"]) == 0
-    rows = Path(many).read_text().splitlines()
-    assert len(rows) == 61
-    for i, t in enumerate(times):
-        one = str(tmp_path / f"one{i}.csv")
-        cfg = cfg_file(tmp_path, base + f"times = {t!r}\n", name=f"one{i}.cfg")
-        assert main(["propagate", "--config", cfg, "--out", one, "--dump-density"]) == 0
-        header, row = Path(one).read_text().splitlines()
-        assert (header, row) == (rows[0], rows[i + 1])
-        assert Path(f"{one}.rho0.txt").read_bytes() == Path(f"{many}.rho{i}.txt").read_bytes()
+    # 60 times at window 24 span several chunks of the time stack, and 8 times
+    # of the dense engine one; each row and dump must not depend on which
+    # chunk, or which other times, it ran with
+    for engine, dim, count in (("analytic", 24, 60), ("expm", 12, 8)):
+        base = (f"model = kerrT\ndim = {dim}\nchi = -1.1\ngamma_minus = 0.3\n"
+                "gamma_plus = 0.02\nstate = cat\nalpha = (0.9-0.6j)\ncat_phase = 1.2\n"
+                f"target = initial\nengine = {engine}\n")
+        times = [0.05 * i for i in range(count)]
+        many = str(tmp_path / f"{engine}.csv")
+        cfg = cfg_file(tmp_path, base + "times = " + ", ".join(map(repr, times)) + "\n")
+        assert main(["propagate", "--config", cfg, "--out", many, "--dump-density"]) == 0
+        rows = Path(many).read_text().splitlines()
+        assert len(rows) == count + 1
+        for i, t in enumerate(times):
+            one = str(tmp_path / f"{engine}{i}.csv")
+            cfg = cfg_file(tmp_path, base + f"times = {t!r}\n", name=f"one{i}.cfg")
+            assert main(["propagate", "--config", cfg, "--out", one, "--dump-density"]) == 0
+            header, row = Path(one).read_text().splitlines()
+            assert (header, row) == (rows[0], rows[i + 1])
+            assert (Path(f"{one}.rho0.txt").read_bytes()
+                    == Path(f"{many}.rho{i}.txt").read_bytes())
 
 
 def _peak_mib(argv):
@@ -173,13 +177,16 @@ def _peak_mib(argv):
 
 def test_long_time_series_runs_in_bounded_memory(tmp_path):
     # numpy reports its buffers to tracemalloc: 400 states of window 48
-    # held at once would take 14 MiB, and their temporaries 73 MiB
+    # held at once would take 14 MiB, and their temporaries 73 MiB; pdc
+    # evolves on the window 2 dim - 1, four times the entries of its output
     times = ", ".join(repr(0.01 * (i + 1)) for i in range(400))
-    cfg = cfg_file(tmp_path, (
-        "model = kerrT\ndim = 48\nchi = 1.0\ngamma_minus = 0.2\ngamma_plus = 0.01\n"
-        f"state = coherent\nalpha = 1.5\ntarget = initial\ntimes = {times}\n"
-    ))
-    assert _peak_mib(["propagate", "--config", cfg, "--out", str(tmp_path / "run.csv")]) < 4.0
+    for model in ("model = kerrT\nchi = 1.0\ngamma_minus = 0.2\ngamma_plus = 0.01\n",
+                  "model = pdc\nepsilon = (0.18+0.24j)\ngamma = 1.0\n"):
+        cfg = cfg_file(tmp_path, (
+            f"{model}dim = 48\nstate = coherent\nalpha = 1.5\ntarget = initial\n"
+            f"times = {times}\n"
+        ))
+        assert _peak_mib(["propagate", "--config", cfg, "--out", str(tmp_path / "run.csv")]) < 4.0
 
 
 def test_large_qfunc_grid_runs_in_bounded_memory(tmp_path):
@@ -499,18 +506,20 @@ def test_dense_engines_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def test_propagate_blames_the_engine_for_a_bad_state(tmp_path, monkeypatch, capsys):
-    # a non-Hermitian output must name the engine and the time, not the input
+    # a non-Hermitian output must name the engine and the time, not the input;
+    # only the state at t = 0.75, past the first of its chunk, is skewed
     def skewed(rho0, t, params):
         out = np.tile(np.asarray(rho0, dtype=complex), (len(t), 1, 1))
-        out[:, 0, 1] += 1.0
-        out[:, 1, 0] += 1.0j
+        late = np.asarray(t) == 0.75
+        out[late, 0, 1] += 1.0
+        out[late, 1, 0] += 1.0j
         return out
 
     monkeypatch.setattr(cli, "propagate_kerr_zero_t", skewed)
-    cfg = cfg_file(tmp_path, KERR0_DECAY)
+    cfg = cfg_file(tmp_path, KERR0_DECAY.replace("0.0, 0.5, 1.0", "0.0, 0.25, 0.75, 1.0"))
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert "analytic" in err and "t = " in err
+    assert "analytic" in err and "t = 0.75 " in err
     assert "input" not in err
 
 

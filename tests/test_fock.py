@@ -141,22 +141,44 @@ def test_observables_on_known_mixture():
     assert obs["trace"] == pytest.approx(1.0)
     assert obs["purity"] == pytest.approx(0.375)
     assert obs["mean_n"] == pytest.approx(0.75)
+    assert [type(obs[k]) for k in ("trace", "purity", "mean_n")] == [complex, float, float]
+    # a stack gives each slice's values, bit for bit
+    stack = np.stack([seeded_density(12, 40), np.diag([0.5, 0.25, 0.25] + [0.0] * 9),
+                      2.5 * seeded_density(12, 41)]).astype(complex)
+    batched = observables(stack)
+    for i, one in enumerate(stack):
+        for key, value in observables(one).items():
+            assert batched[key][i] == value
 
 
 def test_observables_rejects_garbage_purity():
     # tr(rho^2) picks up an imaginary part only when the off-diagonals
     # are not conjugate partners
     bad = np.array([[0.5, 0.2j], [0.3, 0.5]], dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^purity has imaginary part"):
         observables(bad)
+    # on a stack the error names the first bad slice
+    good = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(ValueError, match="^slice 1: purity") as err:
+        observables(np.stack([good, bad, bad]))
+    assert err.value.index == 1
 
 
 def test_fidelity_pure_values_and_clamp():
     psi = np.array([1.0, 0.0], dtype=complex)
     rho = np.diag([0.7, 0.3]).astype(complex)
     assert fidelity_pure(psi, rho) == pytest.approx(0.7)
+    assert type(fidelity_pure(psi, rho)) is float
     # tiny negative real parts clamp to zero
-    assert fidelity_pure(psi, np.diag([-1e-14, 1.0]).astype(complex)) == 0.0
+    clamped = np.diag([-1e-14, 1.0]).astype(complex)
+    assert fidelity_pure(psi, clamped) == 0.0
+    # a stack gives each slice's value, bit for bit
+    psi = np.linalg.qr(seeded_density(12, 42))[0][:, 0]
+    stack = np.stack([seeded_density(12, 43), 3.0 * seeded_density(12, 44), np.eye(12) / 12])
+    batched = fidelity_pure(psi, stack)
+    assert batched.shape == (3,)
+    for i, one in enumerate(stack):
+        assert batched[i] == fidelity_pure(psi, one)
 
 
 def test_fidelity_pure_rejects_shape_mismatch():

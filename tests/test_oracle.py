@@ -95,6 +95,14 @@ def test_rk4_input_validation():
     assert maxabs(out - rho0) == 0.0 and err == 0.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("evolve", [expm_evolve, rk4_evolve])
+def test_dense_engines_refuse_non_finite_times(evolve, t):
+    L = build_liouvillian(kerr_zero_t_generator(4, 1.0, 0.1))
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve(L, vacuum_density(4), t)
+
+
 def test_rk4_warns_on_fat_steps():
     dim = 8
     L = build_liouvillian(kerr_zero_t_generator(dim, 1.0, 0.1))
