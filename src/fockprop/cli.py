@@ -247,8 +247,8 @@ def _target_state(spec, initial):
 def _propagator(cfg, params, dim, engine):
     """Returns a function rho0, times -> the (T, dim, dim) stack of rho(t).
 
-    The closed forms evolve the times together; the dense engines evolve
-    one time after another into the stack.
+    The closed forms evolve the times together; the oracle engines evolve
+    one time after another into the stack, on one generator built here.
     """
     steps = cfg.get("steps")
     if steps is not None and steps < 1:
@@ -256,13 +256,13 @@ def _propagator(cfg, params, dim, engine):
     model = MODELS[cfg["model"]]
     if engine == "analytic":
         return lambda rho0, times: model.closed_form(rho0, times, params)
-    mat = build_liouvillian(model.generator(dim, params))
+    gen = build_liouvillian(model.generator(dim, params))
 
     def one(rho0, t):
         if engine == "expm":
-            return expm_evolve(mat, rho0, t)
-        n = recommended_steps(mat, t) if steps is None else steps
-        return rk4_evolve(mat, rho0, t, IntegratorConfig(steps=n, richardson=False))[0]
+            return expm_evolve(gen, rho0, t)
+        n = recommended_steps(gen, t) if steps is None else steps
+        return rk4_evolve(gen, rho0, t, IntegratorConfig(steps=n, richardson=False))[0]
 
     return lambda rho0, times: np.stack([one(rho0, t) for t in times])
 

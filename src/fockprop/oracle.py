@@ -12,12 +12,14 @@ steps, and the step count is sized from ||L|| t so the global truncation
 error lands near a requested accuracy instead of near a guess.
 
 Both engines work one sector at a time. A sector is a connected component
-of the generator's nonzero pattern; no entry couples two sectors, so the
-exponential and the RK4 step are block diagonal over them. The sectors are
-read off the matrix itself, never from a model or a conserved label, so the
-oracle stays independent of the closed forms it checks. (Every Kerr
-generator conserves n - m and splits into 2 dim - 1 sectors; the pair drive
-conserves the parity of n - m and splits into 2.)
+of the generator's entries (superop.Liouvillian); no entry couples two
+sectors, so the exponential and the RK4 step are block diagonal over them,
+and only the diagonal blocks are ever formed. The sectors are read off the
+entries themselves, never from a model or a conserved label, so the oracle
+stays independent of the closed forms it checks. (Every Kerr generator
+conserves n - m and splits into 2 dim - 1 sectors of at most dim indices;
+the pair drive conserves the parity of n - m and splits into 2.) They are
+found once per generator and kept while the generator lives.
 
 The helpers at the bottom embed a state in a larger window and run the
 oracle there. Comparing a propagator against an oracle truncated at the
@@ -27,11 +29,12 @@ running the oracle wide and cropping isolates the propagator's error.
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .superop import vec, unvec
+from .superop import Liouvillian, vec, unvec
 
 __all__ = [
     "IntegratorConfig",
@@ -54,25 +57,64 @@ class IntegratorConfig:
     richardson: bool = True
 
 
-def _sectors(mat):
-    """Index sets of the connected components of the pattern of mat | mat.T."""
-    nonzero = mat != 0
-    linked = nonzero | nonzero.T
-    n = mat.shape[0]
-    unseen = np.ones(n, dtype=bool)
-    sectors = []
-    for start in range(n):
-        if not unseen[start]:
-            continue
-        members = np.zeros(n, dtype=bool)
-        members[start] = True
-        frontier = members.copy()
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~members
-            members |= frontier
-        unseen &= ~members
-        sectors.append(np.flatnonzero(members))
-    return sectors
+def _sectors(n, rows, cols):
+    """Index sets of the connected components of the graph on range(n)
+    whose edges are the pairs (rows[i], cols[i]), in order of their smallest
+    member, each sorted.
+
+    Every index carries a label, at first itself. Each round lowers both
+    ends of every edge, and the labels those ends held, to the smaller of
+    the two labels, then points every label at its own label until that is
+    stable; at the fixed point each component is labelled by its smallest
+    member.
+    """
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        for ends in (rows, cols, label[rows], label[cols]):
+            np.minimum.at(new, ends, low)
+        while not np.array_equal(new[new], new):
+            new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+# generator -> [(sector indices, block rows, block cols, block entries)]
+_SECTOR_ENTRIES = weakref.WeakKeyDictionary()
+
+
+def _blocks(L):
+    """(idx, block) for each sector of L; block is L's matrix on idx x idx.
+
+    The sectors and each one's entries are found on the first call for L;
+    a block is scattered when it is reached, so one block is dense at a time.
+    """
+    parts = _SECTOR_ENTRIES.get(L)
+    if parts is None:
+        sectors = _sectors(L.dim * L.dim, L.rows, L.cols)
+        sector_of = np.empty(L.dim * L.dim, dtype=np.intp)
+        local = np.empty_like(sector_of)
+        for i, idx in enumerate(sectors):
+            sector_of[idx] = i
+            local[idx] = np.arange(len(idx))
+        owner = sector_of[L.rows]
+        by_sector = np.argsort(owner, kind="stable")
+        cuts = np.cumsum(np.bincount(owner, minlength=len(sectors)))[:-1]
+        parts = [(idx, local[L.rows[e]], local[L.cols[e]], L.entries[e])
+                 for idx, e in zip(sectors, np.split(by_sector, cuts))]
+        _SECTOR_ENTRIES[L] = parts
+    for idx, r, c, e in parts:
+        block = np.zeros((len(idx), len(idx)), dtype=complex)
+        block[r, c] = e
+        yield idx, block
+
+
+def _max_entry(L):
+    return float(np.max(np.abs(L.entries))) if L.entries.size else 0.0
 
 
 def expm_dense(A, rtol=1e-12):
@@ -101,27 +143,28 @@ def expm_dense(A, rtol=1e-12):
 
 
 def _evolve_inputs(L, rho0, t):
-    """(L, rho0, dim) as complex arrays, after checking the state's shape and t."""
-    mat = np.asarray(L, dtype=complex)
-    dim = int(round(math.sqrt(mat.shape[0])))
+    """rho0 as a complex array, after checking it against L's window and t."""
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"state shape {rho0.shape} does not match generator for dim {dim}")
+    if not isinstance(L, Liouvillian):
+        raise ValueError(f"the generator for a state of shape {rho0.shape} must come from "
+                         f"build_liouvillian, not an array of shape {np.shape(L)}")
+    if rho0.shape != (L.dim, L.dim):
+        raise ValueError(f"state shape {rho0.shape} does not match the generator's "
+                         f"window {L.dim}")
     if not math.isfinite(t):
         raise ValueError("times must be finite")
     if t < 0:
         raise ValueError("negative time")
-    return mat, rho0, dim
+    return rho0
 
 
 def expm_evolve(L, rho0, t):
     """Propagate rho0 by exp(L t) acting on the vectorized state."""
-    mat, rho0, dim = _evolve_inputs(L, rho0, t)
-    v = vec(rho0)
+    v = vec(_evolve_inputs(L, rho0, t))
     out = np.empty_like(v)
-    for idx in _sectors(mat):
-        out[idx] = expm_dense(mat[np.ix_(idx, idx)] * t) @ v[idx]
-    return unvec(out, dim)
+    for idx, block in _blocks(L):
+        out[idx] = expm_dense(block * t) @ v[idx]
+    return unvec(out, L.dim)
 
 
 def recommended_steps(L, t, accuracy=1e-12):
@@ -132,8 +175,7 @@ def recommended_steps(L, t, accuracy=1e-12):
     (||L|| h)^4 * ||L|| t / 120. Solving for h and capping the step norm
     keeps the estimate honest when accuracy is loose.
     """
-    mat = np.asarray(L, dtype=complex)
-    x = float(np.max(np.abs(mat))) * float(t)
+    x = _max_entry(L) * float(t)
     if x <= 0.0:
         return 2
     q = min(STEP_NORM_CAP, (120.0 * accuracy / x) ** 0.25)
@@ -151,7 +193,7 @@ def rk4_evolve(L, rho0, t, config=None):
     half resolution and the standard fourth-order extrapolated difference
     |y_h - y_2h| / 15 is returned; otherwise the estimate is None.
     """
-    mat, rho0, dim = _evolve_inputs(L, rho0, t)
+    rho0 = _evolve_inputs(L, rho0, t)
     if t == 0:
         return rho0.astype(complex), 0.0
 
@@ -159,7 +201,7 @@ def rk4_evolve(L, rho0, t, config=None):
     richardson = config.richardson if config is not None else True
     if steps < 1:
         raise ValueError("need at least one step")
-    x = float(np.max(np.abs(mat))) * float(t)
+    x = _max_entry(L) * float(t)
     if x / steps > STEP_NORM_CAP:
         warnings.warn(
             f"RK4 step norm {x / steps:.3g} exceeds {STEP_NORM_CAP}; "
@@ -167,12 +209,11 @@ def rk4_evolve(L, rho0, t, config=None):
         )
 
     v = vec(rho0)
-    blocks = [(idx, mat[np.ix_(idx, idx)]) for idx in _sectors(mat)]
 
     def power_apply(n_steps):
         h = t / n_steps
         y = np.empty_like(v)
-        for idx, block in blocks:
+        for idx, block in _blocks(L):
             hL = block * h
             eye = np.eye(len(idx), dtype=complex)
             # Horner form of the degree-4 Taylor step
@@ -185,7 +226,7 @@ def rk4_evolve(L, rho0, t, config=None):
     if richardson and steps >= 2:
         y_coarse = power_apply(max(1, steps // 2))
         err = float(np.max(np.abs(y - y_coarse))) / 15.0
-    return unvec(y, dim), err
+    return unvec(y, L.dim), err
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +252,24 @@ def converged_window_reference(build_matrix, rho0, t, pad=16, check=8,
                                method="rk4", accuracy=1e-12):
     """Oracle result on a window wide enough that the cutoff is converged.
 
-    build_matrix(dim) must return the dense generator for any window size.
-    The state is embedded at dim+pad and dim+pad+check, both runs are
-    cropped back to dim, and their difference is returned alongside the
-    result as a self-convergence estimate. A small estimate certifies that
-    widening the window further would not move the cropped answer.
+    build_matrix(dim) must return the Liouvillian (superop.build_liouvillian)
+    on a window of that size. The state is embedded at dim+pad and
+    dim+pad+check, both runs are cropped back to dim, and their difference
+    is returned alongside the result as a self-convergence estimate. A small
+    estimate certifies that widening the window further would not move the
+    cropped answer.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
     results = []
     for big in (dim + pad, dim + pad + check):
-        mat = np.asarray(build_matrix(big), dtype=complex)
+        gen = build_matrix(big)
         state = embed(rho0, big)
         if method == "rk4":
-            cfg = IntegratorConfig(steps=recommended_steps(mat, t, accuracy), richardson=False)
-            out, _ = rk4_evolve(mat, state, t, cfg)
+            cfg = IntegratorConfig(steps=recommended_steps(gen, t, accuracy), richardson=False)
+            out, _ = rk4_evolve(gen, state, t, cfg)
         elif method == "expm":
-            out = expm_evolve(mat, state, t)
+            out = expm_evolve(gen, state, t)
         else:
             raise ValueError(f"unknown method {method!r}")
         results.append(crop(out, dim))

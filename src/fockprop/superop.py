@@ -11,8 +11,10 @@ by a function of its index pair (Kerr phases, number damping). The (k, s)
 coordinates are the natural ones: every propagator factor in this package
 preserves k, and s counts total excitation of the element.
 
-The dense form uses column stacking: vec(rho) = rho.flatten(order="F"),
-so vec(A rho B) = (B.T kron A) vec(rho).
+The matrix form uses column stacking: vec(rho) = rho.flatten(order="F"),
+so vec(A rho B) = (B.T kron A) vec(rho). build_liouvillian keeps only its
+nonzero entries; a Kerr generator has O(dim^2) of them, against the dim^4 of
+the dense matrix.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ __all__ = [
     "SandwichTerm",
     "DiagonalTerm",
     "SuperopExpr",
+    "Liouvillian",
     "apply",
     "commutator",
     "vec",
@@ -127,20 +130,74 @@ def unvec(v, dim):
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
+@dataclass(frozen=True, eq=False)
+class Liouvillian:
+    """The dim^2 x dim^2 column-stacking matrix of an expression, as entries.
+
+    entries[i] sits at row rows[i] and column cols[i]; every position appears
+    at most once, and positions not listed hold zero. Equality is identity
+    and the arrays are read-only, so a generator can key a cache of what is
+    read off it.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    entries: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.rows, self.cols, self.entries):
+            a.flags.writeable = False
+
+    def dense(self):
+        """The full matrix, scattered from the entries."""
+        mat = np.zeros((self.dim * self.dim,) * 2, dtype=complex)
+        mat[self.rows, self.cols] = self.entries
+        return mat
+
+
+def _term_entries(term, dim, k, s):
+    """(rows, cols, values) of one term's nonzero pattern.
+
+    A sandwich's values are the products of the nonzeros of right.T and left,
+    formed as np.kron forms them, so they are bit-identical to its entries.
+    """
+    if isinstance(term, SandwichTerm):
+        a, b = term.right.T, term.left
+        i, j = np.nonzero(a)
+        p, q = np.nonzero(b)
+        rows = (dim * i[:, None] + p).ravel()
+        cols = (dim * j[:, None] + q).ravel()
+        return rows, cols, term.coeff * (a[i, j][:, None] * b[p, q]).ravel()
+    if isinstance(term, DiagonalTerm):
+        w = np.broadcast_to(np.asarray(term.f(k, s), dtype=complex), (dim, dim))
+        diag = np.arange(dim * dim)
+        return diag, diag, w.flatten(order="F")
+    raise TypeError(f"unknown term type {type(term).__name__}")
+
+
 def build_liouvillian(expr):
-    """Dense dim^2 x dim^2 matrix of expr in the column-stacking convention."""
+    """The Liouvillian of expr in the column-stacking convention.
+
+    Entries at one position are summed from zero in term order, as adding
+    the terms' dense matrices would, and exact zeros are dropped, so the
+    dense matrix is the dense sum bit for bit.
+    """
     dim = expr.dim
-    mat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    n = dim * dim
     k, s = _ks(dim)
-    for t in expr.terms:
-        if isinstance(t, SandwichTerm):
-            mat += t.coeff * np.kron(t.right.T, t.left)
-        elif isinstance(t, DiagonalTerm):
-            w = np.asarray(t.f(k, s), dtype=complex) * np.ones((dim, dim))
-            mat += np.diag(w.flatten(order="F"))
-        else:
-            raise TypeError(f"unknown term type {type(t).__name__}")
-    return mat
+    parts = [_term_entries(t, dim, k, s) for t in expr.terms]
+    keys = np.concatenate([np.zeros(0, dtype=np.intp)] + [r * n + c for r, c, _ in parts])
+    positions, slot = np.unique(keys, return_inverse=True)
+    acc = np.zeros(len(positions), dtype=complex)
+    start = 0
+    for rows, _, values in parts:
+        # one term lists each position once, so the fancy += adds every value
+        acc[slot[start:start + len(rows)]] += values
+        start += len(rows)
+    keep = acc != 0
+    rows, cols = np.divmod(positions[keep], n)
+    return Liouvillian(dim, rows, cols, acc[keep])
 
 
 def random_density(dim, rng):

@@ -66,12 +66,12 @@ def _suite_kerr0(dim, seed, fault):
     # closed form vs brute-force exponential on the same window; the
     # closed form is exact there, so tolerance is tight
     chi_oracle = -chi if fault == "kerr0-phase-sign" else chi
-    mat = build_liouvillian(kerr_zero_t_generator(dim, chi_oracle, gm))
+    gen = build_liouvillian(kerr_zero_t_generator(dim, chi_oracle, gm))
     worst = 0.0
     for i in range(3):
         rho0 = random_density(dim, np.random.default_rng([seed, i]))
         a = propagate_kerr_zero_t(rho0, 0.5, params)
-        b = expm_evolve(mat, rho0, 0.5)
+        b = expm_evolve(gen, rho0, 0.5)
         worst = max(worst, _maxabs(a - b))
     recs.append(_check(f"propagator vs exponential, dim={dim}, t=0.5", worst, 1e-8))
 
@@ -177,8 +177,8 @@ def _suite_pdc(dim, seed, fault):
 
     # drive splits into its four one-sided pieces exactly
     parts = pdc_drive_parts(dim, params.epsilon)
-    whole = build_liouvillian(pdc_drive(dim, params.epsilon))
-    summed = sum(build_liouvillian(p) for p in parts.values())
+    whole = build_liouvillian(pdc_drive(dim, params.epsilon)).dense()
+    summed = sum(build_liouvillian(p).dense() for p in parts.values())
     recs.append(_check("drive equals the sum of its four pieces", _maxabs(whole - summed), 1e-14))
 
     # windows 18 and 20 keep the wide-window reference quick

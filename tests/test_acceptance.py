@@ -216,8 +216,8 @@ def test_06_pair_drive_removal_transformation(table_records):
 
     # the drive splits exactly into its four one-sided pieces
     dim = 16
-    whole = build_liouvillian(pdc_drive(dim, PDC.epsilon))
-    parts = sum(build_liouvillian(p)
+    whole = build_liouvillian(pdc_drive(dim, PDC.epsilon)).dense()
+    parts = sum(build_liouvillian(p).dense()
                 for p in pdc_drive_parts(dim, PDC.epsilon).values())
     assert maxabs(whole - parts) <= 1e-14
 

@@ -189,6 +189,22 @@ def test_long_time_series_runs_in_bounded_memory(tmp_path):
         assert _peak_mib(["propagate", "--config", cfg, "--out", str(tmp_path / "run.csv")]) < 4.0
 
 
+def test_verify_kerrT_runs_in_bounded_memory():
+    # the oracle forms only each sector's block, at most the reference
+    # window wide: at dim 64 the references run on windows 80 and 88, whose
+    # dense generators would take 0.66 and 0.96 GB; the default dim 12 runs
+    # them on 28 and 36, 87 MiB as dense matrices
+    for dim, cap in ((64, 16.0), (None, 8.0)):
+        tracemalloc.start()
+        try:
+            text, failed = verify.report("kerrT", dim, 0, None)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert failed == 0 and text.endswith("5 checks, all passed\n")
+        assert peak <= cap
+
+
 def test_large_qfunc_grid_runs_in_bounded_memory(tmp_path):
     # the 22,500 coherent amplitude columns of window 48 take 16 MiB at once
     cfg = cfg_file(tmp_path, (
@@ -489,8 +505,9 @@ def test_top_level_usage(tmp_path):
 
 
 def test_dense_engines_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
-    # a window too large for the dense dim^2 x dim^2 generator must end in a
-    # usage error, not a traceback; no real allocation is attempted here
+    # a generator too large to allocate must end in a usage error, not a
+    # traceback, for verify and both oracle engines; the builder they call
+    # is replaced, so no real allocation is attempted here
     def refuse(expr):
         raise MemoryError(f"Unable to allocate the generator for dim {expr.dim}")
 

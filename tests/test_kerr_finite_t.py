@@ -171,7 +171,7 @@ def test_thermal_state_is_stationary():
         dim, PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus,
         PARAMS.gamma0, PARAMS.c_gamma,
     ))
-    rate = (L @ thermal.flatten(order="F")).reshape((dim, dim), order="F")
+    rate = (L.dense() @ thermal.flatten(order="F")).reshape((dim, dim), order="F")
     assert maxabs(rate) < 1e-10
 
     out = propagate_kerr_finite_t(thermal, 1.0, PARAMS)

@@ -7,6 +7,7 @@ import scipy.linalg
 from fockprop.oracle import (
     IntegratorConfig,
     STEP_NORM_CAP,
+    _blocks,
     _sectors,
     converged_window_reference,
     crop,
@@ -17,9 +18,14 @@ from fockprop.oracle import (
     rk4_evolve,
 )
 from fockprop.superop import (
+    DiagonalTerm,
+    Liouvillian,
+    SandwichTerm,
+    _ks,
     build_liouvillian,
     kerr_finite_t_generator,
     kerr_zero_t_generator,
+    number_damping,
     pdc_generator,
     vec,
 )
@@ -48,6 +54,10 @@ def test_expm_evolve_shape_check():
         expm_evolve(L, np.eye(5, dtype=complex), 0.1)
     with pytest.raises(ValueError, match="negative time"):
         expm_evolve(L, vacuum_density(4), -1.0)
+    # a 20 x 20 array is no generator of a 4 x 4 state; both sizes are named
+    for evolve in (expm_evolve, rk4_evolve):
+        with pytest.raises(ValueError, match=r"\(4, 4\).*\(20, 20\)"):
+            evolve(np.zeros((20, 20)), np.eye(4), 0.1)
 
 
 def test_rk4_matches_expm_at_recommended_steps():
@@ -119,7 +129,7 @@ def test_recommended_steps_behaviour():
     assert tight % 2 == 0 and loose % 2 == 0
     assert tight > loose >= 2
     # the cap keeps the step length sane even for very loose targets
-    x = maxabs(L) * 1.0
+    x = maxabs(L.dense()) * 1.0
     assert x / recommended_steps(L, 1.0, accuracy=1.0) <= STEP_NORM_CAP * 1.001
 
 
@@ -182,6 +192,10 @@ def _k_labels(dim):
     return vec(n[:, None] - n[None, :]).real.astype(int)
 
 
+def _sectors_of(gen):
+    return _sectors(gen.dim * gen.dim, gen.rows, gen.cols)
+
+
 def _as_sets(sectors):
     return {frozenset(int(i) for i in idx) for idx in sectors}
 
@@ -200,7 +214,7 @@ def _full_rk4(mat, rho0, t, steps):
 @pytest.mark.parametrize("model", ["kerr0", "kerrT", "pdc"])
 @pytest.mark.parametrize("dim", [6, 10])
 def test_sectors_are_the_conserved_index_sets(model, dim):
-    sectors = _sectors(_matrix(model, dim))
+    sectors = _sectors_of(_matrix(model, dim))
     flat = np.sort(np.concatenate(sectors))
     assert np.array_equal(flat, np.arange(dim * dim))  # a partition
     k = _k_labels(dim)
@@ -216,21 +230,22 @@ def test_sectors_are_the_conserved_index_sets(model, dim):
 def test_dense_matrix_is_one_sector():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-    sectors = _sectors(a)
+    sectors = _sectors(20, *np.nonzero(a))
     assert len(sectors) == 1 and np.array_equal(sectors[0], np.arange(20))
 
 
 @pytest.mark.parametrize("model", ["kerr0", "kerrT", "pdc"])
 @pytest.mark.parametrize("dim", [8, 12])
 def test_blocked_engines_match_the_full_matrix(model, dim):
-    mat = _matrix(model, dim)
+    gen = _matrix(model, dim)
+    mat = gen.dense()
     rho0 = seeded_density(dim, 40, dim)
     t = 0.3
-    out = expm_evolve(mat, rho0, t)
+    out = expm_evolve(gen, rho0, t)
     assert maxabs(vec(out) - _full_expm(mat, rho0, t)) <= 1e-12
 
-    steps = recommended_steps(mat, t)
-    y, err = rk4_evolve(mat, rho0, t)
+    steps = recommended_steps(gen, t)
+    y, err = rk4_evolve(gen, rho0, t)
     assert maxabs(vec(y) - _full_rk4(mat, rho0, t, steps)) <= 1e-12
     # the Richardson estimate is the max over the whole vector
     coarse = _full_rk4(mat, rho0, t, steps // 2)
@@ -241,15 +256,18 @@ def test_blocking_follows_a_planted_cross_sector_entry():
     # the oracle must not assume the closed forms' conserved n - m: a
     # single entry that breaks it must merge two sectors and enter the result
     dim = 6
-    mat = _matrix("kerrT", dim).copy()
+    gen = _matrix("kerrT", dim)
     k = _k_labels(dim)
     # the row's sector starts after the column's, so only the entry's
     # transpose links the column's sector to it
     row = int(np.flatnonzero(k == -1)[0])
     col = int(np.flatnonzero(k == 2)[0])
     assert row > col
-    mat[row, col] = 0.7
-    sectors = _sectors(mat)
+    assert not np.any((gen.rows == row) & (gen.cols == col))
+    gen = Liouvillian(dim, np.append(gen.rows, row), np.append(gen.cols, col),
+                      np.append(gen.entries, 0.7))
+    mat = gen.dense()
+    sectors = _sectors_of(gen)
     assert sum(len(idx) for idx in sectors) == dim * dim
     sectors = _as_sets(sectors)
     assert len(sectors) == 2 * dim - 2
@@ -258,9 +276,62 @@ def test_blocking_follows_a_planted_cross_sector_entry():
 
     rho0 = seeded_density(dim, 41)
     t = 0.4
-    out = expm_evolve(mat, rho0, t)
+    out = expm_evolve(gen, rho0, t)
     assert maxabs(vec(out) - _full_expm(mat, rho0, t)) <= 1e-12
     assert maxabs(out - expm_evolve(_matrix("kerrT", dim), rho0, t)) > 1e-3
-    steps = recommended_steps(mat, t)
-    y, _ = rk4_evolve(mat, rho0, t, IntegratorConfig(steps=steps, richardson=False))
+    steps = recommended_steps(gen, t)
+    y, _ = rk4_evolve(gen, rho0, t, IntegratorConfig(steps=steps, richardson=False))
     assert maxabs(vec(y) - _full_rk4(mat, rho0, t, steps)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The generator's entries
+
+
+def _kron_sum(expr):
+    """The reference: the dense matrices of the terms, summed in term order."""
+    dim = expr.dim
+    mat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    k, s = _ks(dim)
+    for t in expr.terms:
+        if isinstance(t, SandwichTerm):
+            mat += t.coeff * np.kron(t.right.T, t.left)
+        elif isinstance(t, DiagonalTerm):
+            w = np.asarray(t.f(k, s), dtype=complex) * np.ones((dim, dim))
+            mat += np.diag(w.flatten(order="F"))
+    return mat
+
+
+@pytest.mark.parametrize("model", ["kerr0", "kerrT", "pdc", "pdc-uncorrected", "kerrT-damped"])
+def test_entries_scatter_to_the_dense_sum_bit_for_bit(model):
+    for dim in range(4, 13):
+        if model == "pdc-uncorrected":
+            expr = pdc_generator(dim, 0.3 - 0.2j, 0.7, corrected=False)
+        elif model == "kerrT-damped":
+            # three real diagonal terms, whose sum rounds differently in
+            # another order: the entries must be summed in term order
+            expr = GENERATORS["kerrT"](dim) + number_damping(dim, 0.3)
+        else:
+            expr = GENERATORS[model](dim)
+        gen = build_liouvillian(expr)
+        dense = _kron_sum(expr)
+        assert gen.dense().tobytes() == dense.tobytes()
+        assert gen.entries.size == np.count_nonzero(dense)  # no stored zeros
+        blocks = list(_blocks(gen))
+        assert sum(len(idx) for idx, _ in blocks) == dim * dim
+        for idx, block in blocks:
+            assert block.tobytes() == dense[np.ix_(idx, idx)].tobytes()
+
+
+def test_a_cancelled_generator_has_no_entries_and_moves_nothing():
+    # with dyadic rates every partial sum is exact, so the negated copy
+    # cancels each entry to an exact zero, and exact zeros are dropped
+    dim = 6
+    expr = kerr_finite_t_generator(dim, 1.0, 0.5, 0.25, 0.75, -0.5)
+    gen = build_liouvillian(expr + (-1.0) * expr)
+    assert gen.entries.size == 0
+    assert [idx.tolist() for idx in _sectors_of(gen)] == [[i] for i in range(dim * dim)]
+    rho0 = seeded_density(dim, 42)
+    assert np.array_equal(expm_evolve(gen, rho0, 0.7), rho0)
+    out, err = rk4_evolve(gen, rho0, 0.7)
+    assert np.array_equal(out, rho0) and err == 0.0
