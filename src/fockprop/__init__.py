@@ -15,7 +15,6 @@ from .fock import (
 )
 from .superop import (
     SandwichTerm,
-    DiagonalTerm,
     SuperopExpr,
     apply,
     commutator,

@@ -86,7 +86,6 @@ KEY_TYPES = {
     "times": ("floatlist", None),
     "engine": ("choice", ("analytic", "expm", "rk4")),
     "steps": ("int", None),
-    "seed": ("int", None),
     "target": ("str", None),
     "dump_density": ("bool", None),
     "re_min": ("float", None),
@@ -336,7 +335,6 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
         "config": {k: _format_value(k, v) for k, v in cfg.items()},
         "engine": engine,
         "norm_deficit": deficit,
-        "seed": cfg.get("seed", 0),
         "tool_version": __version__,
     }
     _write_text(out_path + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")

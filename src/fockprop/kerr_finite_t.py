@@ -20,8 +20,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .superop import _ks
-
 __all__ = [
     "KerrFiniteTParams",
     "propagate_kerr_finite_t",
@@ -72,6 +70,12 @@ def _shift_series(c, rho, read):
         step *= 1.0 / j
         np.add(step, rho[blk], out=out[blk])
     return out
+
+
+def _ks(dim):
+    """k = n - m and s = n + m at each element (n, m) of the window."""
+    n = np.arange(dim)
+    return n[:, None] - n[None, :], n[:, None] + n[None, :]
 
 
 def _checked_state(rho0, t):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .superop import Liouvillian, vec, unvec
+from .superop import Liouvillian, build_liouvillian, vec, unvec
 
 __all__ = [
     "IntegratorConfig",
@@ -248,12 +248,12 @@ def crop(rho, dim):
     return np.asarray(rho, dtype=complex)[:dim, :dim]
 
 
-def converged_window_reference(build_matrix, rho0, t, pad=16, check=8,
+def converged_window_reference(generator, rho0, t, pad=16, check=8,
                                method="rk4", accuracy=1e-12):
     """Oracle result on a window wide enough that the cutoff is converged.
 
-    build_matrix(dim) must return the Liouvillian (superop.build_liouvillian)
-    on a window of that size. The state is embedded at dim+pad and
+    generator(dim) must return the superoperator (superop.SuperopExpr) on a
+    window of that size. The state is embedded at dim+pad and
     dim+pad+check, both runs are cropped back to dim, and their difference
     is returned alongside the result as a self-convergence estimate. A small
     estimate certifies that widening the window further would not move the
@@ -263,7 +263,7 @@ def converged_window_reference(build_matrix, rho0, t, pad=16, check=8,
     dim = rho0.shape[0]
     results = []
     for big in (dim + pad, dim + pad + check):
-        gen = build_matrix(big)
+        gen = build_liouvillian(generator(big))
         state = embed(rho0, big)
         if method == "rk4":
             cfg = IntegratorConfig(steps=recommended_steps(gen, t, accuracy), richardson=False)

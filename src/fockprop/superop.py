@@ -1,15 +1,12 @@
-"""Superoperators as formal sums of terms, plus their dense matrix form.
+"""Superoperators as formal sums of sandwich terms, plus their matrix form.
 
-Two term kinds cover everything this package needs:
+Every superoperator here is an ordered sum of one term kind:
 
   SandwichTerm(c, L, R):   rho -> c * L @ rho @ R
-  DiagonalTerm(f):         rho[n, m] -> exp-free elementwise weight
-                           f(k, s) * rho[n, m] with k = n - m, s = n + m
 
-Diagonal terms capture generators that only multiply each matrix element
-by a function of its index pair (Kerr phases, number damping). The (k, s)
-coordinates are the natural ones: every propagator factor in this package
-preserves k, and s counts total excitation of the element.
+Generators that only weight each matrix element by a function of its
+indices (Kerr phases, number damping, the identity) are sandwiches with a
+diagonal operator on one side, e.g. -gamma (n rho + rho n) is two terms.
 
 The matrix form uses column stacking: vec(rho) = rho.flatten(order="F"),
 so vec(A rho B) = (B.T kron A) vec(rho). build_liouvillian keeps only its
@@ -19,15 +16,13 @@ the dense matrix.
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
-from .fock import annihilation, creation
+from .fock import annihilation, creation, number_op
 
 __all__ = [
     "SandwichTerm",
-    "DiagonalTerm",
     "SuperopExpr",
     "Liouvillian",
     "apply",
@@ -63,14 +58,8 @@ class SandwichTerm:
 
 
 @dataclass(frozen=True)
-class DiagonalTerm:
-    # f takes integer arrays (k, s) and must broadcast elementwise
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class SuperopExpr:
-    """Ordered sum of terms acting on dim x dim density matrices."""
+    """Ordered sum of sandwich terms acting on dim x dim density matrices."""
 
     dim: int
     terms: tuple = field(default_factory=tuple)
@@ -84,20 +73,10 @@ class SuperopExpr:
 
     def __rmul__(self, c):
         c = complex(c)
-        scaled = []
-        for t in self.terms:
-            if isinstance(t, SandwichTerm):
-                scaled.append(SandwichTerm(c * t.coeff, t.left, t.right))
-            else:
-                scaled.append(DiagonalTerm(lambda k, s, f=t.f, c=c: c * f(k, s)))
-        return SuperopExpr(self.dim, tuple(scaled))
+        return SuperopExpr(self.dim, tuple(SandwichTerm(c * t.coeff, t.left, t.right)
+                                           for t in self.terms))
 
     __mul__ = __rmul__
-
-
-def _ks(dim):
-    n = np.arange(dim)
-    return n[:, None] - n[None, :], n[:, None] + n[None, :]
 
 
 def apply(expr, rho):
@@ -106,14 +85,8 @@ def apply(expr, rho):
     if rho.shape != (expr.dim, expr.dim):
         raise ValueError(f"state shape {rho.shape} does not match dim {expr.dim}")
     out = np.zeros_like(rho)
-    k, s = _ks(expr.dim)
     for t in expr.terms:
-        if isinstance(t, SandwichTerm):
-            out += t.coeff * (t.left @ rho @ t.right)
-        elif isinstance(t, DiagonalTerm):
-            out += np.asarray(t.f(k, s), dtype=complex) * rho
-        else:
-            raise TypeError(f"unknown term type {type(t).__name__}")
+        out += t.coeff * (t.left @ rho @ t.right)
     return out
 
 
@@ -156,24 +129,18 @@ class Liouvillian:
         return mat
 
 
-def _term_entries(term, dim, k, s):
+def _term_entries(term, dim):
     """(rows, cols, values) of one term's nonzero pattern.
 
-    A sandwich's values are the products of the nonzeros of right.T and left,
-    formed as np.kron forms them, so they are bit-identical to its entries.
+    The values are the products of the nonzeros of right.T and left, formed
+    as np.kron forms them, so they are bit-identical to its entries.
     """
-    if isinstance(term, SandwichTerm):
-        a, b = term.right.T, term.left
-        i, j = np.nonzero(a)
-        p, q = np.nonzero(b)
-        rows = (dim * i[:, None] + p).ravel()
-        cols = (dim * j[:, None] + q).ravel()
-        return rows, cols, term.coeff * (a[i, j][:, None] * b[p, q]).ravel()
-    if isinstance(term, DiagonalTerm):
-        w = np.broadcast_to(np.asarray(term.f(k, s), dtype=complex), (dim, dim))
-        diag = np.arange(dim * dim)
-        return diag, diag, w.flatten(order="F")
-    raise TypeError(f"unknown term type {type(term).__name__}")
+    a, b = term.right.T, term.left
+    i, j = np.nonzero(a)
+    p, q = np.nonzero(b)
+    rows = (dim * i[:, None] + p).ravel()
+    cols = (dim * j[:, None] + q).ravel()
+    return rows, cols, term.coeff * (a[i, j][:, None] * b[p, q]).ravel()
 
 
 def build_liouvillian(expr):
@@ -185,8 +152,7 @@ def build_liouvillian(expr):
     """
     dim = expr.dim
     n = dim * dim
-    k, s = _ks(dim)
-    parts = [_term_entries(t, dim, k, s) for t in expr.terms]
+    parts = [_term_entries(t, dim) for t in expr.terms]
     keys = np.concatenate([np.zeros(0, dtype=np.intp)] + [r * n + c for r, c, _ in parts])
     positions, slot = np.unique(keys, return_inverse=True)
     acc = np.zeros(len(positions), dtype=complex)
@@ -224,27 +190,35 @@ def raising_sandwich(dim, rate):
 
 
 def number_damping(dim, gamma):
-    """-gamma (n rho + rho n), elementwise -gamma (n + m)."""
-    return SuperopExpr(dim, (DiagonalTerm(lambda k, s, g=gamma: -g * s),))
+    """-gamma (n rho + rho n)."""
+    n, eye = number_op(dim), np.eye(dim, dtype=complex)
+    g = -complex(gamma)
+    return SuperopExpr(dim, (SandwichTerm(g, n, eye), SandwichTerm(g, eye, n)))
 
 
 def damping_shift(dim):
-    """Elementwise -(n + m + 1): number damping at unit rate minus identity."""
-    return SuperopExpr(dim, (DiagonalTerm(lambda k, s: -(s + 1.0)),))
+    """-(n rho + rho n) - rho: number damping at unit rate minus identity."""
+    return number_damping(dim, 1.0) + identity_superop(dim, -1.0)
 
 
 def kerr_phase(dim, chi):
-    """-i chi (n(n-1) - m(m-1)) elementwise, i.e. -i chi k (s - 1)."""
-    return SuperopExpr(dim, (DiagonalTerm(lambda k, s, c=chi: -1j * c * k * (s - 1.0)),))
+    """-i chi (K rho - rho K) with K = n(n-1), the Kerr Hamiltonian's commutator."""
+    n, eye = number_op(dim), np.eye(dim, dtype=complex)
+    kk = n @ n - n
+    c = -1j * complex(chi)
+    return SuperopExpr(dim, (SandwichTerm(c, kk, eye), SandwichTerm(-c, eye, kk)))
 
 
 def index_difference(dim):
-    """Elementwise weight k = n - m."""
-    return SuperopExpr(dim, (DiagonalTerm(lambda k, s: k + 0.0),))
+    """n rho - rho n: weights element (n, m) by n - m."""
+    n, eye = number_op(dim), np.eye(dim, dtype=complex)
+    return SuperopExpr(dim, (SandwichTerm(1.0, n, eye), SandwichTerm(-1.0, eye, n)))
 
 
 def identity_superop(dim, c=1.0):
-    return SuperopExpr(dim, (DiagonalTerm(lambda k, s, c=complex(c): c * np.ones_like(s, dtype=complex)),))
+    """c * rho."""
+    eye = np.eye(dim, dtype=complex)
+    return SuperopExpr(dim, (SandwichTerm(complex(c), eye, eye),))
 
 
 def cross_raise(dim, c=1.0):

@@ -182,10 +182,8 @@ def test_05_finite_temperature_factorization():
     # against the integrator, run on a window wide enough that the
     # integrator's own cutoff error is out of the comparison
     def build(n):
-        return build_liouvillian(kerr_finite_t_generator(
-            n, KERRT.chi, KERRT.gamma_minus, KERRT.gamma_plus,
-            KERRT.gamma0, KERRT.c_gamma,
-        ))
+        return kerr_finite_t_generator(n, KERRT.chi, KERRT.gamma_minus, KERRT.gamma_plus,
+                                       KERRT.gamma0, KERRT.c_gamma)
 
     _, rho0 = coherent_density(15, 1.0)
     for t in (0.25, 0.5, 1.0):
@@ -239,10 +237,8 @@ def test_07_pair_drive_propagation_matches_untruncated_flow():
     xform = transform_params(PDC)
     analytic = propagate_pdc(rho0, 0.5, PDC, xform=xform)
 
-    def build(n):
-        return build_liouvillian(pdc_generator(n, PDC.epsilon, PDC.gamma))
-
-    reference, conv = converged_window_reference(build, rho0, 0.5, pad=8, check=4)
+    reference, conv = converged_window_reference(
+        lambda n: pdc_generator(n, PDC.epsilon, PDC.gamma), rho0, 0.5, pad=8, check=4)
     assert conv <= 1e-8
     assert trace_distance(analytic, reference) <= 1e-8
 
@@ -294,7 +290,7 @@ def test_10_cli_determinism_and_negative_controls(tmp_path):
     cfg.write_text(
         "model = kerrT\ndim = 15\nchi = 1.0\ngamma_minus = 0.1\n"
         "gamma_plus = 0.05\nstate = coherent\nalpha = 1.0\n"
-        "times = 0.25, 0.5\nseed = 11\n",
+        "times = 0.25, 0.5\n",
         encoding="utf-8",
     )
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockprop import __version__, cli, verify
+from fockprop import __version__, cli, superop, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
 from fockprop.fock import coherent_state, observables
 from fockprop.oracle import converged_window_reference
-from fockprop.superop import build_liouvillian, pdc_generator
+from fockprop.superop import pdc_generator
 
 
 def cfg_file(tmp_path, text, name="run.cfg"):
@@ -59,7 +59,7 @@ def test_config_round_trip_covers_every_value_kind():
     text = (
         "model = pdc\ndim = 16\nepsilon = (0.3+0.1j)\ngamma = 1.0\n"
         "corrected_mode = true\nstate = fock\nfock_n = 2\n"
-        "times = 0.1, 0.25\nengine = expm\nseed = 7\ntarget = fock 2\n"
+        "times = 0.1, 0.25\nengine = expm\ntarget = fock 2\n"
     )
     cfg = parse_config(text)
     assert cfg["epsilon"] == 0.3 + 0.1j
@@ -111,7 +111,7 @@ def test_propagate_decay_table_and_determinism(tmp_path):
     meta = json.loads(Path(out1 + ".meta.json").read_text())
     assert meta["engine"] == "analytic"
     assert meta["config"]["model"] == "kerr0"
-    assert meta["seed"] == 0
+    assert set(meta) == {"config", "engine", "norm_deficit", "tool_version"}
     assert -1e-12 < meta["norm_deficit"] < 1e-10
     assert meta["tool_version"]
 
@@ -205,6 +205,34 @@ def test_verify_kerrT_runs_in_bounded_memory():
         assert peak <= cap
 
 
+def test_verify_pdc_runs_in_bounded_memory():
+    # the drive is checked by acting on states: its dense matrix at window
+    # 48 would take 81 MiB, and the sum of four such matrices as much again
+    tracemalloc.start()
+    try:
+        text, failed = verify.report("pdc", 48, 0, None)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert failed == 0 and text.endswith("5 checks, all passed\n")
+    assert peak <= 16.0
+
+
+def test_pdc_suite_catches_a_sign_slip_in_the_drive(monkeypatch):
+    # the drive is compared with the commutator written out, not with the
+    # pieces it is summed from, so a wrong piece must fail the check
+    true_parts = superop.pdc_drive_parts
+
+    def slipped(dim, epsilon):
+        parts = true_parts(dim, epsilon)
+        return {**parts, "left_lower": -1.0 * parts["left_lower"]}
+
+    monkeypatch.setattr(superop, "pdc_drive_parts", slipped)
+    drive = [r for r in verify.SUITES["pdc"](None, 0, None) if r["name"].startswith("drive")]
+    assert len(drive) == 1
+    assert drive[0]["passed"] is False and drive[0]["residual"] > 0.1
+
+
 def test_large_qfunc_grid_runs_in_bounded_memory(tmp_path):
     # the 22,500 coherent amplitude columns of window 48 take 16 MiB at once
     cfg = cfg_file(tmp_path, (
@@ -248,7 +276,7 @@ def test_engines_agree_on_pair_drive_run(tmp_path):
     vac = np.zeros((16, 16), dtype=complex)
     vac[0, 0] = 1.0
     ref, conv = converged_window_reference(
-        lambda n: build_liouvillian(pdc_generator(n, 0.3, 1.0)), vac, 0.4, pad=8, check=4,
+        lambda n: pdc_generator(n, 0.3, 1.0), vac, 0.4, pad=8, check=4,
     )
     obs = observables(ref)
     row = np.array([0.4, obs["trace"].real, obs["trace"].imag, obs["purity"], obs["mean_n"],
@@ -290,7 +318,7 @@ def test_pair_drive_run_near_threshold_matches_untruncated_flow(tmp_path, epsilo
     vac = np.zeros((16, 16), dtype=complex)
     vac[0, 0] = 1.0
     ref, conv = converged_window_reference(
-        lambda n: build_liouvillian(pdc_generator(n, epsilon, 1.0)), vac, 0.1,
+        lambda n: pdc_generator(n, epsilon, 1.0), vac, 0.1,
         pad=8, check=4, method="expm",
     )
     assert conv < 1e-12
@@ -555,7 +583,7 @@ suite: all  seed: 0
 [kerrT] PASS resummed propagator vs wide-window integrator, dim=12, t=0.5: residual * tol 1e-10
 [pdc] PASS transform anchor values at eps=0.6, gamma=1: residual * tol 1e-12
 [pdc] PASS transformed generator matches the damping target, dim=16: residual * tol 1e-08
-[pdc] PASS drive equals the sum of its four pieces: residual * tol 1e-14
+[pdc] PASS drive equals -i[eps adag^2 + conj(eps) a^2, rho]: residual * tol 1e-13
 [pdc] PASS wide-window integrator self-convergence, dim=10+pad: residual * tol 1e-08
 [pdc] PASS propagation vs wide-window integrator, vacuum, dim=10, t=0.4: residual * tol 1e-08
 [tables] PASS [pair_sink, jump_down_scaled] = 0: residual * tol 1e-10

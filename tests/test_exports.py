@@ -44,3 +44,43 @@ def test_runtime_imports_are_stdlib_numpy_or_fockprop(name):
             roots.add(node.module.split(".")[0])
     allowed = set(sys.stdlib_module_names) | {"numpy", "fockprop"}
     assert roots - allowed == set()
+
+
+def _package_imports(name):
+    """The fockprop modules that module `name` imports, directly or through others."""
+    found, todo = set(), [name]
+    while todo:
+        source = Path(fockprop.__file__).with_name(f"{todo.pop()}.py").read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                mods = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fockprop."):
+                mods = [node.module.split(".")[1]]
+            elif isinstance(node, ast.Import):
+                mods = [a.name.split(".")[1] for a in node.names if a.name.startswith("fockprop.")]
+            else:
+                continue
+            new = {m for m in mods if m in MODULES} - found
+            found |= new
+            todo += sorted(new)
+    return found
+
+
+# the oracle checks the closed forms, so neither side may reuse the other's code
+INDEPENDENT = {
+    "superop": {"kerr_zero_t", "kerr_finite_t", "pdc"},
+    "oracle": {"kerr_zero_t", "kerr_finite_t", "pdc"},
+    "kerr_zero_t": {"superop", "oracle"},
+    "kerr_finite_t": {"superop", "oracle"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEPENDENT))
+def test_oracle_and_closed_forms_import_nothing_of_each_other(name):
+    assert _package_imports(name) & INDEPENDENT[name] == set()
+
+
+def test_package_imports_follow_the_chain():
+    # imports are followed: oracle reaches fock only through superop
+    assert _package_imports("kerr_zero_t") == {"kerr_finite_t"}
+    assert _package_imports("oracle") == {"superop", "fock"}

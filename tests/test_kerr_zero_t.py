@@ -5,10 +5,10 @@ import pytest
 
 from fockprop import kerr_finite_t
 from fockprop.fock import coherent_state, density_from_ket, fidelity_pure, observables
-from fockprop.kerr_finite_t import LOWER, TAYLOR_SWITCH, _shift_series
+from fockprop.kerr_finite_t import LOWER, TAYLOR_SWITCH, _ks, _shift_series
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import expm_evolve
-from fockprop.superop import _ks, build_liouvillian, kerr_zero_t_generator, lowering_sandwich
+from fockprop.superop import build_liouvillian, kerr_zero_t_generator, lowering_sandwich
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
 

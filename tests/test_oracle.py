@@ -18,10 +18,7 @@ from fockprop.oracle import (
     rk4_evolve,
 )
 from fockprop.superop import (
-    DiagonalTerm,
     Liouvillian,
-    SandwichTerm,
-    _ks,
     build_liouvillian,
     kerr_finite_t_generator,
     kerr_zero_t_generator,
@@ -150,11 +147,11 @@ def test_converged_reference_is_exact_for_downward_only_flow():
     rho0 = seeded_density(dim, 25)
 
     def build(n):
-        return build_liouvillian(kerr_zero_t_generator(n, 1.0, 0.1))
+        return kerr_zero_t_generator(n, 1.0, 0.1)
 
     ref, conv = converged_window_reference(build, rho0, 0.5, pad=6, check=4, method="expm")
     assert conv < 1e-12
-    same = expm_evolve(build(dim), rho0, 0.5)
+    same = expm_evolve(build_liouvillian(build(dim)), rho0, 0.5)
     assert maxabs(ref - same) < 1e-12
 
 
@@ -163,7 +160,7 @@ def test_converged_reference_methods_agree():
     rho0 = seeded_density(dim, 26)
 
     def build(n):
-        return build_liouvillian(kerr_zero_t_generator(n, 1.0, 0.1))
+        return kerr_zero_t_generator(n, 1.0, 0.1)
 
     r1, _ = converged_window_reference(build, rho0, 0.3, pad=4, check=4, method="expm")
     r2, _ = converged_window_reference(build, rho0, 0.3, pad=4, check=4, method="rk4")
@@ -292,13 +289,8 @@ def _kron_sum(expr):
     """The reference: the dense matrices of the terms, summed in term order."""
     dim = expr.dim
     mat = np.zeros((dim * dim, dim * dim), dtype=complex)
-    k, s = _ks(dim)
     for t in expr.terms:
-        if isinstance(t, SandwichTerm):
-            mat += t.coeff * np.kron(t.right.T, t.left)
-        elif isinstance(t, DiagonalTerm):
-            w = np.asarray(t.f(k, s), dtype=complex) * np.ones((dim, dim))
-            mat += np.diag(w.flatten(order="F"))
+        mat += t.coeff * np.kron(t.right.T, t.left)
     return mat
 
 
@@ -308,8 +300,9 @@ def test_entries_scatter_to_the_dense_sum_bit_for_bit(model):
         if model == "pdc-uncorrected":
             expr = pdc_generator(dim, 0.3 - 0.2j, 0.7, corrected=False)
         elif model == "kerrT-damped":
-            # three real diagonal terms, whose sum rounds differently in
-            # another order: the entries must be summed in term order
+            # five real terms meet on the diagonal (two number dampings of
+            # two sandwiches each, and the identity), whose sum rounds
+            # differently in another order: entries are summed in term order
             expr = GENERATORS["kerrT"](dim) + number_damping(dim, 0.3)
         else:
             expr = GENERATORS[model](dim)

@@ -16,7 +16,7 @@ from fockprop.pdc import (
     transform_params,
     transformed_generator_residual,
 )
-from fockprop.superop import build_liouvillian, pdc_generator
+from fockprop.superop import pdc_generator
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
 
@@ -108,10 +108,8 @@ def test_dressing_series_on_a_wide_window():
 
 def reference(params, rho0, t):
     """Wide-window integrator result and its self-convergence."""
-    def build(n):
-        return build_liouvillian(pdc_generator(n, params.epsilon, params.gamma))
-
-    return converged_window_reference(build, rho0, t, pad=8, check=4)
+    return converged_window_reference(
+        lambda n: pdc_generator(n, params.epsilon, params.gamma), rho0, t, pad=8, check=4)
 
 
 def test_propagation_matches_wide_window_reference():
@@ -171,10 +169,8 @@ def test_small_drive_is_kept(size):
     params = PDCParams(epsilon=eps, gamma=1.0)
     rho0 = vacuum_density(8)
 
-    def build(n):
-        return build_liouvillian(pdc_generator(n, eps, 1.0))
-
-    ref, conv = converged_window_reference(build, rho0, 0.2, pad=14, check=4, method="expm")
+    ref, conv = converged_window_reference(
+        lambda n: pdc_generator(n, eps, 1.0), rho0, 0.2, pad=14, check=4, method="expm")
     assert conv < 1e-15
     assert maxabs(propagate_pdc(rho0, 0.2, params) - ref) <= 1e-12
 

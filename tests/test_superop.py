@@ -9,6 +9,9 @@ from fockprop.superop import (
     apply,
     build_liouvillian,
     commutator,
+    cross_lower,
+    cross_raise,
+    damping_shift,
     identity_superop,
     index_difference,
     kerr_finite_t_generator,
@@ -16,6 +19,8 @@ from fockprop.superop import (
     kerr_zero_t_generator,
     lowering_sandwich,
     number_damping,
+    pair_sink,
+    pair_source,
     pdc_drive,
     pdc_drive_parts,
     pdc_generator,
@@ -50,9 +55,24 @@ def test_vectorization_is_column_stacking():
     assert maxabs(unvec(lhs, 4) - a @ rho @ b) < 1e-13
 
 
+def named_blocks(dim):
+    return {
+        "number_damping": number_damping(dim, 0.3),
+        "damping_shift": damping_shift(dim),
+        "kerr_phase": kerr_phase(dim, 0.7),
+        "index_difference": index_difference(dim),
+        "identity_superop": identity_superop(dim, -2.5),
+        "cross_raise": cross_raise(dim, 0.5),
+        "cross_lower": cross_lower(dim, 0.5),
+        "pair_sink": pair_sink(dim),
+        "pair_source": pair_source(dim),
+        **pdc_drive_parts(dim, 0.4 - 0.2j),
+    }
+
+
 def test_dense_matrix_agrees_with_direct_application():
     dim = 9
-    for name, expr in all_generators(dim).items():
+    for name, expr in {**all_generators(dim), **named_blocks(dim)}.items():
         L = build_liouvillian(expr)
         for i in range(4):
             rho = seeded_density(dim, 3, i)
@@ -154,11 +174,13 @@ def test_commutator_antisymmetry_and_self_commutator():
 
 
 def test_index_difference_weights():
+    # element (n, m) carries n - m, and under damping_shift -(n + m + 1)
     dim = 4
     rho = np.ones((dim, dim), dtype=complex)
-    out = apply(index_difference(dim), rho)
     n = np.arange(dim)
-    assert maxabs(out - (n[:, None] - n[None, :])) < 1e-15
+    for expr, want in ((index_difference(dim), n[:, None] - n[None, :]),
+                       (damping_shift(dim), -(n[:, None] + n[None, :] + 1))):
+        assert maxabs(apply(expr, rho) - want) < 1e-15
 
 
 def test_identity_superop_scales():
