@@ -85,7 +85,6 @@ KEY_TYPES = {
     "cat_phase": ("float", None),
     "times": ("floatlist", None),
     "engine": ("choice", ("analytic", "expm", "rk4")),
-    "steps": ("int", None),
     "target": ("str", None),
     "dump_density": ("bool", None),
     "re_min": ("float", None),
@@ -249,9 +248,6 @@ def _propagator(cfg, params, dim, engine):
     The closed forms evolve the times together; the oracle engines evolve
     one time after another into the stack, on one generator built here.
     """
-    steps = cfg.get("steps")
-    if steps is not None and steps < 1:
-        raise ConfigError("steps must be at least 1")
     model = MODELS[cfg["model"]]
     if engine == "analytic":
         return lambda rho0, times: model.closed_form(rho0, times, params)
@@ -260,8 +256,8 @@ def _propagator(cfg, params, dim, engine):
     def one(rho0, t):
         if engine == "expm":
             return expm_evolve(gen, rho0, t)
-        n = recommended_steps(gen, t) if steps is None else steps
-        return rk4_evolve(gen, rho0, t, IntegratorConfig(steps=n, richardson=False))[0]
+        config = IntegratorConfig(steps=recommended_steps(gen, t), richardson=False)
+        return rk4_evolve(gen, rho0, t, config)[0]
 
     return lambda rho0, times: np.stack([one(rho0, t) for t in times])
 

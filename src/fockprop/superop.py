@@ -4,9 +4,10 @@ Every superoperator here is an ordered sum of one term kind:
 
   SandwichTerm(c, L, R):   rho -> c * L @ rho @ R
 
-Generators that only weight each matrix element by a function of its
-indices (Kerr phases, number damping, the identity) are sandwiches with a
-diagonal operator on one side, e.g. -gamma (n rho + rho n) is two terms.
+A Hamiltonian part is a commutator -i[H, rho] and number damping an
+anticommutator, two sandwiches each with the identity on one side: the
+pair drive is -i[eps a^dag^2 + conj(eps) a^2, rho], the Kerr phase
+-i chi [n(n-1), rho] and the damping -gamma (n rho + rho n).
 
 The matrix form uses column stacking: vec(rho) = rho.flatten(order="F"),
 so vec(A rho B) = (B.T kron A) vec(rho). build_liouvillian keeps only its
@@ -42,7 +43,6 @@ __all__ = [
     "cross_lower",
     "pair_sink",
     "pair_source",
-    "pdc_drive_parts",
     "pdc_drive",
     "kerr_zero_t_generator",
     "kerr_finite_t_generator",
@@ -177,23 +177,37 @@ def random_density(dim, rng):
 # Named building blocks
 
 
+def _terms(dim, *triples):
+    """The sum of sandwiches c * L rho R over (c, L, R) triples, in order."""
+    return SuperopExpr(dim, tuple(SandwichTerm(complex(c), left, right)
+                                  for c, left, right in triples))
+
+
+def _commutator(dim, c, h):
+    """c (h rho - rho h)."""
+    eye = np.eye(dim, dtype=complex)
+    return _terms(dim, (c, h, eye), (-c, eye, h))
+
+
+def _anticommutator(dim, c, h):
+    """c (h rho + rho h)."""
+    eye = np.eye(dim, dtype=complex)
+    return _terms(dim, (c, h, eye), (c, eye, h))
+
+
 def lowering_sandwich(dim, rate):
     """rate * a rho a^dag, the downward jump feed."""
-    a = annihilation(dim)
-    return SuperopExpr(dim, (SandwichTerm(complex(rate), a, a.conj().T),))
+    return _terms(dim, (rate, annihilation(dim), creation(dim)))
 
 
 def raising_sandwich(dim, rate):
     """rate * a^dag rho a, the upward jump feed."""
-    a = annihilation(dim)
-    return SuperopExpr(dim, (SandwichTerm(complex(rate), a.conj().T, a),))
+    return _terms(dim, (rate, creation(dim), annihilation(dim)))
 
 
 def number_damping(dim, gamma):
     """-gamma (n rho + rho n)."""
-    n, eye = number_op(dim), np.eye(dim, dtype=complex)
-    g = -complex(gamma)
-    return SuperopExpr(dim, (SandwichTerm(g, n, eye), SandwichTerm(g, eye, n)))
+    return _anticommutator(dim, -complex(gamma), number_op(dim))
 
 
 def damping_shift(dim):
@@ -202,84 +216,59 @@ def damping_shift(dim):
 
 
 def kerr_phase(dim, chi):
-    """-i chi (K rho - rho K) with K = n(n-1), the Kerr Hamiltonian's commutator."""
-    n, eye = number_op(dim), np.eye(dim, dtype=complex)
-    kk = n @ n - n
-    c = -1j * complex(chi)
-    return SuperopExpr(dim, (SandwichTerm(c, kk, eye), SandwichTerm(-c, eye, kk)))
+    """-i chi [K, rho] with K = n(n-1), the Kerr Hamiltonian's commutator."""
+    n = number_op(dim)
+    return _commutator(dim, -1j * complex(chi), n @ n - n)
 
 
 def index_difference(dim):
-    """n rho - rho n: weights element (n, m) by n - m."""
-    n, eye = number_op(dim), np.eye(dim, dtype=complex)
-    return SuperopExpr(dim, (SandwichTerm(1.0, n, eye), SandwichTerm(-1.0, eye, n)))
+    """[n, rho]: weights element (n, m) by n - m."""
+    return _commutator(dim, 1.0, number_op(dim))
 
 
 def identity_superop(dim, c=1.0):
     """c * rho."""
     eye = np.eye(dim, dtype=complex)
-    return SuperopExpr(dim, (SandwichTerm(complex(c), eye, eye),))
+    return _terms(dim, (c, eye, eye))
 
 
 def cross_raise(dim, c=1.0):
     """c * a^dag rho a^dag: shifts both indices up, preserves k."""
     ad = creation(dim)
-    return SuperopExpr(dim, (SandwichTerm(complex(c), ad, ad),))
+    return _terms(dim, (c, ad, ad))
 
 
 def cross_lower(dim, c=1.0):
     """c * a rho a: shifts both indices down, preserves k."""
     a = annihilation(dim)
-    return SuperopExpr(dim, (SandwichTerm(complex(c), a, a),))
+    return _terms(dim, (c, a, a))
+
+
+def _squares(dim):
+    """a^2 and a^dag^2."""
+    a, ad = annihilation(dim), creation(dim)
+    return a @ a, ad @ ad
 
 
 def pair_sink(dim):
     """rho -> -(a^2 rho + rho a^dag^2)."""
-    a = annihilation(dim)
-    ad = a.conj().T
+    a2, ad2 = _squares(dim)
     eye = np.eye(dim, dtype=complex)
-    return SuperopExpr(
-        dim,
-        (SandwichTerm(-1.0, a @ a, eye), SandwichTerm(-1.0, eye, ad @ ad)),
-    )
+    return _terms(dim, (-1.0, a2, eye), (-1.0, eye, ad2))
 
 
 def pair_source(dim):
     """rho -> a^dag^2 rho + rho a^2."""
-    a = annihilation(dim)
-    ad = a.conj().T
+    a2, ad2 = _squares(dim)
     eye = np.eye(dim, dtype=complex)
-    return SuperopExpr(
-        dim,
-        (SandwichTerm(1.0, ad @ ad, eye), SandwichTerm(1.0, eye, a @ a)),
-    )
-
-
-def pdc_drive_parts(dim, epsilon):
-    """The four one-sided pieces of the pair drive, keyed by what they do.
-
-    right_raise:  i eps        rho a^dag^2
-    left_lower:  -i conj(eps)  a^2 rho
-    left_raise:  -i eps        a^dag^2 rho
-    right_lower:  i conj(eps)  rho a^2
-
-    Their sum is the full commutator drive -i [eps a^dag^2 + conj(eps) a^2, rho].
-    """
-    a = annihilation(dim)
-    ad = a.conj().T
-    eye = np.eye(dim, dtype=complex)
-    e = complex(epsilon)
-    return {
-        "right_raise": SuperopExpr(dim, (SandwichTerm(1j * e, eye, ad @ ad),)),
-        "left_lower": SuperopExpr(dim, (SandwichTerm(-1j * np.conj(e), a @ a, eye),)),
-        "left_raise": SuperopExpr(dim, (SandwichTerm(-1j * e, ad @ ad, eye),)),
-        "right_lower": SuperopExpr(dim, (SandwichTerm(1j * np.conj(e), eye, a @ a),)),
-    }
+    return _terms(dim, (1.0, ad2, eye), (1.0, eye, a2))
 
 
 def pdc_drive(dim, epsilon):
-    parts = pdc_drive_parts(dim, epsilon)
-    return parts["right_raise"] + parts["left_lower"] + parts["left_raise"] + parts["right_lower"]
+    """-i [eps a^dag^2 + conj(eps) a^2, rho], the pair pump's commutator."""
+    a2, ad2 = _squares(dim)
+    e = complex(epsilon)
+    return _commutator(dim, -1j, e * ad2 + np.conj(e) * a2)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +371,7 @@ def verify_commutator_table(dim, epsilon, gamma, samples=10, seed=7):
     if gamma == 0:
         raise ValueError("need gamma != 0; the pair-drive relations divide by it")
 
-    a = annihilation(dim)
-    a2, ad2 = a @ a, a.conj().T @ a.conj().T
+    a2, ad2 = _squares(dim)
     eps, g = complex(epsilon), float(gamma)
     chi0, gm0 = 1.0, 0.1  # fixed reference rates of the Kerr trio
 

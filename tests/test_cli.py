@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockprop import __version__, cli, superop, verify
+from fockprop import __version__, cli, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
-from fockprop.fock import coherent_state, observables
+from fockprop.fock import annihilation, coherent_state, observables
 from fockprop.oracle import converged_window_reference
-from fockprop.superop import pdc_generator
+from fockprop.superop import SandwichTerm, SuperopExpr, pdc_generator
 
 
 def cfg_file(tmp_path, text, name="run.cfg"):
@@ -178,10 +178,12 @@ def _peak_mib(argv):
 def test_long_time_series_runs_in_bounded_memory(tmp_path):
     # numpy reports its buffers to tracemalloc: 400 states of window 48
     # held at once would take 14 MiB, and their temporaries 73 MiB; pdc
-    # evolves on the window 2 dim - 1, four times the entries of its output
-    times = ", ".join(repr(0.01 * (i + 1)) for i in range(400))
-    for model in ("model = kerrT\nchi = 1.0\ngamma_minus = 0.2\ngamma_plus = 0.01\n",
-                  "model = pdc\nepsilon = (0.18+0.24j)\ngamma = 1.0\n"):
+    # evolves on the window 2 dim - 1, four times the entries of its output,
+    # so 16 of its states chunked by the output window already exceed the bound
+    kerrt = "model = kerrT\nchi = 1.0\ngamma_minus = 0.2\ngamma_plus = 0.01\n"
+    pdc = "model = pdc\nepsilon = (0.18+0.24j)\ngamma = 1.0\n"
+    for model, count in ((kerrt, 400), (pdc, 16)):
+        times = ", ".join(repr(0.01 * (i + 1)) for i in range(count))
         cfg = cfg_file(tmp_path, (
             f"{model}dim = 48\nstate = coherent\nalpha = 1.5\ntarget = initial\n"
             f"times = {times}\n"
@@ -220,14 +222,14 @@ def test_verify_pdc_runs_in_bounded_memory():
 
 def test_pdc_suite_catches_a_sign_slip_in_the_drive(monkeypatch):
     # the drive is compared with the commutator written out, not with the
-    # pieces it is summed from, so a wrong piece must fail the check
-    true_parts = superop.pdc_drive_parts
-
+    # operator it is built from, so a wrong sign on one term must fail the check
     def slipped(dim, epsilon):
-        parts = true_parts(dim, epsilon)
-        return {**parts, "left_lower": -1.0 * parts["left_lower"]}
+        a2 = np.linalg.matrix_power(annihilation(dim), 2)
+        h = epsilon * a2.conj().T - np.conj(epsilon) * a2
+        eye = np.eye(dim, dtype=complex)
+        return SuperopExpr(dim, (SandwichTerm(-1j, h, eye), SandwichTerm(1j, eye, h)))
 
-    monkeypatch.setattr(superop, "pdc_drive_parts", slipped)
+    monkeypatch.setattr(verify, "pdc_drive", slipped)
     drive = [r for r in verify.SUITES["pdc"](None, 0, None) if r["name"].startswith("drive")]
     assert len(drive) == 1
     assert drive[0]["passed"] is False and drive[0]["residual"] > 0.1
@@ -333,7 +335,7 @@ def test_engine_from_config_is_used(tmp_path):
     assert meta["engine"] == "expm"
 
 
-def test_propagate_usage_errors(tmp_path):
+def test_propagate_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     bad_dim = cfg_file(tmp_path, "model = kerr0\ndim = 1\nchi = 1.0\ngamma_minus = 0.1\ntimes = 0.1\n", "a.cfg")
     assert main(["propagate", "--config", bad_dim, "--out", out]) == 2
@@ -355,6 +357,7 @@ def test_propagate_usage_errors(tmp_path):
     for steps in (0, -2):
         no_steps = cfg_file(tmp_path, KERR0_DECAY + f"steps = {steps}\n", "h.cfg")
         assert main(["propagate", "--config", no_steps, "--out", out, "--engine", "rk4"]) == 2
+        assert "unknown key 'steps'" in capsys.readouterr().err
     no_cat = cfg_file(tmp_path, KERR0_DECAY.replace(
         "state = coherent\nalpha = 2.0", "state = cat\nalpha = 0.0\ncat_phase = 3.141592653589793"), "i.cfg")
     assert main(["propagate", "--config", no_cat, "--out", out]) == 2

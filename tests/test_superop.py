@@ -22,7 +22,6 @@ from fockprop.superop import (
     pair_sink,
     pair_source,
     pdc_drive,
-    pdc_drive_parts,
     pdc_generator,
     raising_sandwich,
     unvec,
@@ -66,7 +65,7 @@ def named_blocks(dim):
         "cross_lower": cross_lower(dim, 0.5),
         "pair_sink": pair_sink(dim),
         "pair_source": pair_source(dim),
-        **pdc_drive_parts(dim, 0.4 - 0.2j),
+        "pdc_drive": pdc_drive(dim, 0.4 - 0.2j),
     }
 
 
@@ -187,16 +186,6 @@ def test_identity_superop_scales():
     dim = 4
     rho = seeded_density(dim, 16)
     assert maxabs(apply(identity_superop(dim, -2.5), rho) + 2.5 * rho) < 1e-14
-
-
-def test_drive_parts_sum_to_drive():
-    dim = 8
-    eps = 0.4 - 0.2j
-    parts = pdc_drive_parts(dim, eps)
-    assert set(parts) == {"right_raise", "left_lower", "left_raise", "right_lower"}
-    whole = build_liouvillian(pdc_drive(dim, eps)).dense()
-    summed = sum(build_liouvillian(p).dense() for p in parts.values())
-    assert maxabs(whole - summed) < 1e-14
 
 
 def test_drive_is_hamiltonian_commutator():
