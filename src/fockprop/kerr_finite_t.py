@@ -11,8 +11,9 @@ and are smooth through a vanishing discriminant, so the flow is accurate
 at any window size and any time.
 The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
 and the de-driven pair drive (pdc) is it at chi = 0; every series factor
-here and in pdc is one kernel, _shift_series, summed by Horner's rule. A
-zero rate skips its series, so lossless runs cost the elementwise factor.
+here and in pdc is one kernel, _shift_series, run as Pascal passes over a
+skewed window in which each read chain is a column. A zero rate skips its
+series, so lossless runs cost the elementwise factor.
 """
 
 import warnings
@@ -35,41 +36,80 @@ LOWER = (1, 1)      # a^j rho a^dag^j
 RAISE = (-1, -1)    # a^dag^j rho a^j
 
 
+def _skew(dim, read):
+    """Gather order and pass factors of the skewed window of read.
+
+    Row z is the index the read walks along: m, or n for PAIR_LOWER, so
+    that only LOWER reads row z + 1 and the others read row z - 1. Column j
+    is (n - m) mod dim for LOWER and RAISE and (n + m) mod dim for the pair
+    shifts, so each column holds two whole read chains. Returns the flat
+    window index at each (z, j); the pass weight over c there, which is
+    sqrt(p+1) sqrt(q+1) over z + 1 (up) or z (down), and 0 wherever the
+    read leaves the window, so the two chains of a column stay apart; and
+    whether the reads go up.
+    """
+    i = np.arange(dim)
+    z = i[:, None]
+    other = (i - z if read[0] == -read[1] else i + z) % dim
+    axis = 1 if read == (1, -1) else 0
+    up = read[axis] > 0
+    factor = [np.sqrt(i + (r > 0)) * ((i + r >= 0) & (i + r < dim)) for r in read]
+    factor[axis] = factor[axis] / np.maximum(i + up, 1)
+    flat = other * dim + z if axis else z * dim + other
+    return flat, np.multiply.outer(*factor).take(flat), up
+
+
+def _skewed(x, flat):
+    """x, a (..., dim, dim) window or stack of S of them, as a (dim, S, dim) view."""
+    return x.reshape(-1, flat.size)[:, flat].transpose(1, 0, 2)
+
+
 def _shift_series(c, rho, read):
     """sum_j c^j / j! L^j rho R^j on the window, with L and R each a or a^dag.
 
     read gives the direction per axis (see LOWER and RAISE). One step of the
     series reads each element's neighbour one index along read and scales it
     by g = c sqrt(p+1) sqrt(q+1), p and q the smaller of the two indices per
-    axis. Horner's rule, rho + g (rho + g/2 (rho + ...)), runs from order
-    dim - 1 down, on blocks that grow by one index, with no early exit. It
-    needs c constant along each read chain: a function of k = n - m for
-    LOWER and RAISE, which preserve k, and a scalar for the pair shifts. No
-    factorial is formed, so large windows do not overflow, and the sum ends
-    at the window edge, so it is exact on the window.
+    axis. The sum needs c constant along each read chain: a function of
+    k = n - m for LOWER and RAISE, which preserve k, and a scalar for the
+    pair shifts.
+
+    The series runs on the skewed window of _skew, where each chain is a
+    run of rows z of one column, as dim - 1 Pascal passes, each
+    P[a:b] += w[a:b] * P[a+1:b+1] over whole rows (P[a-1:b-1] reading
+    down). Reading up, passes a = dim-2 ... 0 cover rows a ... dim-2 with
+    w = g / (z+1); reading down, passes a = 1 ... dim-1 cover rows
+    a ... dim-1 with w = g / z. Summed over the passes, the term of order j
+    reaches row z along C(z+j, j) (up) or C(z, j) (down) paths, which turns
+    the product of the w into the product of the g over j!: the Taylor
+    shift by repeated synthetic division. No factorial is formed, so large
+    windows do not overflow, and the sum ends at the window edge, so it is
+    exact on the window. The rows are absolute indices, so an element's
+    arithmetic does not depend on the window size.
 
     Either argument may also be a (T, dim, dim) stack, with a weight per
     slice or a state per slice; the other is shared by every slice. Each
-    slice is the series of its own weight and state, bit for bit.
+    slice is the series of its own weight and state, bit for bit. The
+    result is C-ordered.
     """
     rho = np.asarray(rho, dtype=complex)
+    c = np.asarray(c, dtype=complex)
     dim = rho.shape[-1]
-    root = np.sqrt(np.arange(dim + 1, dtype=float))
-    rows, cols = (root[1:] if r > 0 else root[:-1] for r in read)
-    g = np.asarray(c, dtype=complex) * rows[:, None] * cols    # at each output
-    out = np.array(np.broadcast_to(rho, np.broadcast_shapes(rho.shape, g.shape)), order="C")
-    for j in range(dim - 1, 0, -1):
-        # order j: dim - j indices per axis, each read one step along read
-        d = dim - j
-        r0, c0 = (j - 1 if r > 0 else 1 for r in read)
-        r1, c1 = r0 + read[0], c0 + read[1]
-        blk = (..., slice(r0, r0 + d), slice(c0, c0 + d))
+    shape = np.broadcast_shapes(rho.shape, c.shape)
+    flat, factor, up = _skew(dim, read)
+    w = np.multiply(_skewed(c, flat) if c.ndim else c, factor[:, None, :], order="C")
+    p = _skewed(rho, flat)
+    p = np.array(np.broadcast_to(p, (dim, max(p.shape[1], w.shape[1]), dim)), order="C")
+    step = 1 if up else -1
+    for a in range(dim - 2, -1, -1) if up else range(1, dim):
+        dst = slice(a, dim - 1) if up else slice(a, dim)
+        src = slice(dst.start + step, dst.stop + step)
         # not *: numpy may reuse a temporary right operand and swap the
         # operands, which moves a complex product's last bit (see README)
-        step = np.multiply(g[blk], out[..., r1:r1 + d, c1:c1 + d])
-        step *= 1.0 / j
-        np.add(step, rho[blk], out=out[blk])
-    return out
+        p[dst] += np.multiply(w[dst], p[src])
+    out = np.empty((p.shape[1], dim * dim), dtype=complex)
+    out[:, flat] = p.transpose(1, 0, 2)
+    return out.reshape(shape)
 
 
 def _ks(dim):
@@ -186,7 +226,8 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     small = np.abs(rt) < TAYLOR_SWITCH
     h = np.where(
         small,
-        times * (1.0 - np.multiply(rt, 1.0 - rt * (2.0 / 3.0))),   # not *: see _shift_series
+        # not *: see the pass loop of _shift_series
+        times * (1.0 - np.multiply(rt, 1.0 - rt * (2.0 / 3.0))),
         -np.expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
     )
     q = 1.0 + zmd * h

@@ -16,7 +16,7 @@ the dense matrix.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -50,11 +50,22 @@ __all__ = [
     "verify_commutator_table",
 ]
 
+def _diagonal(m):
+    """The diagonal of m if m has no other nonzero entry, else None."""
+    d = np.diagonal(m)
+    return d if np.count_nonzero(m) == np.count_nonzero(d) else None
+
+
 @dataclass(frozen=True)
 class SandwichTerm:
     coeff: complex
     left: np.ndarray
     right: np.ndarray
+
+    @cached_property
+    def diagonals(self):
+        """The diagonal of left and of right, each None where it is not diagonal."""
+        return _diagonal(self.left), _diagonal(self.right)
 
 
 @dataclass(frozen=True)
@@ -80,13 +91,20 @@ class SuperopExpr:
 
 
 def apply(expr, rho):
-    """Act with expr on rho. Always returns a fresh complex array."""
+    """Act with expr on rho. Always returns a fresh complex array.
+
+    A diagonal L or R scales the rows or columns of rho by its diagonal
+    instead of a dense matrix product.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (expr.dim, expr.dim):
         raise ValueError(f"state shape {rho.shape} does not match dim {expr.dim}")
     out = np.zeros_like(rho)
     for t in expr.terms:
-        out += t.coeff * (t.left @ rho @ t.right)
+        left, right = t.diagonals
+        x = t.left @ rho if left is None else left[:, None] * rho
+        x = x @ t.right if right is None else x * right
+        out += t.coeff * x
     return out
 
 

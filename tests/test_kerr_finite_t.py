@@ -15,7 +15,14 @@ from fockprop.kerr_finite_t import (
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import crop, embed, expm_evolve
 from fockprop.pdc import PAIR_LOWER, PAIR_RAISE, PDCParams, propagate_pdc
-from fockprop.superop import build_liouvillian, kerr_finite_t_generator, raising_sandwich
+from fockprop.superop import (
+    build_liouvillian,
+    cross_lower,
+    cross_raise,
+    kerr_finite_t_generator,
+    lowering_sandwich,
+    raising_sandwich,
+)
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density
 
@@ -291,11 +298,42 @@ def test_shift_series_on_a_stack_equals_each_slice(read):
         assert got.tobytes() == want.tobytes()
 
 
-def test_raising_series_against_dense_exponential():
-    dim = 8
-    gp = 0.25
+@pytest.mark.parametrize("dim", [7, 8])
+@pytest.mark.parametrize("read, block", [
+    (LOWER, lowering_sandwich),
+    (RAISE, raising_sandwich),
+    (PAIR_RAISE, cross_raise),
+    (PAIR_LOWER, cross_lower),
+], ids=["a-adag", "adag-a", "adag-adag", "a-a"])
+def test_shift_series_against_dense_exponential(read, block, dim):
+    # odd and even windows split the skewed columns' chains differently
+    rate, t = 0.6, 0.4
     rho = seeded_density(dim, 22)
-    got = _shift_series(0.3 * 2.0 * gp, rho, RAISE)
-    L = build_liouvillian(raising_sandwich(dim, 2.0 * gp))
-    ref = expm_evolve(L, rho, 0.3)
+    got = _shift_series(rate * t, rho, read)
+    ref = expm_evolve(build_liouvillian(block(dim, rate)), rho, t)
     assert maxabs(got - ref) < 1e-12
+
+
+@pytest.mark.parametrize("read", [LOWER, RAISE, PAIR_RAISE, PAIR_LOWER],
+                         ids=["a-adag", "adag-a", "adag-adag", "a-a"])
+def test_shift_series_does_not_depend_on_the_window(read):
+    # a state of window 40 zero-padded to 64: every read chain of the small
+    # window is the start of one of the large window, so the crop must be
+    # the small window's series to the bit
+    small, large = 40, 64
+    rho = density_from_ket(coherent_state(small, 2.5 + 1.5j)[0])
+    for c in ((0.3 + 0.2j) * np.exp(-0.1j * np.subtract.outer(np.arange(large), np.arange(large))),
+              0.45 - 0.2j):
+        c_small = c if np.ndim(c) == 0 else c[:small, :small]
+        wide = _shift_series(c, embed(rho, large), read)
+        assert crop(wide, small).tobytes() == _shift_series(c_small, rho, read).tobytes()
+
+
+def test_closed_forms_do_not_depend_on_the_window():
+    small, large = 40, 64
+    rho = density_from_ket(coherent_state(small, 2.5 + 1.5j)[0])
+    times = [0.0, 0.35, 2.0]
+    cold = KerrZeroTParams(chi=1.3, gamma_minus=0.2)
+    for run, params in ((propagate_kerr_zero_t, cold), (propagate_kerr_finite_t, PARAMS)):
+        wide = run(embed(rho, large), times, params)
+        assert wide[:, :small, :small].tobytes() == run(rho, times, params).tobytes()

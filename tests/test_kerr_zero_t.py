@@ -5,10 +5,10 @@ import pytest
 
 from fockprop import kerr_finite_t
 from fockprop.fock import coherent_state, density_from_ket, fidelity_pure, observables
-from fockprop.kerr_finite_t import LOWER, TAYLOR_SWITCH, _ks, _shift_series
+from fockprop.kerr_finite_t import TAYLOR_SWITCH, _ks
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import expm_evolve
-from fockprop.superop import build_liouvillian, kerr_zero_t_generator, lowering_sandwich
+from fockprop.superop import build_liouvillian, kerr_zero_t_generator
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
 
@@ -168,13 +168,3 @@ def test_vacuum_is_stationary():
     rho = vacuum_density(8)
     out = propagate_kerr_zero_t(rho, 3.7, PARAMS)
     assert maxabs(out - rho) == 0.0
-
-
-def test_lowering_series_against_dense_exponential():
-    dim = 8
-    gm = 0.35
-    rho = seeded_density(dim, 5)
-    got = _shift_series(0.4 * 2.0 * gm, rho, LOWER)
-    L = build_liouvillian(lowering_sandwich(dim, 2.0 * gm))
-    ref = expm_evolve(L, rho, 0.4)
-    assert maxabs(got - ref) < 1e-12
