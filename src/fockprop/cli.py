@@ -24,7 +24,7 @@ from .fock import (
 )
 from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
-from .oracle import IntegratorConfig, expm_evolve, recommended_steps, rk4_evolve
+from .oracle import expm_evolve, rk4_evolve
 from .pdc import PDCParams, propagate_pdc
 from .superop import (
     build_liouvillian, kerr_finite_t_generator, kerr_zero_t_generator, pdc_generator,
@@ -69,6 +69,14 @@ MODELS = {
 }
 
 
+# The oracle engines: generator, rho0, t -> rho(t). Like MODELS, the entries
+# look the engine up when they run.
+ENGINES = {
+    "expm": lambda L, rho0, t: expm_evolve(L, rho0, t),
+    "rk4": lambda L, rho0, t: rk4_evolve(L, rho0, t),
+}
+
+
 PARAM_KINDS = {f.name: f.type.__name__ for m in MODELS.values() for f in fields(m.params)}
 
 
@@ -84,7 +92,7 @@ KEY_TYPES = {
     "fock_n": ("int", None),
     "cat_phase": ("float", None),
     "times": ("floatlist", None),
-    "engine": ("choice", ("analytic", "expm", "rk4")),
+    "engine": ("choice", ("analytic", *ENGINES)),
     "target": ("str", None),
     "dump_density": ("bool", None),
     "re_min": ("float", None),
@@ -252,14 +260,8 @@ def _propagator(cfg, params, dim, engine):
     if engine == "analytic":
         return lambda rho0, times: model.closed_form(rho0, times, params)
     gen = build_liouvillian(model.generator(dim, params))
-
-    def one(rho0, t):
-        if engine == "expm":
-            return expm_evolve(gen, rho0, t)
-        config = IntegratorConfig(steps=recommended_steps(gen, t), richardson=False)
-        return rk4_evolve(gen, rho0, t, config)[0]
-
-    return lambda rho0, times: np.stack([one(rho0, t) for t in times])
+    evolve = ENGINES[engine]
+    return lambda rho0, times: np.stack([evolve(gen, rho0, t) for t in times])
 
 
 def _evolved(evolve, rho0, times, dim):
@@ -403,7 +405,7 @@ def main(argv=None):
     p = sub.add_parser("propagate", help="evolve a state and tabulate observables")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--engine", choices=("analytic", "expm", "rk4"))
+    p.add_argument("--engine", choices=KEY_TYPES["engine"][1])
     p.add_argument("--dump-density", action="store_true")
 
     p = sub.add_parser("verify", help="run a self-check suite")
@@ -416,7 +418,7 @@ def main(argv=None):
     p = sub.add_parser("qfunc", help="Husimi distribution on a phase-space grid")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--engine", choices=("analytic", "expm", "rk4"))
+    p.add_argument("--engine", choices=KEY_TYPES["engine"][1])
 
     try:
         args = parser.parse_args(argv)

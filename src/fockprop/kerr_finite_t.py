@@ -16,6 +16,7 @@ skewed window in which each read chain is a column. A zero rate skips its
 series, so lossless runs cost the elementwise factor.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, fields
 
@@ -36,6 +37,7 @@ LOWER = (1, 1)      # a^j rho a^dag^j
 RAISE = (-1, -1)    # a^dag^j rho a^j
 
 
+@functools.lru_cache(maxsize=4)
 def _skew(dim, read):
     """Gather order and pass factors of the skewed window of read.
 
@@ -46,7 +48,8 @@ def _skew(dim, read):
     window index at each (z, j); the pass weight over c there, which is
     sqrt(p+1) sqrt(q+1) over z + 1 (up) or z (down), and 0 wherever the
     read leaves the window, so the two chains of a column stay apart; and
-    whether the reads go up.
+    whether the reads go up. The result is cached, four reads deep (pdc
+    runs four reads on one window), so its arrays are read-only.
     """
     i = np.arange(dim)
     z = i[:, None]
@@ -56,7 +59,9 @@ def _skew(dim, read):
     factor = [np.sqrt(i + (r > 0)) * ((i + r >= 0) & (i + r < dim)) for r in read]
     factor[axis] = factor[axis] / np.maximum(i + up, 1)
     flat = other * dim + z if axis else z * dim + other
-    return flat, np.multiply.outer(*factor).take(flat), up
+    factor = np.multiply.outer(*factor).take(flat)
+    flat.flags.writeable = factor.flags.writeable = False
+    return flat, factor, up
 
 
 def _skewed(x, flat):

@@ -5,11 +5,12 @@ Two independent engines act on the vectorized density matrix:
   expm_evolve: scaling-and-squaring matrix exponential of L t
   rk4_evolve:  classical fixed-step fourth-order Runge-Kutta
 
-For a linear autonomous flow one RK4 step of size h is exactly the degree-4
-Taylor polynomial of exp(h L), so the whole integration is a matrix power.
-That makes tight step counts affordable: cost grows with log(steps), not
-steps, and the step count is sized from ||L|| t so the global truncation
-error lands near a requested accuracy instead of near a guess.
+Every wide-window reference runs on expm_evolve; rk4_evolve is the CLI's
+second engine. For a linear autonomous flow one RK4 step of size h is
+exactly the degree-4 Taylor polynomial of exp(h L), so the whole
+integration is a matrix power. That makes tight step counts affordable:
+cost grows with log(steps), not steps, and the step count is sized from
+||L|| t so the global truncation error lands near TARGET_ERROR.
 
 Both engines work one sector at a time. A sector is a connected component
 of the generator's entries (superop.Liouvillian); no entry couples two
@@ -22,22 +23,21 @@ the pair drive conserves the parity of n - m and splits into 2.) They are
 found once per generator and kept while the generator lives.
 
 The helpers at the bottom embed a state in a larger window and run the
-oracle there. Comparing a propagator against an oracle truncated at the
-same window would fold the oracle's own cutoff error into the residual;
-running the oracle wide and cropping isolates the propagator's error.
+exponential there. Comparing a propagator against an oracle truncated at
+the same window would fold the oracle's own cutoff error into the
+residual; running the oracle wide and cropping isolates the propagator's
+error.
 """
 
 import math
 import warnings
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from .superop import Liouvillian, build_liouvillian, vec, unvec
 
 __all__ = [
-    "IntegratorConfig",
     "expm_dense",
     "expm_evolve",
     "recommended_steps",
@@ -47,14 +47,9 @@ __all__ = [
     "converged_window_reference",
 ]
 
-# largest ||h L|| per RK4 step before the degree-4 truncation is clearly felt
-STEP_NORM_CAP = 0.1
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    steps: int
-    richardson: bool = True
+# the relative size of the last Taylor term expm_dense sums, and the global
+# error recommended_steps sizes an RK4 run for
+TARGET_ERROR = 1e-12
 
 
 def _sectors(n, rows, cols):
@@ -117,11 +112,11 @@ def _max_entry(L):
     return float(np.max(np.abs(L.entries))) if L.entries.size else 0.0
 
 
-def expm_dense(A, rtol=1e-12):
+def expm_dense(A):
     """exp(A) by scaling and squaring with a truncated Taylor series.
 
     The series on the scaled matrix is summed until the next term falls
-    below rtol relative to the running sum, then squared back up.
+    below TARGET_ERROR relative to the running sum, then squared back up.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -133,7 +128,7 @@ def expm_dense(A, rtol=1e-12):
     for k in range(1, 64):
         term = term @ As / k
         acc += term
-        if np.max(np.abs(term)) <= rtol * max(1.0, np.max(np.abs(acc))):
+        if np.abs(term).max() <= TARGET_ERROR * max(1.0, np.abs(acc).max()):
             break
     else:
         warnings.warn("matrix exponential series hit its iteration cap")
@@ -167,66 +162,46 @@ def expm_evolve(L, rho0, t):
     return unvec(out, L.dim)
 
 
-def recommended_steps(L, t, accuracy=1e-12):
-    """Even step count that puts the RK4 global error near `accuracy`.
+def recommended_steps(L, t):
+    """Even step count that puts the RK4 global error near TARGET_ERROR.
 
     Per-step local error scales like (||L|| h)^5 / 120 and there are
     ||L|| t / (||L|| h) steps, so the global error is about
-    (||L|| h)^4 * ||L|| t / 120. Solving for h and capping the step norm
-    keeps the estimate honest when accuracy is loose.
+    (||L|| h)^4 * ||L|| t / 120; solving that for h gives the count.
     """
     x = _max_entry(L) * float(t)
     if x <= 0.0:
         return 2
-    q = min(STEP_NORM_CAP, (120.0 * accuracy / x) ** 0.25)
-    steps = int(math.ceil(x / q))
-    steps += steps % 2  # even, so the half-resolution Richardson run divides it
+    steps = int(math.ceil(x / (120.0 * TARGET_ERROR / x) ** 0.25))
+    steps += steps % 2  # even: --engine rk4 outputs are pinned to these counts
     return max(steps, 2)
 
 
-def rk4_evolve(L, rho0, t, config=None):
-    """Classical RK4 on the vectorized flow. Returns (rho, error_estimate).
-
-    For d/dt v = L v one RK4 step is v -> M v with
-    M = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so `steps` steps are
-    M**steps applied once. With config.richardson the run is repeated at
-    half resolution and the standard fourth-order extrapolated difference
-    |y_h - y_2h| / 15 is returned; otherwise the estimate is None.
-    """
+def rk4_evolve(L, rho0, t):
+    """Propagate rho0 by classical RK4 at recommended_steps(L, t) steps."""
     rho0 = _evolve_inputs(L, rho0, t)
     if t == 0:
-        return rho0.astype(complex), 0.0
+        return rho0.copy()
+    return _rk4(L, rho0, t, recommended_steps(L, t))
 
-    steps = config.steps if config is not None else recommended_steps(L, t)
-    richardson = config.richardson if config is not None else True
-    if steps < 1:
-        raise ValueError("need at least one step")
-    x = _max_entry(L) * float(t)
-    if x / steps > STEP_NORM_CAP:
-        warnings.warn(
-            f"RK4 step norm {x / steps:.3g} exceeds {STEP_NORM_CAP}; "
-            "the degree-4 truncation will dominate"
-        )
 
+def _rk4(L, rho0, t, steps):
+    """`steps` RK4 steps of size t / steps on the vectorized flow.
+
+    For d/dt v = L v one RK4 step is v -> M v with
+    M = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so the steps are
+    M**steps applied once, sector by sector.
+    """
     v = vec(rho0)
-
-    def power_apply(n_steps):
-        h = t / n_steps
-        y = np.empty_like(v)
-        for idx, block in _blocks(L):
-            hL = block * h
-            eye = np.eye(len(idx), dtype=complex)
-            # Horner form of the degree-4 Taylor step
-            m = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
-            y[idx] = np.linalg.matrix_power(m, n_steps) @ v[idx]
-        return y
-
-    y = power_apply(steps)
-    err = None
-    if richardson and steps >= 2:
-        y_coarse = power_apply(max(1, steps // 2))
-        err = float(np.max(np.abs(y - y_coarse))) / 15.0
-    return unvec(y, L.dim), err
+    h = t / steps
+    y = np.empty_like(v)
+    for idx, block in _blocks(L):
+        hL = block * h
+        eye = np.eye(len(idx), dtype=complex)
+        # Horner form of the degree-4 Taylor step
+        m = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
+        y[idx] = np.linalg.matrix_power(m, steps) @ v[idx]
+    return unvec(y, L.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +223,22 @@ def crop(rho, dim):
     return np.asarray(rho, dtype=complex)[:dim, :dim]
 
 
-def converged_window_reference(generator, rho0, t, pad=16, check=8,
-                               method="rk4", accuracy=1e-12):
-    """Oracle result on a window wide enough that the cutoff is converged.
+def converged_window_reference(generator, rho0, t, pad=16, check=8):
+    """Exponential of the flow on a window wide enough that the cutoff is converged.
 
     generator(dim) must return the superoperator (superop.SuperopExpr) on a
     window of that size. The state is embedded at dim+pad and
-    dim+pad+check, both runs are cropped back to dim, and their difference
-    is returned alongside the result as a self-convergence estimate. A small
-    estimate certifies that widening the window further would not move the
-    cropped answer.
+    dim+pad+check, both are evolved by expm_evolve and cropped back to dim,
+    and their difference is returned alongside the result as a
+    self-convergence estimate. A small estimate certifies that widening the
+    window further would not move the cropped answer; check must be at
+    least 1, since a window compared with itself certifies nothing.
     """
+    if check < 1:
+        raise ValueError(f"check must be at least 1, not {check}")
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
-    results = []
-    for big in (dim + pad, dim + pad + check):
-        gen = build_liouvillian(generator(big))
-        state = embed(rho0, big)
-        if method == "rk4":
-            cfg = IntegratorConfig(steps=recommended_steps(gen, t, accuracy), richardson=False)
-            out, _ = rk4_evolve(gen, state, t, cfg)
-        elif method == "expm":
-            out = expm_evolve(gen, state, t)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        results.append(crop(out, dim))
+    results = [crop(expm_evolve(build_liouvillian(generator(big)), embed(rho0, big), t), dim)
+               for big in (dim + pad, dim + pad + check)]
     conv = float(np.max(np.abs(results[0] - results[1])))
     return results[0], conv

@@ -3,7 +3,7 @@
 Every test here pins one externally meaningful guarantee, at the widest
 tolerance the underlying analysis supports; the per-module test files hold
 the finer-grained and negative cases. Runs in under a minute, dominated by
-the wide-window integrator references.
+the wide-window exponential references.
 """
 
 import math
@@ -23,12 +23,7 @@ from fockprop.fock import (
 )
 from fockprop.kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
-from fockprop.oracle import (
-    IntegratorConfig,
-    converged_window_reference,
-    expm_evolve,
-    rk4_evolve,
-)
+from fockprop.oracle import _rk4, converged_window_reference, expm_evolve, rk4_evolve
 from fockprop.pdc import (
     PDCParams,
     PDCTransform,
@@ -82,7 +77,7 @@ def test_01_zero_temperature_factorization_matches_integrator():
     start = time.perf_counter()
     for t in (0.1, 0.5, 1.0):
         analytic = propagate_kerr_zero_t(rho0, t, KERR0)
-        reference, _ = rk4_evolve(L, rho0, t)
+        reference = rk4_evolve(L, rho0, t)
         assert maxabs(analytic - reference) <= 1e-8
     assert time.perf_counter() - start < 5.0
 
@@ -184,17 +179,15 @@ def test_05_finite_temperature_factorization():
     cold = propagate_kerr_zero_t(rho0, 1.0, KerrZeroTParams(chi=1.0, gamma_minus=0.1))
     assert maxabs(propagate_kerr_finite_t(rho0, 1.0, warm) - cold) <= 1e-6
 
-    # against the integrator, run on a window wide enough that the
-    # integrator's own cutoff error is out of the comparison
+    # against the exponential, run on a window wide enough that the
+    # oracle's own cutoff error is out of the comparison
     def build(n):
         return kerr_finite_t_generator(n, KERRT.chi, KERRT.gamma_minus, KERRT.gamma_plus,
                                        KERRT.gamma0, KERRT.c_gamma)
 
     _, rho0 = coherent_density(15, 1.0)
     for t in (0.25, 0.5, 1.0):
-        ref, conv = converged_window_reference(
-            build, rho0, t, pad=16, check=8, method="rk4", accuracy=1e-9,
-        )
+        ref, conv = converged_window_reference(build, rho0, t, pad=16, check=8)
         assert conv <= 1e-10
         assert maxabs(propagate_kerr_finite_t(rho0, t, KERRT) - ref) <= 1e-10
 
@@ -274,8 +267,7 @@ def test_09_integrator_self_consistency():
     exact = expm_evolve(L, rho0, t)
     errs = []
     for steps in (400, 800):
-        out, _ = rk4_evolve(L, rho0, t, IntegratorConfig(steps=steps, richardson=False))
-        errs.append(maxabs(out - exact))
+        errs.append(maxabs(_rk4(L, rho0, t, steps) - exact))
     slope = math.log2(errs[0] / errs[1])
     assert abs(slope - 4.0) <= 0.3
 
@@ -287,7 +279,7 @@ def test_09_integrator_self_consistency():
     for i, gen in enumerate(generators):
         mat = build_liouvillian(gen)
         rho0 = seeded_density(10, 10, i)
-        stepped, _ = rk4_evolve(mat, rho0, 0.5)
+        stepped = rk4_evolve(mat, rho0, 0.5)
         assert maxabs(stepped - expm_evolve(mat, rho0, 0.5)) <= 1e-9
 
 

@@ -321,7 +321,7 @@ def test_pair_drive_run_near_threshold_matches_untruncated_flow(tmp_path, epsilo
     vac[0, 0] = 1.0
     ref, conv = converged_window_reference(
         lambda n: pdc_generator(n, epsilon, 1.0), vac, 0.1,
-        pad=8, check=4, method="expm",
+        pad=8, check=4,
     )
     assert conv < 1e-12
     assert np.max(np.abs(rho - ref)) <= conv + 1e-12
@@ -522,7 +522,7 @@ def test_verify_faults_are_caught(tmp_path):
                      "--out", str(report)]) == 1
         failed = [line for line in report.read_text().splitlines() if " FAIL " in line]
         assert any("damping target" in line for line in failed)
-        assert any("propagation vs wide-window integrator" in line for line in failed)
+        assert any("propagation vs wide-window exponential" in line for line in failed)
     assert main(["verify", "--suite", "kerr0", "--inject-fault", "made-up"]) == 2
 
 
@@ -582,13 +582,13 @@ suite: all  seed: 0
 [kerrT] PASS gamma_plus -> 0 continuity, dim=12, t=0.5: residual * tol 1e-06
 [kerrT] PASS thermal state annihilated by the generator, dim=40: residual * tol 1e-10
 [kerrT] PASS thermal state fixed by the propagator, dim=40, t=0.7: residual * tol 1e-08
-[kerrT] PASS wide-window integrator self-convergence, dim=12+pad: residual * tol 1e-10
-[kerrT] PASS resummed propagator vs wide-window integrator, dim=12, t=0.5: residual * tol 1e-10
+[kerrT] PASS wide-window exponential self-convergence, dim=12+pad: residual * tol 1e-10
+[kerrT] PASS resummed propagator vs wide-window exponential, dim=12, t=0.5: residual * tol 1e-10
 [pdc] PASS transform anchor values at eps=0.6, gamma=1: residual * tol 1e-12
 [pdc] PASS transformed generator matches the damping target, dim=16: residual * tol 1e-08
 [pdc] PASS drive equals -i[eps adag^2 + conj(eps) a^2, rho]: residual * tol 1e-13
-[pdc] PASS wide-window integrator self-convergence, dim=10+pad: residual * tol 1e-08
-[pdc] PASS propagation vs wide-window integrator, vacuum, dim=10, t=0.4: residual * tol 1e-08
+[pdc] PASS wide-window exponential self-convergence, dim=10+pad: residual * tol 1e-08
+[pdc] PASS propagation vs wide-window exponential, vacuum, dim=10, t=0.4: residual * tol 1e-08
 [tables] PASS [pair_sink, jump_down_scaled] = 0: residual * tol 1e-10
 [tables] PASS [jump_down_scaled, pair_sink] = -(0): residual * tol 1e-10
 [tables] PASS [pair_sink, cross_shift_sum] = -jump_down_scaled: residual * tol 1e-10

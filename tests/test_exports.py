@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import fockprop
+from fockprop.oracle import recommended_steps
+from fockprop.superop import build_liouvillian, kerr_zero_t_generator
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fockprop.__path__))
 
@@ -84,3 +87,24 @@ def test_package_imports_follow_the_chain():
     # imports are followed: oracle reaches fock only through superop
     assert _package_imports("kerr_zero_t") == {"kerr_finite_t"}
     assert _package_imports("oracle") == {"superop", "fock"}
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_verify_layers_resolve():
+    # the benchmark's tracer wraps these names and fails a run that never
+    # calls one, so a rename here must reach the layer map
+    expected = _workloads().WORKLOADS["oracle_verify"].expected
+    missing = [name for name in expected
+               if not hasattr(importlib.import_module(f"fockprop.{name.split('.')[0]}"),
+                              name.split(".")[1])]
+    assert expected and missing == []
+    # the tracer counts RK4 steps as recommended_steps(L, t), positionally
+    assert recommended_steps(build_liouvillian(kerr_zero_t_generator(4, 1.0, 0.1)), 0.5) >= 2

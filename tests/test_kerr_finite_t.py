@@ -10,6 +10,7 @@ from fockprop.kerr_finite_t import (
     TAYLOR_SWITCH,
     KerrFiniteTParams,
     _shift_series,
+    _skew,
     propagate_kerr_finite_t,
 )
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
@@ -327,6 +328,15 @@ def test_shift_series_does_not_depend_on_the_window(read):
         c_small = c if np.ndim(c) == 0 else c[:small, :small]
         wide = _shift_series(c, embed(rho, large), read)
         assert crop(wide, small).tobytes() == _shift_series(c_small, rho, read).tobytes()
+
+
+def test_the_cached_skew_is_read_only():
+    # every series on the window shares _skew's arrays, so none may write them
+    rho = seeded_density(9, 5)
+    first = _shift_series(0.3 - 0.1j, rho, RAISE)
+    flat, factor, _ = _skew(9, RAISE)
+    assert not flat.flags.writeable and not factor.flags.writeable
+    assert _shift_series(0.3 - 0.1j, rho, RAISE).tobytes() == first.tobytes()
 
 
 def test_closed_forms_do_not_depend_on_the_window():
