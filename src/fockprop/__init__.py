@@ -26,7 +26,7 @@ from .superop import (
     pdc_generator,
     verify_commutator_table,
 )
-from .oracle import expm_dense, expm_evolve, rk4_evolve
+from .oracle import action_evolve, expm_dense, expm_evolve, rk4_evolve
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .pdc import PDCParams, PDCTransform, transform_params, propagate_pdc

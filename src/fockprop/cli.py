@@ -11,6 +11,7 @@ Every output is deterministic: same inputs, byte-identical files.
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -24,7 +25,7 @@ from .fock import (
 )
 from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
-from .oracle import expm_evolve, rk4_evolve
+from .oracle import action_evolve, expm_evolve, rk4_evolve
 from .pdc import PDCParams, propagate_pdc
 from .superop import (
     build_liouvillian, kerr_finite_t_generator, kerr_zero_t_generator, pdc_generator,
@@ -74,6 +75,7 @@ MODELS = {
 ENGINES = {
     "expm": lambda L, rho0, t: expm_evolve(L, rho0, t),
     "rk4": lambda L, rho0, t: rk4_evolve(L, rho0, t),
+    "action": lambda L, rho0, t: action_evolve(L, rho0, t),
 }
 
 
@@ -394,7 +396,9 @@ def run_verify(suite, dim=None, seed=0, out=None, fault=None):
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fockprop",
         description="closed-form Fock-space propagators with self-verification",
@@ -419,9 +423,12 @@ def main(argv=None):
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--engine", choices=KEY_TYPES["engine"][1])
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
 

@@ -127,14 +127,15 @@ def observables(rho):
     """Trace, purity, and mean occupation of a density matrix.
 
     trace is reported as a complex number so drift off the real axis is
-    visible. purity = tr(rho^2) must come out real; an imaginary part above
+    visible. purity = tr(rho^2), summed as sum_ij rho_ij rho_ji without
+    forming rho^2, must come out real; an imaginary part above
     1e-12 max(1, |tr rho|)^2 signals a corrupted input and raises. rho may
     be a (..., dim, dim) stack: each value is then an array over the leading
     axes, and the error names the first failing slice, also as its .index.
     """
     rho = np.asarray(rho, dtype=complex)
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    pur = np.trace(rho @ rho, axis1=-2, axis2=-1)
+    pur = np.einsum("...ij,...ji->...", rho, rho)
     _refuse_imaginary(pur, 1e-12 * np.maximum(1.0, np.abs(tr)) ** 2,
                       "purity has imaginary part {:g}, not a density matrix")
     mean_n = np.real(np.sum(np.arange(rho.shape[-1]) * rho.diagonal(0, -2, -1), axis=-1))

@@ -1,32 +1,43 @@
 """Brute-force ground truth for the closed-form propagators.
 
-Two independent engines act on the vectorized density matrix:
+Three independent engines act on the vectorized density matrix:
 
-  expm_evolve: scaling-and-squaring matrix exponential of L t
-  rk4_evolve:  classical fixed-step fourth-order Runge-Kutta
+  expm_evolve:   scaling-and-squaring matrix exponential of L t
+  action_evolve: exp(L t) v as a Taylor series in substeps, on L's entries
+  rk4_evolve:    classical fixed-step fourth-order Runge-Kutta
 
-Every wide-window reference runs on expm_evolve; rk4_evolve is the CLI's
-second engine. For a linear autonomous flow one RK4 step of size h is
-exactly the degree-4 Taylor polynomial of exp(h L), so the whole
-integration is a matrix power. That makes tight step counts affordable:
-cost grows with log(steps), not steps, and the step count is sized from
-||L|| t so the global truncation error lands near TARGET_ERROR.
+The wide-window references run on expm_evolve or action_evolve, whichever
+suits the generator (below); rk4_evolve is one more engine for the CLI. For
+a linear autonomous flow one RK4 step of size h is exactly the degree-4
+Taylor polynomial of exp(h L), so the whole integration is a matrix power.
+That makes tight step counts affordable: cost grows with log(steps), not
+steps, and the step count is sized from ||L|| t so the global truncation
+error lands near TARGET_ERROR.
 
-Both engines work one sector at a time. A sector is a connected component
-of the generator's entries (superop.Liouvillian); no entry couples two
-sectors, so the exponential and the RK4 step are block diagonal over them,
-and only the diagonal blocks are ever formed. The sectors are read off the
-entries themselves, never from a model or a conserved label, so the oracle
-stays independent of the closed forms it checks. (Every Kerr generator
-conserves n - m and splits into 2 dim - 1 sectors of at most dim indices;
-the pair drive conserves the parity of n - m and splits into 2.) They are
-found once per generator and kept while the generator lives.
+expm_evolve and rk4_evolve work one sector at a time. A sector is a
+connected component of the generator's entries (superop.Liouvillian); no
+entry couples two sectors, so the exponential and the RK4 step are block
+diagonal over them, and only the diagonal blocks are ever formed. The
+sectors are read off the entries themselves, never from a model or a
+conserved label, so the oracle stays independent of the closed forms it
+checks. (Every Kerr generator conserves n - m and splits into 2 dim - 1
+sectors of at most dim indices; the pair drive conserves the parity of
+n - m and splits into 2 of dim^2 / 2.) They are found once per generator
+and kept while the generator lives.
+
+action_evolve forms no block at all: each Taylor term is one product of
+L's entries, sorted by row once per generator, with a vector. Its cost
+grows like ||L||_1 t times the number of entries, the blocked exponential's
+like the cube of each sector's width. So the pair drive's two wide sectors
+run far quicker on the action, while the Kerr generators, whose sectors
+are narrow and whose ||L||_1 grows like chi dim^2 with the Kerr phase, run
+quicker on the blocks.
 
 The helpers at the bottom embed a state in a larger window and run the
-exponential there. Comparing a propagator against an oracle truncated at
-the same window would fold the oracle's own cutoff error into the
-residual; running the oracle wide and cropping isolates the propagator's
-error.
+exponential there, on the engine that suits the generator's widest sector.
+Comparing a propagator against an oracle truncated at the same window
+would fold the oracle's own cutoff error into the residual; running the
+oracle wide and cropping isolates the propagator's error.
 """
 
 import math
@@ -40,6 +51,7 @@ from .superop import Liouvillian, build_liouvillian, vec, unvec
 __all__ = [
     "expm_dense",
     "expm_evolve",
+    "action_evolve",
     "recommended_steps",
     "rk4_evolve",
     "embed",
@@ -82,11 +94,10 @@ def _sectors(n, rows, cols):
 _SECTOR_ENTRIES = weakref.WeakKeyDictionary()
 
 
-def _blocks(L):
-    """(idx, block) for each sector of L; block is L's matrix on idx x idx.
+def _sector_entries(L):
+    """(idx, block rows, block cols, block entries) for each sector of L.
 
-    The sectors and each one's entries are found on the first call for L;
-    a block is scattered when it is reached, so one block is dense at a time.
+    Found on the first call for L and kept while L lives.
     """
     parts = _SECTOR_ENTRIES.get(L)
     if parts is None:
@@ -102,7 +113,15 @@ def _blocks(L):
         parts = [(idx, local[L.rows[e]], local[L.cols[e]], L.entries[e])
                  for idx, e in zip(sectors, np.split(by_sector, cuts))]
         _SECTOR_ENTRIES[L] = parts
-    for idx, r, c, e in parts:
+    return parts
+
+
+def _blocks(L):
+    """(idx, block) for each sector of L; block is L's matrix on idx x idx.
+
+    A block is scattered when it is reached, so one block is dense at a time.
+    """
+    for idx, r, c, e in _sector_entries(L):
         block = np.zeros((len(idx), len(idx)), dtype=complex)
         block[r, c] = e
         yield idx, block
@@ -160,6 +179,65 @@ def expm_evolve(L, rho0, t):
     for idx, block in _blocks(L):
         out[idx] = expm_dense(block * t) @ v[idx]
     return unvec(out, L.dim)
+
+
+# generator -> (rows holding entries, first entry of each, cols, entries), ||L||_1
+_ROW_ENTRIES = weakref.WeakKeyDictionary()
+
+# ||L||_1 h of one action substep. Its Taylor terms then fall below unit
+# roundoff within about 32 terms, and none exceeds 4^4/4! (about 11) times
+# the substep's start in the 1-norm, so the sum loses little to cancellation.
+THETA = 4.0
+
+# unit roundoff: the relative size of the last Taylor term a substep sums.
+# The substeps add up their truncation errors, so it is not TARGET_ERROR.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _row_entries(L):
+    """L's entries sorted by row, and L's 1-norm; found once per generator."""
+    found = _ROW_ENTRIES.get(L)
+    if found is None:
+        order = np.argsort(L.rows, kind="stable")
+        rows = L.rows[order]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        norm1 = np.bincount(L.cols, np.abs(L.entries), minlength=1).max()
+        found = (rows[starts], starts, L.cols[order], L.entries[order]), float(norm1)
+        _ROW_ENTRIES[L] = found
+    return found
+
+
+def _matvec(by_row, v):
+    """L v from L's entries sorted by row: one gather, one segmented sum."""
+    live, starts, cols, entries = by_row
+    out = np.zeros_like(v)
+    if entries.size:
+        out[live] = np.add.reduceat(entries * v[cols], starts)
+    return out
+
+
+def action_evolve(L, rho0, t):
+    """Propagate rho0 by exp(L t) as the action of L's Taylor series.
+
+    exp(L t) v is never formed as a matrix (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488, 2011): t is cut into s = ceil(||L||_1 t / THETA)
+    substeps of h = t / s, and each substep sums the terms (hL)^k v / k!
+    until one falls below UNIT_ROUNDOFF relative to the running sum. Every
+    term is one matvec over L's nonzero entries, so no block is dense.
+    """
+    v = vec(_evolve_inputs(L, rho0, t))
+    by_row, norm1 = _row_entries(L)
+    steps = math.ceil(norm1 * t / THETA)
+    for _ in range(steps):
+        term = v
+        for k in range(1, 64):
+            term = _matvec(by_row, term) * (t / steps / k)
+            v = v + term
+            if np.abs(term).max() <= UNIT_ROUNDOFF * np.abs(v).max():
+                break
+        else:
+            warnings.warn("Taylor action series hit its iteration cap")
+    return unvec(v, L.dim)
 
 
 def recommended_steps(L, t):
@@ -223,22 +301,36 @@ def crop(rho, dim):
     return np.asarray(rho, dtype=complex)[:dim, :dim]
 
 
+def _wide_evolve(L, rho0, t):
+    """exp(L t) rho0 on the engine that suits L's sectors.
+
+    While every sector is at most the window wide, as every Kerr generator's
+    are, the dense sector blocks are small and expm_evolve is quickest. If a
+    sector is wider, as the pair drive's two of dim^2 / 2 are, L runs on
+    action_evolve, which forms no block.
+    """
+    if max(len(idx) for idx, *_ in _sector_entries(L)) <= L.dim:
+        return expm_evolve(L, rho0, t)
+    return action_evolve(L, rho0, t)
+
+
 def converged_window_reference(generator, rho0, t, pad=16, check=8):
     """Exponential of the flow on a window wide enough that the cutoff is converged.
 
     generator(dim) must return the superoperator (superop.SuperopExpr) on a
     window of that size. The state is embedded at dim+pad and
-    dim+pad+check, both are evolved by expm_evolve and cropped back to dim,
-    and their difference is returned alongside the result as a
-    self-convergence estimate. A small estimate certifies that widening the
-    window further would not move the cropped answer; check must be at
-    least 1, since a window compared with itself certifies nothing.
+    dim+pad+check, both are evolved on the engine _wide_evolve picks and
+    cropped back to dim, and their difference is returned alongside the
+    result as a self-convergence estimate. A small estimate certifies that
+    widening the window further would not move the cropped answer; check
+    must be at least 1, since a window compared with itself certifies
+    nothing.
     """
     if check < 1:
         raise ValueError(f"check must be at least 1, not {check}")
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
-    results = [crop(expm_evolve(build_liouvillian(generator(big)), embed(rho0, big), t), dim)
+    results = [crop(_wide_evolve(build_liouvillian(generator(big)), embed(rho0, big), t), dim)
                for big in (dim + pad, dim + pad + check)]
     conv = float(np.max(np.abs(results[0] - results[1])))
     return results[0], conv

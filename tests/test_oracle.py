@@ -1,13 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from fockprop import oracle
 from fockprop.oracle import (
     _blocks,
+    _matvec,
     _rk4,
+    _row_entries,
     _sectors,
+    action_evolve,
     converged_window_reference,
     crop,
     embed,
@@ -22,6 +27,7 @@ from fockprop.superop import (
     kerr_finite_t_generator,
     kerr_zero_t_generator,
     number_damping,
+    random_density,
     pdc_generator,
     vec,
 )
@@ -90,7 +96,7 @@ def test_rk4_input_validation():
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
-@pytest.mark.parametrize("evolve", [expm_evolve, rk4_evolve])
+@pytest.mark.parametrize("evolve", [expm_evolve, rk4_evolve, action_evolve])
 def test_dense_engines_refuse_non_finite_times(evolve, t):
     L = build_liouvillian(kerr_zero_t_generator(4, 1.0, 0.1))
     with pytest.raises(ValueError, match="times must be finite"):
@@ -308,3 +314,83 @@ def test_a_cancelled_generator_has_no_entries_and_moves_nothing():
     rho0 = seeded_density(dim, 42)
     assert np.array_equal(expm_evolve(gen, rho0, 0.7), rho0)
     assert np.array_equal(rk4_evolve(gen, rho0, 0.7), rho0)
+    assert np.array_equal(action_evolve(gen, rho0, 0.7), rho0)
+
+
+# ---------------------------------------------------------------------------
+# The Taylor action
+
+
+@pytest.mark.parametrize("model", ["kerr0", "kerrT", "pdc"])
+@pytest.mark.parametrize("dim", [12, 16, 20, 24])
+def test_action_matches_the_blocked_exponential(model, dim):
+    gen = _matrix(model, dim)
+    rho0 = random_density(dim, np.random.default_rng([dim, 1]))
+    assert maxabs(action_evolve(gen, rho0, 0.4) - expm_evolve(gen, rho0, 0.4)) <= 1e-13
+
+
+def _planted(dim):
+    # kerrT with one cross-sector entry appended, so the rows are unsorted
+    gen = _matrix("kerrT", dim)
+    return Liouvillian(dim, np.append(gen.rows, 1), np.append(gen.cols, 2 * dim),
+                       np.append(gen.entries, 0.7))
+
+
+@pytest.mark.parametrize("build", [
+    lambda dim: build_liouvillian(kerr_zero_t_generator(dim, 1.0, 0.0)),
+    _planted,
+], ids=["lossless-kerr0", "planted-entry"])
+def test_action_matvec_is_the_dense_product(build):
+    # the lossless Kerr generator has rows with no entries, which must come
+    # out 0; the planted entry sits last, out of row order
+    dim = 6
+    gen = build(dim)
+    assert len(np.unique(gen.rows)) < dim * dim or np.any(np.diff(gen.rows) < 0)
+    v = vec(seeded_density(dim, 46)) + 1.0
+    assert maxabs(_matvec(_row_entries(gen)[0], v) - gen.dense() @ v) <= 1e-13
+    t = 0.5
+    ref = scipy.linalg.expm(gen.dense() * t) @ vec(seeded_density(dim, 47))
+    assert maxabs(vec(action_evolve(gen, seeded_density(dim, 47), t)) - ref) <= 1e-13
+
+
+def test_action_refuses_what_the_exponential_refuses():
+    L = build_liouvillian(kerr_zero_t_generator(4, 1.0, 0.1))
+    rho0 = vacuum_density(4)
+    for args in ((L, np.eye(5, dtype=complex), 0.1), (L, rho0, -1.0), (L, rho0, math.nan),
+                 (L, rho0, math.inf), (np.zeros((20, 20)), np.eye(4), 0.1)):
+        with pytest.raises(ValueError) as refused:
+            expm_evolve(*args)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            action_evolve(*args)
+
+
+def test_action_returns_the_state_at_time_zero():
+    gen = _matrix("pdc", 8)
+    rho0 = seeded_density(8, 48)
+    assert np.array_equal(action_evolve(gen, rho0, 0.0), rho0)
+
+
+@pytest.mark.parametrize("model, engine, other", [
+    ("kerrT", "expm_evolve", "action_evolve"),
+    ("pdc", "action_evolve", "expm_evolve"),
+])
+def test_reference_engine_follows_the_widest_sector(monkeypatch, model, engine, other):
+    # every Kerr sector is at most the window wide, so the reference runs
+    # the sector blocks; the pair drive's two parity sectors are wider
+    calls = []
+    chosen = getattr(oracle, engine)
+
+    def counted(L, rho0, t):
+        calls.append(L.dim)
+        return chosen(L, rho0, t)
+
+    def refuse(L, rho0, t):
+        raise AssertionError(f"{other} ran on window {L.dim}")
+
+    monkeypatch.setattr(oracle, engine, counted)
+    monkeypatch.setattr(oracle, other, refuse)
+    rho0 = seeded_density(6, 49)
+    ref, _ = converged_window_reference(GENERATORS[model], rho0, 0.3, pad=4, check=2)
+    assert calls == [10, 12]
+    wide = build_liouvillian(GENERATORS[model](10))
+    assert np.array_equal(ref, crop(chosen(wide, embed(rho0, 10), 0.3), 6))
