@@ -12,6 +12,7 @@ Every output is deterministic: same inputs, byte-identical files.
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -281,6 +282,17 @@ def _g17(x):
     return format(float(x), ".17g")
 
 
+def _g17_all(values):
+    """_g17 of each entry of an array, from Python floats."""
+    return [format(x, ".17g") for x in np.asarray(values, dtype=float).reshape(-1).tolist()]
+
+
+def _qfunc_rows(res, ims, q):
+    """The re,im,q rows of a row-major grid, im outer; each axis value is formatted once."""
+    grid = itertools.product(_g17_all(ims), _g17_all(res))
+    return [f"{re},{im},{v}" for (im, re), v in zip(grid, _g17_all(q))]
+
+
 def _write_text(path, text):
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -327,7 +339,7 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
                 lines = [f"{n} {m} {_g17(z.real)} {_g17(z.imag)}"
                          for (n, m), z in np.ndenumerate(rho)]
                 _write_text(f"{out_path}.rho{i}.txt", "\n".join(lines) + "\n")
-        rows.extend(",".join(map(_g17, cells)) for cells in zip(*columns))
+        rows.extend(map(",".join, zip(*map(_g17_all, columns))))
 
     _write_text(out_path, "\n".join(rows) + "\n")
 
@@ -369,10 +381,11 @@ def run_qfunc(config_path, out_path, engine=None):
 
     res = np.linspace(cfg["re_min"], cfg["re_max"], pts)
     ims = np.linspace(cfg["im_min"], cfg["im_max"], pts)
-    alphas = [complex(re, im) for im in ims for re in res]  # row-major, im outer
-    q = husimi_q(rho, alphas)
+    alphas = np.empty((pts, pts), dtype=complex)   # row-major, im outer
+    alphas.real, alphas.imag = res, ims[:, None]
+    q = husimi_q(rho, alphas.reshape(-1))
 
-    rows = ["re,im,q"] + [f"{_g17(a.real)},{_g17(a.imag)},{_g17(v)}" for a, v in zip(alphas, q)]
+    rows = ["re,im,q"] + _qfunc_rows(res, ims, q)
     _write_text(out_path, "\n".join(rows) + "\n")
     return 0
 

@@ -8,7 +8,10 @@ the generator's diagonal, and a raising series. Both series take one
 weight u, which solves the Riccati flow du/dt = 1 - 2 z u + 4 gm gp u^2
 with u(0) = 0, z = g0 + i chi k. The weights stay bounded on the window
 and are smooth through a vanishing discriminant, so the flow is accurate
-at any window size and any time.
+at any window size and any time. Along each diagonal k the elementwise
+factor is a geometric progression in min(n, m): two exponentials per k
+and time, and a table of powers built by doubling, each power at most
+log2(dim) + 1 rounded products from its ratio.
 The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
 and the de-driven pair drive (pdc) is it at chi = 0; every series factor
 here and in pdc is one kernel, _shift_series, run as Pascal passes over a
@@ -104,7 +107,7 @@ def _shift_series(c, rho, read):
     flat, factor, up = _skew(dim, read)
     w = np.multiply(_skewed(c, flat) if c.ndim else c, factor[:, None, :], order="C")
     p = _skewed(rho, flat)
-    p = np.array(np.broadcast_to(p, (dim, max(p.shape[1], w.shape[1]), dim)), order="C")
+    p = np.array(np.broadcast_to(p, np.broadcast_shapes(p.shape, w.shape)), order="C")
     step = 1 if up else -1
     for a in range(dim - 2, -1, -1) if up else range(1, dim):
         dst = slice(a, dim - 1) if up else slice(a, dim)
@@ -115,12 +118,6 @@ def _shift_series(c, rho, read):
     out = np.empty((p.shape[1], dim * dim), dtype=complex)
     out[:, flat] = p.transpose(1, 0, 2)
     return out.reshape(shape)
-
-
-def _ks(dim):
-    """k = n - m and s = n + m at each element (n, m) of the window."""
-    n = np.arange(dim)
-    return n[:, None] - n[None, :], n[:, None] + n[None, :]
 
 
 def _checked_state(rho0, t):
@@ -195,29 +192,17 @@ class KerrFiniteTParams:
         return self.gamma_plus / (self.gamma_minus - self.gamma_plus)
 
 
-def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
-    """The resummed flow from raw rates, without the parameter checks.
+def _weights(times, dim, chi, gm, gp, g0):
+    """Series weight u and log hinv on the grid of times by index differences.
 
-    Returns the untruncated flow of rho0 projected onto its window: the
-    lowering series reads only from above each element, where rho0 is
-    zero past the window, and the raising series only from below. t is a
-    time or a 1-D array of times; the result has shape t.shape + rho0.shape.
-
-    The weights depend on k and t alone, so they are evaluated once on the
-    grid of times by 2 dim - 1 index differences and gathered onto a stack
-    of windows. With h = (1 - exp(-2 D t)) / (2 D) they read
+    times is a (T, 1) column; the grid is (T, 2 dim - 1), column k + dim - 1
+    holding k = 1 - dim ... dim - 1. With h = (1 - exp(-2 D t)) / (2 D)
+    the weights read
 
       q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
 
-    with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t,
-    and the factor exp(t d) hinv^(s+1), d = c_gamma - g0 s - i chi k (s - 1)
-    the generator's diagonal, is one exponential, so its decaying and
-    growing parts never meet as 0 * inf. Each raising order adds 2 to s at
-    fixed k, so the Kerr phase in d commutes with the raising series.
+    with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t.
     """
-    dim = rho0.shape[0]
-    k, s = _ks(dim)
-    at = k + (dim - 1)                           # column of each k in the line
     k_line = np.arange(1 - dim, dim, dtype=float)
     z = g0 + 1j * chi * k_line
     mu = 4.0 * gm * gp
@@ -226,7 +211,6 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
         zmd = mu / (z + root)                    # z - D; z + D = 0 needs mu = 0
     else:
         root, zmd = z, 0.0                       # D = z, so q = hinv = 1 exactly
-    times = np.asarray(t, dtype=float).reshape(-1, 1)   # one row per time
     rt = root * times
     small = np.abs(rt) < TAYLOR_SWITCH
     h = np.where(
@@ -236,14 +220,83 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
         -np.expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
     )
     q = 1.0 + zmd * h
-    u = h / q                                    # weight of both series
-    log_hinv = zmd * times - np.log(q)           # factor base, power s+1 below
+    return h / q, zmd * times - np.log(q)
+
+
+@functools.lru_cache(maxsize=4)
+def _diagonals(dim):
+    """Where each window element (n, m) sits on the grid of differences.
+
+    Returns its column k + dim - 1, k = n - m, in the (T, 2 dim - 1) grid
+    of _weights, and its flat index in a (dim, 2 dim - 1) table at row
+    min(n, m) and that column. The result is cached, so both are read-only.
+    """
+    n = np.arange(dim)
+    at = np.subtract.outer(n, n) + (dim - 1)
+    flat = np.minimum.outer(n, n) * (2 * dim - 1) + at
+    at.flags.writeable = flat.flags.writeable = False
+    return at, flat
+
+
+def _diagonal_factor(log_hinv, times, chi, g0, cg):
+    """The elementwise factor exp(t d) hinv^(s+1) on a (T, dim, dim) stack.
+
+    d = c_gamma - g0 s - i chi k (s - 1) is the generator's diagonal and
+    log_hinv the (T, 2 dim - 1) grid of _weights at the (T, 1) times. Along
+    a diagonal k = n - m the exponent is linear in s = |k| + 2 min(n, m),
+    so with w = log hinv - g0 t - i chi t k the factor is head r^min(n, m):
+
+      head = exp(log hinv + c_gamma t + i chi t k + |k| w),  r = exp(2 w).
+
+    That is two exponentials per k and time. The powers r^z, z < dim, are
+    built by doubling: rows h ... 2h - 1 are rows 0 ... h - 1 times r^h,
+    and r is squared each round, so each power takes at most log2(dim) + 1
+    rounded products, in an order that depends on z alone and not on the
+    window. The rounding of r grows z-fold in r^z, as an exponent z times
+    as large would round. An integer power of hinv, so the branch of log q
+    cancels. Decay and growth meet inside w, never as 0 * inf, so long
+    times stay finite.
+    """
+    width = log_hinv.shape[1]
+    dim = (width + 1) // 2
+    k_line = np.arange(1 - dim, dim, dtype=float)
+    phase = 1j * times * (chi * k_line)
+    w = log_hinv - g0 * times - phase
+    head, r = np.exp([log_hinv + cg * times + phase + np.abs(k_line) * w, 2.0 * w])
+    power = np.empty((len(times), dim, width), dtype=complex)
+    power[:, 0] = head
+    h = 1
+    while h < dim:
+        rows = min(h, dim - h)
+        np.multiply(power[:, :rows], r[:, None, :], out=power[:, h:h + rows])
+        r = np.multiply(r, r)
+        h *= 2
+    return np.take(power.reshape(len(times), dim * width), _diagonals(dim)[1], axis=1)
+
+
+def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
+    """The resummed flow from raw rates, without the parameter checks.
+
+    Returns the untruncated flow of rho0 projected onto its window: the
+    lowering series reads only from above each element, where rho0 is
+    zero past the window, and the raising series only from below. t is a
+    time or a 1-D array of times; the result has shape t.shape + rho0.shape.
+
+    The weights depend on k and t alone, so _weights evaluates them once on
+    the grid of times by 2 dim - 1 index differences, and they are gathered
+    onto a stack of windows. Between the series sits the factor
+    exp(t d) hinv^(s+1) of _diagonal_factor, a geometric progression along
+    each diagonal. Each raising order adds 2 to s at fixed k, so the Kerr
+    phase in d commutes with the raising series.
+    """
+    dim = rho0.shape[0]
+    at = _diagonals(dim)[0]
+    times = np.asarray(t, dtype=float).reshape(-1, 1)   # one row per time
+    u, log_hinv = _weights(times, dim, chi, gm, gp, g0)
 
     out = _shift_series(np.take(2.0 * gm * u, at, axis=1), rho0, LOWER) if gm else rho0
-    times = times[:, :, None]
-    # exp(t d) hinv^(s+1); an integer power of hinv, so the branch of log q cancels
-    out = np.exp((s + 1) * np.take(log_hinv, at, axis=1) - (g0 * times) * s + cg * times
-                 - 1j * times * (chi * k * (s - 1.0))) * out
+    factor = _diagonal_factor(log_hinv, times, chi, g0, cg)
+    out = np.multiply(factor, out, out=factor)
     if gp:
         out = _shift_series(np.take(2.0 * gp * u, at, axis=1), out, RAISE)
     return out.reshape(np.shape(t) + rho0.shape)

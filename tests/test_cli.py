@@ -9,7 +9,7 @@ import pytest
 
 from fockprop import __version__, cli, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
-from fockprop.fock import annihilation, coherent_state, observables
+from fockprop.fock import annihilation, coherent_state, husimi_q, observables
 from fockprop.oracle import converged_window_reference
 from fockprop.superop import SandwichTerm, SuperopExpr, pdc_generator
 
@@ -493,6 +493,41 @@ def test_qfunc_single_point_grid(tmp_path):
     assert len(rows) == 1
     want = math.exp(-(0.5**2 + 0.25**2)) / math.pi
     assert abs(rows[0][2] - want) < 1e-12
+
+
+def test_qfunc_rows_match_the_per_point_format(tmp_path, monkeypatch):
+    # each axis value is formatted once; the rows must keep the bytes of
+    # the per-point f-string of complex(re, im), on a grid with -0.0,
+    # integer values and steps that a float cannot hold exactly
+    res = np.linspace(-3.0, 4.0, 8)
+    ims = np.linspace(-0.7, -0.0, 8)
+    assert math.copysign(1.0, ims[-1]) == -1.0 and len(cli._g17(ims[-2])) > 17
+    q = np.random.default_rng(4).random(64) * 10.0 ** np.arange(-32, 32)
+    q[:3] = 0.0, -0.0, 2.0
+    alphas = [complex(re, im) for im in ims for re in res]
+    want = [f"{cli._g17(a.real)},{cli._g17(a.imag)},{cli._g17(v)}" for a, v in zip(alphas, q)]
+    assert cli._qfunc_rows(res, ims, q) == want
+    assert cli._g17_all(q) == [cli._g17(v) for v in q]
+    # end to end, husimi_q sees those points, signed zero included, and the
+    # CSV holds them with its values
+    seen = []
+
+    def recorded(rho, points):
+        seen.append((np.array(points), husimi_q(rho, points)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "husimi_q", recorded)
+    cfg = cfg_file(tmp_path, (
+        "model = kerr0\ndim = 8\nchi = 1.0\ngamma_minus = 0.1\ntimes = 0.3\n"
+        "state = coherent\nalpha = 0.5\n"
+        "re_min = -3.0\nre_max = 4.0\nim_min = -0.7\nim_max = -0.0\npoints_per_axis = 8\n"
+    ))
+    out = tmp_path / "q.csv"
+    assert main(["qfunc", "--config", cfg, "--out", str(out)]) == 0
+    (points, values), = seen
+    assert points.tobytes() == np.array(alphas).tobytes()
+    want = [f"{cli._g17(a.real)},{cli._g17(a.imag)},{cli._g17(v)}" for a, v in zip(alphas, values)]
+    assert out.read_text(encoding="utf-8") == "\n".join(["re,im,q"] + want) + "\n"
 
 
 def test_qfunc_usage_errors(tmp_path):

@@ -9,13 +9,24 @@ from fockprop.kerr_finite_t import (
     RAISE,
     TAYLOR_SWITCH,
     KerrFiniteTParams,
+    _diagonal_factor,
+    _diagonals,
+    _propagate_resummed,
     _shift_series,
     _skew,
+    _weights,
     propagate_kerr_finite_t,
 )
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import crop, embed, expm_evolve
-from fockprop.pdc import PAIR_LOWER, PAIR_RAISE, PDCParams, propagate_pdc
+from fockprop.pdc import (
+    PAIR_LOWER,
+    PAIR_RAISE,
+    PDCParams,
+    _damping_rates,
+    propagate_pdc,
+    transform_params,
+)
 from fockprop.superop import (
     build_liouvillian,
     cross_lower,
@@ -25,7 +36,7 @@ from fockprop.superop import (
     raising_sandwich,
 )
 
-from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density
+from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
 
 
 PARAMS = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.05)
@@ -149,6 +160,72 @@ def test_long_times_relax_to_the_thermal_state(dim, t):
     assert maxabs(out - thermal) < 1e-12 + 10.0 * relax
 
 
+def test_long_times_on_the_widest_window():
+    # at t = 1e4 every decaying power underflows long before the growing
+    # hinv^(s+1) would overflow on its own; both stay inside one exponent
+    dim, t = 160, 1e4
+    rho = density_from_ket(coherent_state(dim, 3.0 + 1.0j)[0])
+    cold = propagate_kerr_zero_t(rho, t, KerrZeroTParams(chi=1.0, gamma_minus=0.1))
+    assert np.isfinite(cold).all()
+    assert maxabs(cold - vacuum_density(dim)) < 1e-15
+    warm = propagate_kerr_finite_t(rho, t, PARAMS)
+    assert np.isfinite(warm).all()
+    nbar = PARAMS.nbar()
+    thermal = np.diag((nbar / (nbar + 1.0)) ** np.arange(dim) / (nbar + 1.0))
+    assert maxabs(warm - thermal) < 1e-13
+
+
+# (chi, gamma_minus, gamma_plus, gamma0, c_gamma) of each flow that ends in
+# the elementwise factor; pdc's is its de-driven flow at chi = 0
+PDC_RATES = PDCParams(epsilon=0.3 + 0.4j, gamma=1.0)
+FACTOR_RATES = {
+    "kerr0": (1.0, 0.1, 0.0, 0.1, 0.0),
+    "kerrT": (PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus, PARAMS.gamma0, PARAMS.c_gamma),
+    "pdc": _damping_rates(PDC_RATES, transform_params(PDC_RATES).lam),
+}
+
+
+@pytest.mark.parametrize("dim", [6, 40, 160])
+@pytest.mark.parametrize("model", sorted(FACTOR_RATES))
+def test_diagonal_factor_matches_the_per_entry_exponential(model, dim):
+    # the geometric progression along each diagonal against the form it
+    # replaced: one exponential of the whole exponent per window entry
+    chi, gm, gp, g0, cg = FACTOR_RATES[model]
+    times = np.array([0.0, 1e-7, 0.3, 2.9, 1500.0]).reshape(-1, 1)
+    _, log_hinv = _weights(times, dim, chi, gm, gp, g0)
+    n = np.arange(dim)
+    k, s = np.subtract.outer(n, n), np.add.outer(n, n)
+    t = times[:, :, None]
+    want = np.exp((s + 1) * np.take(log_hinv, k + (dim - 1), axis=1) - (g0 * t) * s + cg * t
+                  - 1j * t * (chi * k * (s - 1.0)))
+    got = _diagonal_factor(log_hinv, times, chi, g0, cg)
+    assert got.shape == want.shape
+    assert np.isfinite(got).all() and np.isfinite(want).all()
+    assert maxabs(got - want) < 1e-13
+
+
+def test_diagonal_factor_takes_exponentials_per_difference_not_per_entry(monkeypatch):
+    # one exponential per window entry would pass T dim^2 = 12,288 entries
+    dim, times = 64, np.array([0.1, 0.7, 2.0])
+    exp, sizes = np.exp, []
+
+    def counted(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    rho = density_from_ket(coherent_state(dim, 2.0)[0])
+    out = _propagate_resummed(rho, times, *FACTOR_RATES["kerrT"])
+    assert out.shape == (3, dim, dim)
+    assert 0 < sum(sizes) <= 4 * len(times) * (2 * dim - 1)
+
+
+def test_the_cached_diagonal_index_is_read_only():
+    # every flow on the window shares _diagonals' arrays, so none may write them
+    at, flat = _diagonals(7)
+    assert not at.flags.writeable and not flat.flags.writeable
+
+
 def test_semigroup_property():
     ket, _ = coherent_state(15, 1.0)
     rho0 = density_from_ket(ket)
@@ -230,6 +307,14 @@ def test_a_stack_of_times_equals_the_scalar_calls(dim, times):
         assert got.shape == (len(times), dim, dim)
         assert got.tobytes() == want.tobytes()
         assert run(rho0, times[1:2], params).shape == (1, dim, dim)
+
+
+def test_an_empty_list_of_times_gives_an_empty_stack():
+    rho0 = seeded_density(6, 42)
+    lossless = KerrZeroTParams(chi=1.0, gamma_minus=0.0)
+    for run, params in ((propagate_kerr_zero_t, lossless), (propagate_kerr_finite_t, PARAMS),
+                        (propagate_pdc, PDC_RATES)):
+        assert run(rho0, [], params).shape == (0, 6, 6)
 
 
 def test_closed_forms_return_c_ordered_states():
