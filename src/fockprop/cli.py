@@ -12,7 +12,6 @@ Every output is deterministic: same inputs, byte-identical files.
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -287,10 +286,31 @@ def _g17_all(values):
     return [format(x, ".17g") for x in np.asarray(values, dtype=float).reshape(-1).tolist()]
 
 
+def _floats(values):
+    """The entries of an array as a tuple of Python floats, for a % row template."""
+    return tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
+
+
+def _csv_rows(columns):
+    """Comma-separated rows of equal-length columns, each value as _g17 gives it.
+
+    One % over a template of "%.17g,...\n" rows formats them all; each
+    row ends in a newline.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float).reshape(-1) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (row * len(table)) % _floats(table)
+
+
 def _qfunc_rows(res, ims, q):
-    """The re,im,q rows of a row-major grid, im outer; each axis value is formatted once."""
-    grid = itertools.product(_g17_all(ims), _g17_all(res))
-    return [f"{re},{im},{v}" for (im, re), v in zip(grid, _g17_all(q))]
+    """The re,im,q rows of a row-major grid, im outer, each ending in a newline.
+
+    Each axis value is formatted once, into a row template that q fills in
+    with one %.
+    """
+    re_text = _g17_all(res)
+    template = "".join(f"{re},{im},%.17g\n" for im in _g17_all(ims) for re in re_text)
+    return template % _floats(q)
 
 
 def _write_text(path, text):
@@ -322,7 +342,8 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
     header = "t,trace_re,trace_im,purity,mean_n,min_eig"
     if target is not None:
         header += ",fidelity_target"
-    rows = [header]
+    rows = [header + "\n"]
+    done = 0                       # times already written
     for ts, rhos in _evolved(evolve, rho0, cfg["times"], dim):
         try:
             obs = observables(rhos)
@@ -335,13 +356,14 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
         columns = [ts, obs["trace"].real, obs["trace"].imag, obs["purity"], obs["mean_n"],
                    min_eig, *fidelity]
         if dump:
-            for i, rho in enumerate(rhos, start=len(rows) - 1):
+            for i, rho in enumerate(rhos, start=done):
                 lines = [f"{n} {m} {_g17(z.real)} {_g17(z.imag)}"
                          for (n, m), z in np.ndenumerate(rho)]
                 _write_text(f"{out_path}.rho{i}.txt", "\n".join(lines) + "\n")
-        rows.extend(map(",".join, zip(*map(_g17_all, columns))))
+        rows.append(_csv_rows(columns))
+        done += len(ts)
 
-    _write_text(out_path, "\n".join(rows) + "\n")
+    _write_text(out_path, "".join(rows))
 
     meta = {
         "config": {k: _format_value(k, v) for k, v in cfg.items()},
@@ -385,8 +407,7 @@ def run_qfunc(config_path, out_path, engine=None):
     alphas.real, alphas.imag = res, ims[:, None]
     q = husimi_q(rho, alphas.reshape(-1))
 
-    rows = ["re,im,q"] + _qfunc_rows(res, ims, q)
-    _write_text(out_path, "\n".join(rows) + "\n")
+    _write_text(out_path, "re,im,q\n" + _qfunc_rows(res, ims, q))
     return 0
 
 

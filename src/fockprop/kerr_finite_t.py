@@ -8,15 +8,20 @@ the generator's diagonal, and a raising series. Both series take one
 weight u, which solves the Riccati flow du/dt = 1 - 2 z u + 4 gm gp u^2
 with u(0) = 0, z = g0 + i chi k. The weights stay bounded on the window
 and are smooth through a vanishing discriminant, so the flow is accurate
-at any window size and any time. Along each diagonal k the elementwise
-factor is a geometric progression in min(n, m): two exponentials per k
-and time, and a table of powers built by doubling, each power at most
-log2(dim) + 1 rounded products from its ratio.
+at any window size and any time. The rates are real, so every weight at
+-k is the conjugate of its value at k: the weights are evaluated on
+k >= 0 only, with real transcendental functions, and mirrored. Along
+each diagonal k the elementwise factor is a geometric progression in
+min(n, m): two exponentials per k >= 0 and time, and a table of powers
+built by doubling, each power at most log2(dim) + 1 rounded products
+from its ratio.
 The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
-and the de-driven pair drive (pdc) is it at chi = 0; every series factor
-here and in pdc is one kernel, _shift_series, run as Pascal passes over a
-skewed window in which each read chain is a column. A zero rate skips its
-series, so lossless runs cost the elementwise factor.
+and the de-driven pair drive (pdc) is it at chi = 0. Every series factor
+here and in pdc runs as the Pascal passes of _passes over a skewed window
+in which each read chain is a column, with time the innermost axis; the
+resummed flow gathers its state, its weights and its factor into one such
+layout, which both of its series share, and scatters back once. A zero
+rate skips its series, so lossless runs cost the elementwise factor.
 """
 
 import functools
@@ -44,8 +49,9 @@ RAISE = (-1, -1)    # a^dag^j rho a^j
 def _skew(dim, read):
     """Gather order and pass factors of the skewed window of read.
 
-    Row z is the index the read walks along: m, or n for PAIR_LOWER, so
-    that only LOWER reads row z + 1 and the others read row z - 1. Column j
+    Row z is the index the read walks along: the row index n of rho, or
+    the column index m for PAIR_LOWER, so that only LOWER reads row z + 1
+    and the others read row z - 1. Column j
     is (n - m) mod dim for LOWER and RAISE and (n + m) mod dim for the pair
     shifts, so each column holds two whole read chains. Returns the flat
     window index at each (z, j); the pass weight over c there, which is
@@ -68,8 +74,8 @@ def _skew(dim, read):
 
 
 def _skewed(x, flat):
-    """x, a (..., dim, dim) window or stack of S of them, as a (dim, S, dim) view."""
-    return x.reshape(-1, flat.size)[:, flat].transpose(1, 0, 2)
+    """x, a (..., dim, dim) window or stack of S of them, as a (dim, dim, S) skewed view."""
+    return x.reshape(-1, flat.size)[:, flat].transpose(1, 2, 0)
 
 
 def _shift_series(c, rho, read):
@@ -83,17 +89,7 @@ def _shift_series(c, rho, read):
     pair shifts.
 
     The series runs on the skewed window of _skew, where each chain is a
-    run of rows z of one column, as dim - 1 Pascal passes, each
-    P[a:b] += w[a:b] * P[a+1:b+1] over whole rows (P[a-1:b-1] reading
-    down). Reading up, passes a = dim-2 ... 0 cover rows a ... dim-2 with
-    w = g / (z+1); reading down, passes a = 1 ... dim-1 cover rows
-    a ... dim-1 with w = g / z. Summed over the passes, the term of order j
-    reaches row z along C(z+j, j) (up) or C(z, j) (down) paths, which turns
-    the product of the w into the product of the g over j!: the Taylor
-    shift by repeated synthetic division. No factorial is formed, so large
-    windows do not overflow, and the sum ends at the window edge, so it is
-    exact on the window. The rows are absolute indices, so an element's
-    arithmetic does not depend on the window size.
+    run of rows z of one column, as the Pascal passes of _passes.
 
     Either argument may also be a (T, dim, dim) stack, with a weight per
     slice or a state per slice; the other is shared by every slice. Each
@@ -105,9 +101,33 @@ def _shift_series(c, rho, read):
     dim = rho.shape[-1]
     shape = np.broadcast_shapes(rho.shape, c.shape)
     flat, factor, up = _skew(dim, read)
-    w = np.multiply(_skewed(c, flat) if c.ndim else c, factor[:, None, :], order="C")
+    w = np.multiply(_skewed(c, flat) if c.ndim else c, factor[:, :, None])
     p = _skewed(rho, flat)
-    p = np.array(np.broadcast_to(p, np.broadcast_shapes(p.shape, w.shape)), order="C")
+    stack = np.broadcast_shapes(p.shape, w.shape)
+    p = np.array(np.broadcast_to(p, stack), order="C")
+    if w.shape != stack:
+        # a weight per entry, so that each pass is one run over whole rows
+        w = np.array(np.broadcast_to(w, stack))
+    return _unskewed(_passes(p, w, up), flat).reshape(shape)
+
+
+def _passes(p, w, up):
+    """The series of one read, in place on a skewed (dim, dim, S) stack p; returns p.
+
+    w is the pass weight on the same layout, or broadcast to it, and up
+    whether the reads go up. The passes are P[a:b] += w[a:b] * P[a+1:b+1]
+    over whole rows (P[a-1:b-1] reading down), each row one contiguous run
+    of dim S entries. Reading up, passes a = dim-2 ... 0 cover rows
+    a ... dim-2 with w = g / (z+1); reading down, passes a = 1 ... dim-1
+    cover rows a ... dim-1 with w = g / z. Summed over the passes, the term
+    of order j reaches row z along C(z+j, j) (up) or C(z, j) (down) paths,
+    which turns the product of the w into the product of the g over j!: the
+    Taylor shift by repeated synthetic division. No factorial is formed, so
+    large windows do not overflow, and the sum ends at the window edge, so
+    it is exact on the window. The rows are absolute indices, so an
+    element's arithmetic does not depend on the window size.
+    """
+    dim = p.shape[0]
     step = 1 if up else -1
     for a in range(dim - 2, -1, -1) if up else range(1, dim):
         dst = slice(a, dim - 1) if up else slice(a, dim)
@@ -115,9 +135,14 @@ def _shift_series(c, rho, read):
         # not *: numpy may reuse a temporary right operand and swap the
         # operands, which moves a complex product's last bit (see README)
         p[dst] += np.multiply(w[dst], p[src])
-    out = np.empty((p.shape[1], dim * dim), dtype=complex)
-    out[:, flat] = p.transpose(1, 0, 2)
-    return out.reshape(shape)
+    return p
+
+
+def _unskewed(p, flat):
+    """A skewed (dim, dim, S) stack back in window order, as a C-ordered (S, dim^2) array."""
+    out = np.empty((p.shape[2], flat.size), dtype=complex)
+    out[:, flat] = p.transpose(2, 0, 1)
+    return out
 
 
 def _checked_state(rho0, t):
@@ -193,85 +218,152 @@ class KerrFiniteTParams:
 
 
 def _weights(times, dim, chi, gm, gp, g0):
-    """Series weight u and log hinv on the grid of times by index differences.
+    """Series weight u and log hinv on the grid of index differences by times.
 
-    times is a (T, 1) column; the grid is (T, 2 dim - 1), column k + dim - 1
+    times is a 1-D array; the grid is (2 dim - 1, T), row k + dim - 1
     holding k = 1 - dim ... dim - 1. With h = (1 - exp(-2 D t)) / (2 D)
     the weights read
 
       q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
 
     with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t.
+    The rates are real, so each weight at -k is the conjugate of its value
+    at k: the grid is evaluated on k = 0 ... dim - 1 and mirrored. Its
+    transcendental functions run on real parts, since numpy's complex log
+    and expm1 cost several times as much: with x + iy = (z - D) h,
+
+      log q = log1p(x (2 + x) + y^2) / 2 + i atan2(y, 1 + x),
+
+    and exp(-2 D t) - 1 is taken by _expm1.
     """
-    k_line = np.arange(1 - dim, dim, dtype=float)
+    k_line = np.arange(dim, dtype=float)[:, None]
     z = g0 + 1j * chi * k_line
     mu = 4.0 * gm * gp
     if mu:
         root = np.sqrt(z * z - mu + 0j)
         zmd = mu / (z + root)                    # z - D; z + D = 0 needs mu = 0
     else:
-        root, zmd = z, 0.0                       # D = z, so q = hinv = 1 exactly
+        root = z                                 # D = z, so q = hinv = 1 exactly
     rt = root * times
     small = np.abs(rt) < TAYLOR_SWITCH
     h = np.where(
         small,
-        # not *: see the pass loop of _shift_series
+        # not *: see _passes
         times * (1.0 - np.multiply(rt, 1.0 - rt * (2.0 / 3.0))),
-        -np.expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
+        -_expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
     )
+    if not mu:
+        return _mirrored(h), _mirrored(np.zeros_like(h))
     q = 1.0 + zmd * h
-    return h / q, zmd * times - np.log(q)
+    x, y = q.real - 1.0, q.imag
+    log_q = np.empty_like(q)
+    log_q.real = 0.5 * np.log1p(x * (2.0 + x) + y * y)
+    log_q.imag = np.arctan2(y, q.real)
+    return _mirrored(h / q), _mirrored(zmd * times - log_q)
+
+
+def _expm1(x):
+    """exp(x) - 1 of a complex array from real functions, as numpy's complex expm1 forms it.
+
+    With x = a + ib it is expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b.
+    """
+    a, b = x.real, x.imag
+    half = np.sin(0.5 * b)
+    out = np.empty_like(x)
+    out.real = np.expm1(a) * np.cos(b) - 2.0 * half * half
+    out.imag = np.exp(a) * np.sin(b)
+    return out
+
+
+def _mirrored(grid):
+    """A (dim, T) grid on k = 0 ... dim - 1 extended to k = 1 - dim ... dim - 1 by conjugation."""
+    return np.concatenate((grid[:0:-1].conj(), grid))
 
 
 @functools.lru_cache(maxsize=4)
 def _diagonals(dim):
-    """Where each window element (n, m) sits on the grid of differences.
+    """Where each element of the skewed window of LOWER and RAISE sits on the grids.
 
-    Returns its column k + dim - 1, k = n - m, in the (T, 2 dim - 1) grid
-    of _weights, and its flat index in a (dim, 2 dim - 1) table at row
-    min(n, m) and that column. The result is cached, so both are read-only.
+    At each (z, j) of _skew(dim, LOWER), which RAISE shares, returns the
+    element's row k + dim - 1 in the grid of _weights; its flat row
+    min(n, m) dim + |k| in the (dim, dim, T) table of _power_table; and
+    whether k < 0, where that table entry is to be conjugated. The result
+    is cached, so the arrays are read-only.
     """
-    n = np.arange(dim)
-    at = np.subtract.outer(n, n) + (dim - 1)
-    flat = np.minimum.outer(n, n) * (2 * dim - 1) + at
-    at.flags.writeable = flat.flags.writeable = False
-    return at, flat
+    n, m = np.divmod(_skew(dim, LOWER)[0], dim)
+    at = n - m + (dim - 1)
+    power = np.minimum(n, m) * dim + np.abs(n - m)
+    neg = n < m
+    for index in (at, power, neg):
+        index.flags.writeable = False
+    return at, power, neg
+
+
+def _power_table(log_hinv, times, chi, g0, cg):
+    """head r^z by rows z < dim and columns k = 0 ... dim - 1, as a (dim, dim, T) table.
+
+    log_hinv is the grid of _weights at the 1-D times. With
+    w = log hinv - g0 t - i chi t k, head and r are
+
+      head = exp(log hinv + c_gamma t + i chi t k + k w),  r = exp(2 w),
+
+    two exponentials per k >= 0 and time; at -k both are the conjugates.
+    The powers are built by doubling: rows h ... 2h - 1 are rows 0 ... h - 1
+    times r^h, and r is squared each round, so each power takes at most
+    log2(dim) + 1 rounded products, in an order that depends on z alone
+    and not on the window. A round builds its rows on k < dim - h only, so
+    row z holds at least the entries k < dim - z that a window element
+    reads, and the rest is left unset. Time is the innermost axis, so each
+    round is one product over contiguous runs.
+    """
+    dim = (log_hinv.shape[0] + 1) // 2
+    k = np.arange(dim, dtype=float)[:, None]
+    log_hinv = log_hinv[dim - 1:]
+    phase = 1j * times * (chi * k)
+    w = log_hinv - g0 * times - phase
+    head, r = np.exp([log_hinv + cg * times + phase + k * w, 2.0 * w])
+    table = np.empty((dim, dim, len(times)), dtype=complex)
+    table[0] = head
+    h = 1
+    while h < dim:
+        rows, cols = min(h, dim - h), dim - h
+        np.multiply(table[:rows, :cols], r[:cols], out=table[h:h + rows, :cols])
+        r = np.multiply(r, r)
+        h *= 2
+    return table
 
 
 def _diagonal_factor(log_hinv, times, chi, g0, cg):
-    """The elementwise factor exp(t d) hinv^(s+1) on a (T, dim, dim) stack.
+    """The elementwise factor exp(t d) hinv^(s+1) on the skewed (dim, dim, T) stack.
 
     d = c_gamma - g0 s - i chi k (s - 1) is the generator's diagonal and
-    log_hinv the (T, 2 dim - 1) grid of _weights at the (T, 1) times. Along
-    a diagonal k = n - m the exponent is linear in s = |k| + 2 min(n, m),
-    so with w = log hinv - g0 t - i chi t k the factor is head r^min(n, m):
-
-      head = exp(log hinv + c_gamma t + i chi t k + |k| w),  r = exp(2 w).
-
-    That is two exponentials per k and time. The powers r^z, z < dim, are
-    built by doubling: rows h ... 2h - 1 are rows 0 ... h - 1 times r^h,
-    and r is squared each round, so each power takes at most log2(dim) + 1
-    rounded products, in an order that depends on z alone and not on the
-    window. The rounding of r grows z-fold in r^z, as an exponent z times
-    as large would round. An integer power of hinv, so the branch of log q
-    cancels. Decay and growth meet inside w, never as 0 * inf, so long
-    times stay finite.
+    log_hinv the grid of _weights at the 1-D times. Along a diagonal
+    k = n - m the exponent is linear in s = |k| + 2 min(n, m), so the
+    factor is a geometric progression, head r^min(n, m): it is gathered
+    from _power_table at each element's row min(n, m) and column |k|, and
+    conjugated where k < 0. The rounding of r grows z-fold in r^z, as an
+    exponent z times as large would round. An integer power of hinv, so the
+    branch of log q cancels. Decay and growth meet inside w, never as
+    0 * inf, so long times stay finite.
     """
-    width = log_hinv.shape[1]
-    dim = (width + 1) // 2
-    k_line = np.arange(1 - dim, dim, dtype=float)
-    phase = 1j * times * (chi * k_line)
-    w = log_hinv - g0 * times - phase
-    head, r = np.exp([log_hinv + cg * times + phase + np.abs(k_line) * w, 2.0 * w])
-    power = np.empty((len(times), dim, width), dtype=complex)
-    power[:, 0] = head
-    h = 1
-    while h < dim:
-        rows = min(h, dim - h)
-        np.multiply(power[:, :rows], r[:, None, :], out=power[:, h:h + rows])
-        r = np.multiply(r, r)
-        h *= 2
-    return np.take(power.reshape(len(times), dim * width), _diagonals(dim)[1], axis=1)
+    table = _power_table(log_hinv, times, chi, g0, cg)
+    dim = len(table)
+    _, power, neg = _diagonals(dim)
+    factor = np.take(table.reshape(dim * dim, -1), power, axis=0)
+    np.negative(factor.imag, out=factor.imag, where=neg[:, :, None])
+    return factor
+
+
+def _series_weights(c, read):
+    """The pass weights of LOWER or RAISE on the skewed stack, and whether they read up.
+
+    c is the series weight on the grid of index differences by times; it
+    is gathered straight into the (dim, dim, T) layout of _skew.
+    """
+    dim = (len(c) + 1) // 2
+    _, factor, up = _skew(dim, read)
+    w = np.take(c, _diagonals(dim)[0], axis=0)
+    return np.multiply(w, factor[:, :, None], out=w), up
 
 
 def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
@@ -283,23 +375,26 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     time or a 1-D array of times; the result has shape t.shape + rho0.shape.
 
     The weights depend on k and t alone, so _weights evaluates them once on
-    the grid of times by 2 dim - 1 index differences, and they are gathered
-    onto a stack of windows. Between the series sits the factor
-    exp(t d) hinv^(s+1) of _diagonal_factor, a geometric progression along
-    each diagonal. Each raising order adds 2 to s at fixed k, so the Kerr
-    phase in d commutes with the raising series.
+    the grid of index differences by times. The state is gathered once into
+    the skewed (dim, dim, T) stack of _skew(dim, LOWER), time innermost,
+    which the raising series shares. The series weights and the factor
+    exp(t d) hinv^(s+1) of _diagonal_factor are gathered straight into that
+    layout, and the result is scattered back once. Each raising order adds
+    2 to s at fixed k, so the Kerr phase in d commutes with the raising
+    series.
     """
     dim = rho0.shape[0]
-    at = _diagonals(dim)[0]
-    times = np.asarray(t, dtype=float).reshape(-1, 1)   # one row per time
+    times = np.asarray(t, dtype=float).reshape(-1)
     u, log_hinv = _weights(times, dim, chi, gm, gp, g0)
+    flat = _skew(dim, LOWER)[0]
 
-    out = _shift_series(np.take(2.0 * gm * u, at, axis=1), rho0, LOWER) if gm else rho0
-    factor = _diagonal_factor(log_hinv, times, chi, g0, cg)
-    out = np.multiply(factor, out, out=factor)
+    p = np.array(np.broadcast_to(rho0.take(flat)[:, :, None], (dim, dim, len(times))))
+    if gm:
+        _passes(p, *_series_weights(2.0 * gm * u, LOWER))
+    np.multiply(_diagonal_factor(log_hinv, times, chi, g0, cg), p, out=p)
     if gp:
-        out = _shift_series(np.take(2.0 * gp * u, at, axis=1), out, RAISE)
-    return out.reshape(np.shape(t) + rho0.shape)
+        _passes(p, *_series_weights(2.0 * gp * u, RAISE))
+    return _unskewed(p, flat).reshape(np.shape(t) + rho0.shape)
 
 
 def propagate_kerr_finite_t(rho0, t, params):

@@ -503,10 +503,11 @@ def test_qfunc_rows_match_the_per_point_format(tmp_path, monkeypatch):
     ims = np.linspace(-0.7, -0.0, 8)
     assert math.copysign(1.0, ims[-1]) == -1.0 and len(cli._g17(ims[-2])) > 17
     q = np.random.default_rng(4).random(64) * 10.0 ** np.arange(-32, 32)
-    q[:3] = 0.0, -0.0, 2.0
+    q[:8] = 0.0, -0.0, 2.0, 1e-300, 5e-324, 0.1, 0.2, 0.30000000000000004
     alphas = [complex(re, im) for im in ims for re in res]
     want = [f"{cli._g17(a.real)},{cli._g17(a.imag)},{cli._g17(v)}" for a, v in zip(alphas, q)]
-    assert cli._qfunc_rows(res, ims, q) == want
+    assert cli._qfunc_rows(res, ims, q) == "".join(row + "\n" for row in want)
+    assert cli._qfunc_rows(res[:1], ims[-1:], q[:1]) == "-3,-0,0\n"
     assert cli._g17_all(q) == [cli._g17(v) for v in q]
     # end to end, husimi_q sees those points, signed zero included, and the
     # CSV holds them with its values
@@ -528,6 +529,36 @@ def test_qfunc_rows_match_the_per_point_format(tmp_path, monkeypatch):
     assert points.tobytes() == np.array(alphas).tobytes()
     want = [f"{cli._g17(a.real)},{cli._g17(a.imag)},{cli._g17(v)}" for a, v in zip(alphas, values)]
     assert out.read_text(encoding="utf-8") == "\n".join(["re,im,q"] + want) + "\n"
+
+
+def test_propagate_rows_match_the_per_value_format(tmp_path):
+    # one % over a row template must keep the bytes of _g17 per value, on
+    # -0.0, the smallest normal and subnormal magnitudes, integer values
+    # and steps that a float cannot hold exactly
+    steps = 0.1 * np.arange(8)
+    columns = [steps, [-0.0, 0.0, 1e-300, 5e-324, -5e-324, 3.0, -7.0, 1e300], np.arange(8),
+               -steps, np.random.default_rng(5).random(8) * 10.0 ** np.arange(-4, 4)]
+    want = [",".join(cli._g17(c[i]) for c in columns) + "\n" for i in range(8)]
+    assert cli._csv_rows(columns) == "".join(want)
+    assert cli._csv_rows([c[:1] for c in columns]) == want[0]
+    assert cli._csv_rows([c[:1] for c in columns[:4]]) == "0,-0,0,-0\n"
+    assert cli._csv_rows([[] for _ in columns]) == ""
+    # end to end over several chunks: each value reads back as the float it
+    # formats, in _g17's bytes, and the times are the config's
+    times = [0.01 * (i + 1) for i in range(600)]
+    cfg = cfg_file(tmp_path, (
+        "model = kerr0\ndim = 8\nchi = 1.0\ngamma_minus = 0.1\nstate = coherent\n"
+        f"alpha = 0.5\ntarget = initial\ntimes = {', '.join(map(repr, times))}\n"
+    ))
+    out = tmp_path / "p.csv"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    header, *lines = out.read_text(encoding="utf-8").split("\n")
+    assert header == "t,trace_re,trace_im,purity,mean_n,min_eig,fidelity_target"
+    assert lines.pop() == "" and len(lines) == len(times)
+    for line, t in zip(lines, times):
+        values = line.split(",")
+        assert len(values) == 7 and values[0] == cli._g17(t)
+        assert line == ",".join(cli._g17(float(v)) for v in values)
 
 
 def test_qfunc_usage_errors(tmp_path):
@@ -618,6 +649,23 @@ def test_propagate_blames_the_engine_for_a_bad_state(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "analytic" in err and "t = 0.75 " in err
     assert "input" not in err
+
+
+@pytest.mark.parametrize("epsilon, t", [("0.48+0.64j", 0.05), ("0.594+0.792j", 0.1)])
+def test_refused_pdc_runs_print_what_the_readme_quotes(tmp_path, capsys, epsilon, t):
+    # two valid dim-16 runs that pdc's ill-conditioned dressing gets wrong;
+    # README's known-limitation paragraph quotes the value each prints, so a
+    # change that moves the rounding must update it
+    cfg = cfg_file(tmp_path, (
+        f"model = pdc\ndim = 16\ngamma = 1.0\nepsilon = {epsilon}\n"
+        f"state = coherent\nalpha = 2.0\ntimes = {t}\n"
+    ))
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"state at t = {t:g} failed its checks" in err
+    value = re.search(r"purity has imaginary part (\S+),", err).group(1)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f" {value}`" in readme or f"`{value}`" in readme
 
 
 # `verify --suite all --seed 0` with residuals masked: pins which checks run,

@@ -14,6 +14,7 @@ from fockprop.kerr_finite_t import (
     _propagate_resummed,
     _shift_series,
     _skew,
+    _unskewed,
     _weights,
     propagate_kerr_finite_t,
 )
@@ -191,15 +192,16 @@ def test_diagonal_factor_matches_the_per_entry_exponential(model, dim):
     # the geometric progression along each diagonal against the form it
     # replaced: one exponential of the whole exponent per window entry
     chi, gm, gp, g0, cg = FACTOR_RATES[model]
-    times = np.array([0.0, 1e-7, 0.3, 2.9, 1500.0]).reshape(-1, 1)
+    times = np.array([0.0, 1e-7, 0.3, 2.9, 1500.0])
     _, log_hinv = _weights(times, dim, chi, gm, gp, g0)
     n = np.arange(dim)
     k, s = np.subtract.outer(n, n), np.add.outer(n, n)
-    t = times[:, :, None]
-    want = np.exp((s + 1) * np.take(log_hinv, k + (dim - 1), axis=1) - (g0 * t) * s + cg * t
+    t = times[:, None, None]
+    want = np.exp((s + 1) * np.moveaxis(log_hinv[k + (dim - 1)], -1, 0) - (g0 * t) * s + cg * t
                   - 1j * t * (chi * k * (s - 1.0)))
-    got = _diagonal_factor(log_hinv, times, chi, g0, cg)
-    assert got.shape == want.shape
+    # the factor comes on the skewed window; scattered back, it is in window order
+    got = _unskewed(_diagonal_factor(log_hinv, times, chi, g0, cg), _skew(dim, LOWER)[0])
+    got = got.reshape(want.shape)
     assert np.isfinite(got).all() and np.isfinite(want).all()
     assert maxabs(got - want) < 1e-13
 
@@ -220,10 +222,72 @@ def test_diagonal_factor_takes_exponentials_per_difference_not_per_entry(monkeyp
     assert 0 < sum(sizes) <= 4 * len(times) * (2 * dim - 1)
 
 
+def _complex_weights(times, dim, chi, gm, gp, g0):
+    # the grid as complex log and expm1 gave it, on every k = 1 - dim ... dim - 1
+    k_line = np.arange(1 - dim, dim, dtype=float)[:, None]
+    z = g0 + 1j * chi * k_line
+    mu = 4.0 * gm * gp
+    if mu:
+        root = np.sqrt(z * z - mu + 0j)
+        zmd = mu / (z + root)
+    else:
+        root, zmd = z, 0.0
+    rt = root * times
+    small = np.abs(rt) < TAYLOR_SWITCH
+    h = np.where(small, times * (1.0 - np.multiply(rt, 1.0 - rt * (2.0 / 3.0))),
+                 -np.expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)))
+    q = 1.0 + zmd * h
+    return h / q, zmd * times - np.log(q)
+
+
+@pytest.mark.parametrize("dim", [6, 40, 160])
+@pytest.mark.parametrize("model", sorted(FACTOR_RATES))
+def test_weights_match_the_complex_forms(model, dim):
+    # kerr0 has mu = 4 gm gp = 0, where q = hinv = 1
+    chi, gm, gp, g0, _ = FACTOR_RATES[model]
+    times = np.array([0.0, 0.25 * TAYLOR_SWITCH, 4.0 * TAYLOR_SWITCH, 0.3, 2.9, 1500.0])
+    got = _weights(times, dim, chi, gm, gp, g0)
+    want = _complex_weights(times, dim, chi, gm, gp, g0)
+    for g, w in zip(got, want):
+        assert g.shape == (2 * dim - 1, len(times))
+        assert np.isfinite(g).all()
+        assert maxabs(g - w) <= 4.4e-16
+        # -k is the conjugate of k, to the bit
+        assert g[dim - 2::-1].tobytes() == g[dim:].conj().tobytes()
+
+
+def test_weights_take_real_transcendentals_per_nonnegative_difference(monkeypatch):
+    # numpy's complex log and expm1 cost several times the real functions;
+    # on k >= 0 alone each function sees at most T dim entries
+    dim, times = 40, np.array([0.0, 1e-7, 0.3, 2.9, 1500.0])
+    sizes = {}
+
+    def watched(name, real_only):
+        ufunc = getattr(np, name)
+
+        def call(*args, **kwargs):
+            if real_only and any(np.iscomplexobj(a) for a in args):
+                raise AssertionError(f"np.{name} called on complex input")
+            sizes.setdefault(name, []).append(max(np.size(a) for a in args))
+            return ufunc(*args, **kwargs)
+        return call
+
+    for name, real_only in (("log", True), ("expm1", True), ("log1p", True), ("arctan2", True),
+                            ("exp", False), ("sin", False), ("cos", False), ("sqrt", False)):
+        monkeypatch.setattr(np, name, watched(name, real_only))
+    for model in sorted(FACTOR_RATES):
+        chi, gm, gp, g0, _ = FACTOR_RATES[model]
+        u, log_hinv = _weights(times, dim, chi, gm, gp, g0)
+        assert u.shape == log_hinv.shape == (2 * dim - 1, len(times))
+    assert {"expm1", "exp", "sin", "cos", "log1p", "arctan2"} <= set(sizes)
+    assert max(max(s) for s in sizes.values()) <= len(times) * dim
+
+
 def test_the_cached_diagonal_index_is_read_only():
     # every flow on the window shares _diagonals' arrays, so none may write them
-    at, flat = _diagonals(7)
-    assert not at.flags.writeable and not flat.flags.writeable
+    indices = _diagonals(7)
+    assert len(indices) == 3
+    assert not any(index.flags.writeable for index in indices)
 
 
 def test_semigroup_property():

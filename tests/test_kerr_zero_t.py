@@ -107,7 +107,7 @@ def test_lossless_flow_runs_no_series(monkeypatch):
     def refuse(*args):
         raise AssertionError("series kernel called at a zero rate")
 
-    monkeypatch.setattr(kerr_finite_t, "_shift_series", refuse)
+    monkeypatch.setattr(kerr_finite_t, "_passes", refuse)
     lossless = KerrZeroTParams(chi=1.0, gamma_minus=0.0)
     rho = seeded_density(6, 8)
     k, s = _ks(6)
