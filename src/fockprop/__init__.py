@@ -29,4 +29,4 @@ from .superop import (
 from .oracle import action_evolve, expm_dense, expm_evolve, rk4_evolve
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
-from .pdc import PDCParams, PDCTransform, transform_params, propagate_pdc
+from .pdc import PDCParams, propagate_pdc

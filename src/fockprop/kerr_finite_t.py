@@ -15,13 +15,13 @@ each diagonal k the elementwise factor is a geometric progression in
 min(n, m): two exponentials per k >= 0 and time, and a table of powers
 built by doubling, each power at most log2(dim) + 1 rounded products
 from its ratio.
-The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
-and the de-driven pair drive (pdc) is it at chi = 0. Every series factor
-here and in pdc runs as the Pascal passes of _passes over a skewed window
-in which each read chain is a column, with time the innermost axis; the
-resummed flow gathers its state, its weights and its factor into one such
-layout, which both of its series share, and scatters back once. A zero
-rate skips its series, so lossless runs cost the elementwise factor.
+The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0.
+Every series here, and the two jump series of pdc's channel, runs as the
+Pascal passes of _passes over the skewed window of _skew, in which each
+read chain is a column, with time the innermost axis; the resummed flow
+gathers its state, its weights and its factor into one such layout, which
+both of its series share, and scatters back once. A zero rate skips its
+series, so lossless runs cost the elementwise factor.
 """
 
 import functools
@@ -39,76 +39,33 @@ __all__ = [
 # |D t| use its series t (1 - D t + 2/3 (D t)^2), good to (D t)^3 / 3
 TAYLOR_SWITCH = 1e-6
 
-# read directions of _shift_series, per axis: +1 reads index n + j (a on
-# that side of rho), -1 reads n - j (a^dag)
+# read directions of a series, per axis: +1 reads index n + j (a on that
+# side of rho), -1 reads n - j (a^dag)
 LOWER = (1, 1)      # a^j rho a^dag^j
 RAISE = (-1, -1)    # a^dag^j rho a^j
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=2)
 def _skew(dim, read):
-    """Gather order and pass factors of the skewed window of read.
+    """Gather order and pass factors of the skewed window of read, LOWER or RAISE.
 
-    Row z is the index the read walks along: the row index n of rho, or
-    the column index m for PAIR_LOWER, so that only LOWER reads row z + 1
-    and the others read row z - 1. Column j
-    is (n - m) mod dim for LOWER and RAISE and (n + m) mod dim for the pair
-    shifts, so each column holds two whole read chains. Returns the flat
-    window index at each (z, j); the pass weight over c there, which is
-    sqrt(p+1) sqrt(q+1) over z + 1 (up) or z (down), and 0 wherever the
-    read leaves the window, so the two chains of a column stay apart; and
-    whether the reads go up. The result is cached, four reads deep (pdc
-    runs four reads on one window), so its arrays are read-only.
+    Row z is the row index n of rho and column j is (m - n) mod dim, so
+    each column holds two whole read chains of one k = n - m; both reads
+    share the layout. Returns the flat window index at each (z, j); the
+    pass weight over c there, which is sqrt(p+1) sqrt(q+1) over z + 1
+    (LOWER, reading up) or z (RAISE, reading down), p and q the smaller of
+    the two indices per axis, and 0 wherever the read leaves the window, so
+    the two chains of a column stay apart; and whether the reads go up.
+    The result is cached, both reads deep, so its arrays are read-only.
     """
     i = np.arange(dim)
     z = i[:, None]
-    other = (i - z if read[0] == -read[1] else i + z) % dim
-    axis = 1 if read == (1, -1) else 0
-    up = read[axis] > 0
+    flat = z * dim + (i + z) % dim
+    up = read[0] > 0
     factor = [np.sqrt(i + (r > 0)) * ((i + r >= 0) & (i + r < dim)) for r in read]
-    factor[axis] = factor[axis] / np.maximum(i + up, 1)
-    flat = other * dim + z if axis else z * dim + other
-    factor = np.multiply.outer(*factor).take(flat)
+    factor = np.multiply.outer(factor[0] / np.maximum(i + up, 1), factor[1]).take(flat)
     flat.flags.writeable = factor.flags.writeable = False
     return flat, factor, up
-
-
-def _skewed(x, flat):
-    """x, a (..., dim, dim) window or stack of S of them, as a (dim, dim, S) skewed view."""
-    return x.reshape(-1, flat.size)[:, flat].transpose(1, 2, 0)
-
-
-def _shift_series(c, rho, read):
-    """sum_j c^j / j! L^j rho R^j on the window, with L and R each a or a^dag.
-
-    read gives the direction per axis (see LOWER and RAISE). One step of the
-    series reads each element's neighbour one index along read and scales it
-    by g = c sqrt(p+1) sqrt(q+1), p and q the smaller of the two indices per
-    axis. The sum needs c constant along each read chain: a function of
-    k = n - m for LOWER and RAISE, which preserve k, and a scalar for the
-    pair shifts.
-
-    The series runs on the skewed window of _skew, where each chain is a
-    run of rows z of one column, as the Pascal passes of _passes.
-
-    Either argument may also be a (T, dim, dim) stack, with a weight per
-    slice or a state per slice; the other is shared by every slice. Each
-    slice is the series of its own weight and state, bit for bit. The
-    result is C-ordered.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    dim = rho.shape[-1]
-    shape = np.broadcast_shapes(rho.shape, c.shape)
-    flat, factor, up = _skew(dim, read)
-    w = np.multiply(_skewed(c, flat) if c.ndim else c, factor[:, :, None])
-    p = _skewed(rho, flat)
-    stack = np.broadcast_shapes(p.shape, w.shape)
-    p = np.array(np.broadcast_to(p, stack), order="C")
-    if w.shape != stack:
-        # a weight per entry, so that each pass is one run over whole rows
-        w = np.array(np.broadcast_to(w, stack))
-    return _unskewed(_passes(p, w, up), flat).reshape(shape)
 
 
 def _passes(p, w, up):

@@ -17,7 +17,7 @@ from .fock import annihilation, coherent_state, density_from_ket, fidelity_pure,
 from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from .oracle import converged_window_reference, expm_evolve
-from .pdc import PDCParams, propagate_pdc, transform_params, transformed_generator_residual
+from .pdc import PDCParams, _coefficients, propagate_pdc
 from .superop import (
     _maxabs,
     _record,
@@ -31,7 +31,7 @@ from .superop import (
     verify_commutator_table,
 )
 
-FAULTS = ("kerr0-phase-sign", "pdc-alpha-minus-flip", "pdc-branch-swap")
+FAULTS = ("kerr0-phase-sign", "pdc-conjugate-eps", "pdc-mode-flip")
 
 
 def _check(name, residual, tol):
@@ -145,52 +145,44 @@ def _suite_kerrt(dim, seed, fault):
 def _suite_pdc(dim, seed, fault):
     dim = dim or 16
     recs = []
-    params = PDCParams(epsilon=0.3, gamma=1.0)
+    eps = 0.5 + 0.6245j
+    params = PDCParams(epsilon=eps, gamma=1.0)
 
-    # anchor values of the de-driving coefficients at eps=0.6, gamma=1
-    anchor = transform_params(PDCParams(epsilon=0.6, gamma=1.0))
-    worst = max(
-        abs(anchor.alpha_plus - 1j / 3.0),
-        abs(anchor.alpha_minus - (-0.375j)),
-        abs(anchor.lam - 0.8),
-    )
-    recs.append(_check("transform anchor values at eps=0.6, gamma=1", worst, 1e-12))
-
-    xform = transform_params(params)
-    if fault == "pdc-alpha-minus-flip":
-        xform = type(xform)(alpha_plus=xform.alpha_plus,
-                            alpha_minus=-xform.alpha_minus, lam=xform.lam)
-    elif fault == "pdc-branch-swap":
-        # the quadratic's other root, i (gamma + r) / conj(eps), diverges as eps -> 0
-        other = 1j * params.gamma * (1.0 + xform.lam) / np.conj(params.epsilon)
-        xform = type(xform)(alpha_plus=other, alpha_minus=-xform.alpha_minus, lam=xform.lam)
-
+    # at eps = 0.6, gamma = 1 the corrected channel has w = 2 |eps| = 1.2,
+    # and at t = ln(2) / w cosh(w t) = 5/4 and sinh(w t) = 3/4, so
+    # C = 5/4 + 2 (3/4) / 1.2 = 5/2 and kappa = (3/4) / (1.2 C) = 1/4
+    kappa, inv_c, _ = _coefficients(PDCParams(epsilon=0.6, gamma=1.0),
+                                    np.array([math.log(2.0) / 1.2]))
     recs.append(_check(
-        f"transformed generator matches the damping target, dim={dim}",
-        transformed_generator_residual(params, xform, dim=dim),
-        1e-8,
+        "channel anchor values kappa=1/4, C=5/2 at eps=0.6, gamma=1, t=ln(2)/1.2",
+        max(abs(kappa[0] - 0.25), abs(inv_c[0] - 0.4)),
+        1e-12,
     ))
 
     # the drive is the pair Hamiltonian's commutator, written out directly
     a2 = np.linalg.matrix_power(annihilation(dim), 2)
-    h = params.epsilon * a2.conj().T + np.conj(params.epsilon) * a2
-    drive = pdc_drive(dim, params.epsilon)
+    h = eps * a2.conj().T + np.conj(eps) * a2
+    drive = pdc_drive(dim, eps)
     worst = 0.0
     for i in range(3):
         rho = random_density(dim, np.random.default_rng([seed, i]))
         worst = max(worst, _maxabs(apply(drive, rho) + 1j * (h @ rho - rho @ h)))
     recs.append(_check("drive equals -i[eps adag^2 + conj(eps) a^2, rho]", worst, 1e-13))
 
-    # the pair drive's two sectors are wider than the window, so the
-    # reference on windows 18 and 20 runs on the Taylor action
-    small, t = 10, 0.4
-    vac = np.zeros((small, small), dtype=complex)
-    vac[0, 0] = 1.0
+    # a planted fault runs the channel with eps conjugated, or with the
+    # other mode's damping rates, against the reference of the right flow
+    channel = params
+    if fault == "pdc-conjugate-eps":
+        channel = PDCParams(epsilon=np.conj(eps), gamma=1.0)
+    elif fault == "pdc-mode-flip":
+        channel = PDCParams(epsilon=eps, gamma=1.0, corrected_mode=False)
+    t = 0.05
+    rho0 = random_density(dim, np.random.default_rng([seed, 13]))
     recs += _against_wide_window(
-        lambda n: pdc_generator(n, params.epsilon, params.gamma),
-        vac, t, propagate_pdc(vac, t, params, xform=xform),
-        f"propagation vs wide-window exponential, vacuum, dim={small}, t={t}", 1e-8,
-        pad=8, check=2,
+        lambda n: pdc_generator(n, eps, params.gamma),
+        rho0, t, propagate_pdc(rho0, t, channel),
+        f"propagation vs wide-window exponential, random state, dim={dim}, t={t}", 1e-10,
+        pad=16, check=4,
     )
     return recs
 
@@ -208,7 +200,7 @@ SUITES = {
 }
 
 # smallest window a suite accepts beyond the CLI's dim >= 2
-MIN_DIM = {"pdc": 12, "tables": 10}
+MIN_DIM = {"tables": 10}
 
 
 def report(suite, dim, seed, fault):

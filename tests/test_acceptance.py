@@ -23,14 +23,8 @@ from fockprop.fock import (
 )
 from fockprop.kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
-from fockprop.oracle import _rk4, converged_window_reference, expm_evolve, rk4_evolve
-from fockprop.pdc import (
-    PDCParams,
-    PDCTransform,
-    propagate_pdc,
-    transform_params,
-    transformed_generator_residual,
-)
+from fockprop.oracle import _rk4, converged_window_reference, crop, expm_evolve, rk4_evolve
+from fockprop.pdc import PDCParams, propagate_pdc
 from fockprop.superop import (
     apply,
     build_liouvillian,
@@ -138,12 +132,11 @@ def test_03_propagators_preserve_physicality():
     # above the trace tolerance at width 20 and only falls below it near
     # width 40, and what is under test is the propagator, not the cutoff
     dim = 40
-    xform = transform_params(PDC)
     rho0 = vacuum_density(dim)
-    full = propagate_pdc(rho0, 0.5, PDC, xform=xform)
+    full = propagate_pdc(rho0, 0.5, PDC)
     physicality(full)
-    half = propagate_pdc(rho0, 0.25, PDC, xform=xform)
-    again = propagate_pdc(half, 0.25, PDC, xform=xform)
+    half = propagate_pdc(rho0, 0.25, PDC)
+    again = propagate_pdc(half, 0.25, PDC)
     assert maxabs(again - full) <= 1e-8
 
 
@@ -202,13 +195,31 @@ def test_05_finite_temperature_factorization():
     assert maxabs(propagate_kerr_finite_t(thermal, 1.0, KERRT) - thermal) <= 1e-8
 
 
-def test_06_pair_drive_removal_transformation(table_records):
-    xform = transform_params(PDC)
-    assert transformed_generator_residual(PDC, xform, dim=16) <= 1e-8
+def generator_residual(params, channel, t, step=1e-5):
+    """Max deviation of channel's time derivative from params' generator applied to its output.
 
-    flipped = PDCTransform(alpha_plus=xform.alpha_plus,
-                           alpha_minus=-xform.alpha_minus, lam=xform.lam)
-    assert transformed_generator_residual(PDC, flipped, dim=16) > 1e-3
+    channel is the parameter set the closed form runs with. Its output is
+    the untruncated flow projected onto the window, and the generator reads
+    at most two indices across, so two short of the window's edge it sees
+    only exact entries. The derivative is the central difference, off by
+    about step^2 times the third derivative.
+    """
+    dim = 12
+    rho0 = seeded_density(dim, 6)
+    before, at, after = propagate_pdc(rho0, [t - step, t, t + step], channel)
+    gen = pdc_generator(dim, params.epsilon, params.gamma, corrected=params.corrected_mode)
+    return maxabs(crop((after - before) / (2.0 * step) - apply(gen, at), dim - 2))
+
+
+def test_06_pair_drive_channel_solves_the_master_equation(table_records):
+    # the closed-form channel must be the flow of the generator it claims,
+    # in both modes; a channel with the drive's phase conjugated is not
+    eps = 0.5 + 0.6245j
+    for corrected in (True, False):
+        params = PDCParams(epsilon=eps, gamma=1.0, corrected_mode=corrected)
+        assert generator_residual(params, params, 0.1) <= 1e-6
+    params, conjugated = PDCParams(epsilon=eps, gamma=1.0), PDCParams(epsilon=np.conj(eps), gamma=1.0)
+    assert generator_residual(params, conjugated, 0.1) > 1e-2
 
     # the drive is the pair Hamiltonian's commutator -i[H, rho], written out
     dim = 16
@@ -219,7 +230,7 @@ def test_06_pair_drive_removal_transformation(table_records):
         rho = seeded_density(dim, 6, i)
         assert maxabs(apply(drive, rho) + 1j * (h @ rho - rho @ h)) <= 1e-13
 
-    # the dressing-series commutation relations the removal rests on
+    # the paper's commutation relations of the cross shifts with the pair drive
     pair_drive_checks = [
         r for r in table_records
         if r["kind"] == "check" and ("cross_raise" in r["name"] or "cross_lower" in r["name"])
@@ -234,8 +245,7 @@ def test_07_pair_drive_propagation_matches_untruncated_flow():
     # its own cutoff error is out of the comparison
     dim = 20
     rho0 = vacuum_density(dim)
-    xform = transform_params(PDC)
-    analytic = propagate_pdc(rho0, 0.5, PDC, xform=xform)
+    analytic = propagate_pdc(rho0, 0.5, PDC)
 
     reference, conv = converged_window_reference(
         lambda n: pdc_generator(n, PDC.epsilon, PDC.gamma), rho0, 0.5, pad=8, check=4)
@@ -299,5 +309,5 @@ def test_10_cli_determinism_and_negative_controls(tmp_path):
 
     assert main(["verify", "--suite", "all"]) == 0
     assert main(["verify", "--suite", "kerr0", "--inject-fault", "kerr0-phase-sign"]) != 0
-    assert main(["verify", "--suite", "pdc", "--inject-fault", "pdc-alpha-minus-flip"]) != 0
-    assert main(["verify", "--suite", "pdc", "--inject-fault", "pdc-branch-swap"]) != 0
+    assert main(["verify", "--suite", "pdc", "--inject-fault", "pdc-conjugate-eps"]) != 0
+    assert main(["verify", "--suite", "pdc", "--inject-fault", "pdc-mode-flip"]) != 0

@@ -9,7 +9,7 @@ import pytest
 
 from fockprop import __version__, cli, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
-from fockprop.fock import annihilation, coherent_state, husimi_q, observables
+from fockprop.fock import annihilation, coherent_state, density_from_ket, husimi_q, observables
 from fockprop.oracle import converged_window_reference
 from fockprop.superop import SandwichTerm, SuperopExpr, pdc_generator
 
@@ -216,7 +216,7 @@ def test_verify_pdc_runs_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert failed == 0 and text.endswith("5 checks, all passed\n")
+    assert failed == 0 and text.endswith("4 checks, all passed\n")
     assert peak <= 16.0
 
 
@@ -596,13 +596,12 @@ def test_verify_suites_pass_and_report(tmp_path):
 
 def test_verify_faults_are_caught(tmp_path):
     assert main(["verify", "--suite", "kerr0", "--inject-fault", "kerr0-phase-sign"]) == 1
-    for fault in ("pdc-alpha-minus-flip", "pdc-branch-swap"):
+    for fault in ("pdc-conjugate-eps", "pdc-mode-flip"):
         report = tmp_path / f"{fault}.txt"
         assert main(["verify", "--suite", "pdc", "--inject-fault", fault,
                      "--out", str(report)]) == 1
         failed = [line for line in report.read_text().splitlines() if " FAIL " in line]
-        assert any("damping target" in line for line in failed)
-        assert any("propagation vs wide-window exponential" in line for line in failed)
+        assert len(failed) == 1 and "propagation vs wide-window exponential" in failed[0]
     assert main(["verify", "--suite", "kerr0", "--inject-fault", "made-up"]) == 2
 
 
@@ -652,20 +651,24 @@ def test_propagate_blames_the_engine_for_a_bad_state(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("epsilon, t", [("0.48+0.64j", 0.05), ("0.594+0.792j", 0.1)])
-def test_refused_pdc_runs_print_what_the_readme_quotes(tmp_path, capsys, epsilon, t):
-    # two valid dim-16 runs that pdc's ill-conditioned dressing gets wrong;
-    # README's known-limitation paragraph quotes the value each prints, so a
-    # change that moves the rounding must update it
+def test_pdc_runs_near_threshold_match_the_reference(tmp_path, epsilon, t):
+    # two dim-16 runs at |eps| / gamma = 0.8 and 0.99 from coherent alpha = 2:
+    # each dumped state must be the untruncated flow cropped to the window
     cfg = cfg_file(tmp_path, (
         f"model = pdc\ndim = 16\ngamma = 1.0\nepsilon = {epsilon}\n"
         f"state = coherent\nalpha = 2.0\ntimes = {t}\n"
     ))
-    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p.csv")]) == 2
-    err = capsys.readouterr().err
-    assert f"state at t = {t:g} failed its checks" in err
-    value = re.search(r"purity has imaginary part (\S+),", err).group(1)
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    assert f" {value}`" in readme or f"`{value}`" in readme
+    out = str(tmp_path / "p.csv")
+    assert main(["propagate", "--config", cfg, "--out", out, "--dump-density"]) == 0
+    dumped = np.loadtxt(out + ".rho0.txt")
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[dumped[:, 0].astype(int), dumped[:, 1].astype(int)] = dumped[:, 2] + 1j * dumped[:, 3]
+    eps = complex(epsilon)
+    ref, conv = converged_window_reference(
+        lambda n: pdc_generator(n, eps, 1.0), density_from_ket(coherent_state(16, 2.0)[0]), t,
+        pad=24, check=8)
+    assert conv < 1e-13
+    assert np.abs(rho - ref).max() < 1e-12
 
 
 # `verify --suite all --seed 0` with residuals masked: pins which checks run,
@@ -681,11 +684,10 @@ suite: all  seed: 0
 [kerrT] PASS thermal state fixed by the propagator, dim=40, t=0.7: residual * tol 1e-08
 [kerrT] PASS wide-window exponential self-convergence, dim=12+pad: residual * tol 1e-10
 [kerrT] PASS resummed propagator vs wide-window exponential, dim=12, t=0.5: residual * tol 1e-10
-[pdc] PASS transform anchor values at eps=0.6, gamma=1: residual * tol 1e-12
-[pdc] PASS transformed generator matches the damping target, dim=16: residual * tol 1e-08
+[pdc] PASS channel anchor values kappa=1/4, C=5/2 at eps=0.6, gamma=1, t=ln(2)/1.2: residual * tol 1e-12
 [pdc] PASS drive equals -i[eps adag^2 + conj(eps) a^2, rho]: residual * tol 1e-13
-[pdc] PASS wide-window exponential self-convergence, dim=10+pad: residual * tol 1e-08
-[pdc] PASS propagation vs wide-window exponential, vacuum, dim=10, t=0.4: residual * tol 1e-08
+[pdc] PASS wide-window exponential self-convergence, dim=16+pad: residual * tol 1e-10
+[pdc] PASS propagation vs wide-window exponential, random state, dim=16, t=0.05: residual * tol 1e-10
 [tables] PASS [pair_sink, jump_down_scaled] = 0: residual * tol 1e-10
 [tables] PASS [jump_down_scaled, pair_sink] = -(0): residual * tol 1e-10
 [tables] PASS [pair_sink, cross_shift_sum] = -jump_down_scaled: residual * tol 1e-10
@@ -727,7 +729,7 @@ suite: all  seed: 0
 [tables] PASS [cross_raise, number_damping] = 0: residual * tol 1e-10
 [tables] PASS [cross_lower, number_damping] = 0: residual * tol 1e-10
 [tables] UNVERIFIABLE [cross_lower, <undefined partner>] = (coupling/g)(jump_up + jump_down): the partner superoperator is never defined, so the relation cannot be evaluated; recorded, not failed
-52 checks, all passed
+51 checks, all passed
 """
 
 
@@ -742,15 +744,13 @@ def test_verify_refuses_a_small_window_before_any_suite(monkeypatch, capsys):
     ran = []
     for name in verify.SUITES:
         monkeypatch.setitem(verify.SUITES, name, lambda *args, name=name: ran.append(name) or [])
-    for dim in ("10", "11"):
-        assert main(["verify", "--suite", "all", "--dim", dim]) == 2
+    for suite, dim in (("all", "8"), ("all", "9"), ("tables", "9")):
+        assert main(["verify", "--suite", suite, "--dim", dim]) == 2
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: pdc suite needs dim >= 12\n")
-    assert main(["verify", "--suite", "tables", "--dim", "9"]) == 2
-    assert capsys.readouterr().err == "error: tables suite needs dim >= 10\n"
+        assert (out, err) == ("", "error: tables suite needs dim >= 10\n")
     assert ran == []
 
 
 def test_verify_all_at_the_smallest_common_window(capsys):
-    assert main(["verify", "--suite", "all", "--dim", "12"]) == 0
-    assert capsys.readouterr().out.endswith("\n52 checks, all passed\n")
+    assert main(["verify", "--suite", "all", "--dim", "10"]) == 0
+    assert capsys.readouterr().out.endswith("\n51 checks, all passed\n")

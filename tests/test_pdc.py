@@ -1,21 +1,14 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fockprop.fock import coherent_state, density_from_ket, observables
-from fockprop.kerr_finite_t import LOWER, RAISE, TAYLOR_SWITCH, _shift_series
+from fockprop.kerr_finite_t import TAYLOR_SWITCH, KerrFiniteTParams, propagate_kerr_finite_t
 from fockprop.oracle import converged_window_reference, embed
-from fockprop.pdc import (
-    PAIR_LOWER,
-    PAIR_RAISE,
-    PDCParams,
-    PDCTransform,
-    propagate_pdc,
-    transform_params,
-    transformed_generator_residual,
-)
+from fockprop.pdc import PDCParams, _coefficients, _divergence_time, propagate_pdc
 from fockprop.superop import pdc_generator
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
@@ -35,75 +28,31 @@ def test_param_validation():
         PDCParams(epsilon=1.5j, gamma=1.0)
 
 
-def test_transform_anchor_values():
-    xf = transform_params(PARAMS)
-    assert abs(xf.alpha_plus - 1j / 3.0) < 1e-12
-    assert abs(xf.alpha_minus - (-0.375j)) < 1e-12
-    assert abs(xf.lam - 0.8) < 1e-14
+def test_channel_anchor_values():
+    # corrected mode at eps = 0.6, gamma = 1: w = 2 |eps| = 1.2, and at
+    # t = ln(2) / w cosh(w t) = 5/4, sinh(w t) = 3/4, so C = 5/4 + 2 (3/4) / 1.2
+    # = 5/2 and kappa = sinh(w t) / (w C) = 1/4; the trace factor is 1/C
+    kappa, inv_c, trace = _coefficients(PARAMS, np.array([math.log(2.0) / 1.2]))
+    assert abs(kappa[0] - 0.25) < 1e-15
+    assert abs(inv_c[0] - 0.4) < 1e-15
+    assert abs(trace[0] - 0.4) < 1e-15
+    # without a drive w = 0: C = 1 + 2 gamma t and kappa = t / C
+    times = np.array([0.0, 0.3, 7.0])
+    kappa, inv_c, _ = _coefficients(PDCParams(epsilon=0.0, gamma=1.0), times)
+    assert maxabs(kappa - times / (1.0 + 2.0 * times)) < 1e-15
+    assert maxabs(inv_c - 1.0 / (1.0 + 2.0 * times)) < 1e-15
 
 
-def test_transform_without_drive_is_identity():
-    xf = transform_params(PDCParams(epsilon=0.0, gamma=1.0))
-    assert xf == PDCTransform(alpha_plus=0j, alpha_minus=0j, lam=1.0)
-
-
-def test_selected_pairing_removes_the_drive():
-    xf = transform_params(PARAMS)
-    assert transformed_generator_residual(PARAMS, xf, dim=16, samples=5) < 1e-8
-
-
-def test_wrong_sign_on_lowering_dressing_is_detected():
-    xf = transform_params(PARAMS)
-    bad = PDCTransform(alpha_plus=xf.alpha_plus, alpha_minus=-xf.alpha_minus, lam=xf.lam)
-    assert transformed_generator_residual(PARAMS, bad, dim=12, samples=3) > 1e-3
-
-
-def test_other_root_branch_is_detected():
-    # the rejected branch of the quadratic: alpha_plus from the minus root
-    g, eps = PARAMS.gamma, complex(PARAMS.epsilon)
-    root = math.sqrt(g * g - abs(eps) ** 2)
-    bad = PDCTransform(
-        alpha_plus=complex((-g - root) / (1j * np.conj(eps))),
-        alpha_minus=complex(1j * np.conj(eps) / (2.0 * root)),
-        lam=root / g,
-    )
-    assert transformed_generator_residual(PARAMS, bad, dim=12, samples=3) > 1e-3
-
-
-def test_residual_needs_a_wide_enough_window():
-    xf = transform_params(PARAMS)
-    with pytest.raises(ValueError):
-        transformed_generator_residual(PARAMS, xf, dim=10)
-
-
-def test_dressing_series_inverse_pair():
-    dim = 10
-    c = 0.4 - 0.3j
-    rho = seeded_density(dim, 31)
-    for read in (PAIR_RAISE, PAIR_LOWER):
-        back = _shift_series(-c, _shift_series(c, rho, read), read)
-        assert maxabs(back - rho) < 1e-10
-
-
-def test_dressing_series_on_a_wide_window():
-    # past window 171 a factorial or a factorial ratio alone overflows; the
-    # series must still match its terms, evaluated here in log space, in
-    # each of the four read directions
-    dim, n0, m0 = 200, 180, 185
-    c = 0.5 - 0.2j
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[n0, m0] = 1.0
-    for read in (LOWER, RAISE, PAIR_RAISE, PAIR_LOWER):
-        want = np.zeros_like(rho)
-        for j in range(dim):
-            n, m = n0 - read[0] * j, m0 - read[1] * j
-            if not (0 <= n < dim and 0 <= m < dim):
-                break
-            p, q = min(n, n0), min(m, m0)
-            log_w = 0.5 * (math.lgamma(p + j + 1) - math.lgamma(p + 1)
-                           + math.lgamma(q + j + 1) - math.lgamma(q + 1)) - math.lgamma(j + 1)
-            want[n, m] = c**j * math.exp(log_w)
-        assert maxabs(_shift_series(c, rho, read) - want) <= 1e-12 * maxabs(want)
+def test_undriven_channel_is_the_kerr_flow_at_chi_zero():
+    # at eps = 0 the generator is the finite-temperature Kerr generator with
+    # chi = 0, equal feeds gamma and the rates g0 = 2 gamma, c_gamma = -2 gamma
+    rho0 = seeded_density(12, 35)
+    times = [0.0, 0.3, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")       # equal feeds: no stationary state
+        kerr = KerrFiniteTParams(chi=0.0, gamma_minus=0.7, gamma_plus=0.7)
+    want = propagate_kerr_finite_t(rho0, times, kerr)
+    assert maxabs(propagate_pdc(rho0, times, PDCParams(epsilon=0.0, gamma=0.7)) - want) < 1e-14
 
 
 def reference(params, rho0, t):
@@ -153,7 +102,7 @@ def moment_law_mean_n(eps, gamma, psi, t):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.5 - 0.5j])
 def test_moment_law_on_a_wide_window(alpha):
-    # dim 100 runs on the internal window 199, past where factorials overflow
+    # at dim 100 a factorial or a factorial ratio alone would overflow
     params = PDCParams(epsilon=0.8 * cmath.exp(1.1j), gamma=1.0)
     psi = coherent_state(100, alpha)[0]
     out = propagate_pdc(density_from_ket(psi), 0.3, params)
@@ -163,8 +112,8 @@ def test_moment_law_on_a_wide_window(alpha):
 
 @pytest.mark.parametrize("size", [1e-8, 1e-9])
 def test_small_drive_is_kept(size):
-    # written as (r - gamma) / (i conj(eps)), alpha_plus loses its digits to
-    # cancellation at small drives and rounds to 0 at 1e-9
+    # w = 2 |eps| is as small as the drive, so (1 - exp(-2 w t)) / w must
+    # keep its digits there
     eps = size * (0.6 + 0.8j)
     params = PDCParams(epsilon=eps, gamma=1.0)
     rho0 = vacuum_density(8)
@@ -205,14 +154,6 @@ def test_a_stack_of_times_equals_the_scalar_calls():
         propagate_pdc(rho0, [0.1, -0.5, 0.2], PARAMS)
 
 
-def test_propagation_accepts_precomputed_transform():
-    xf = transform_params(PARAMS)
-    rho0 = vacuum_density(12)
-    a = propagate_pdc(rho0, 0.3, PARAMS)
-    b = propagate_pdc(rho0, 0.3, PARAMS, xform=xf)
-    assert maxabs(a - b) == 0.0
-
-
 def test_evolved_state_stays_physical():
     rho0 = vacuum_density(20)
     out = propagate_pdc(rho0, 0.5, PDCParams(epsilon=0.3, gamma=1.0))
@@ -240,7 +181,7 @@ def test_uncorrected_mode_leaks_trace():
 
 
 def test_uncorrected_mode_diverges_in_finite_time():
-    # at lam = 0.8 the uncorrected trace blows up at gamma t = 1.798
+    # at eps = 0.6 the uncorrected trace blows up at gamma t = 1.798
     raw = PDCParams(epsilon=0.6, gamma=1.0, corrected_mode=False)
     rho0 = vacuum_density(12)
     assert np.real(np.trace(propagate_pdc(rho0, 1.7, raw))) > 1e10
@@ -250,3 +191,64 @@ def test_uncorrected_mode_diverges_in_finite_time():
     first = r"^the uncorrected flow diverges at t = 1\.79\d*, before t = 2\.5$"
     with pytest.raises(ValueError, match=first):
         propagate_pdc(rho0, [0.5, 2.5, 1.9, 1.0], raw)
+
+
+# the drive of the accuracy table in README: |eps| / gamma = 0.8
+EPS_08 = 0.5 + 0.6245j
+
+
+@pytest.mark.parametrize("dim", [12, 16, 20, 24])
+def test_window_map_is_completely_positive(dim):
+    # the untruncated channel cropped to the window is a compression of a
+    # completely positive map, so its Choi matrix has no negative eigenvalue
+    params = PDCParams(epsilon=EPS_08, gamma=1.0)
+    phi = np.empty((dim, dim, dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[i, j] = 1.0
+            phi[i, j] = propagate_pdc(unit, 0.05, params)
+    choi = phi.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    assert hermiticity_error(choi) < 1e-15
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
+
+
+@pytest.mark.parametrize("dim", [12, 16, 20, 24])
+def test_states_near_threshold_match_the_reference(dim):
+    # a random full-support state and coherent alpha = 2 at |eps| / gamma = 0.8
+    params = PDCParams(epsilon=EPS_08, gamma=1.0)
+    for rho0 in (seeded_density(dim, 1), density_from_ket(coherent_state(dim, 2.0)[0])):
+        ref, conv = converged_window_reference(
+            lambda n: pdc_generator(n, EPS_08, 1.0), rho0, 0.05, pad=24, check=8)
+        assert conv < 1e-15
+        assert maxabs(propagate_pdc(rho0, 0.05, params) - ref) < 1e-12
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.6, 0.85])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+def test_uncorrected_divergence_time(ratio, gamma):
+    # the first zero of C against the closed form in lam = sqrt(1 - |eps|^2 / gamma^2):
+    # (pi / 2 + atan(1 / r)) / (gamma r) with r = sqrt(4 lam^2 - 1), where 2 lam > 1
+    eps = ratio * gamma * cmath.exp(0.4j)
+    raw = PDCParams(epsilon=eps, gamma=gamma, corrected_mode=False)
+    lam = math.sqrt(1.0 - ratio**2)
+    if 2.0 * lam > 1.0:
+        r = math.sqrt(4.0 * lam**2 - 1.0)
+        t_max = (0.5 * math.pi + math.atan(1.0 / r)) / (gamma * r)
+        assert abs(_divergence_time(raw) - t_max) <= 1e-12 * t_max
+    else:
+        assert _divergence_time(raw) == math.inf
+    assert _divergence_time(PDCParams(epsilon=eps, gamma=gamma)) == math.inf
+
+
+@pytest.mark.parametrize("t", [1e3, 1e4])
+def test_long_times_stay_finite(t):
+    # C grows as exp(w t), past the float range at w t ~ 710; the channel is
+    # written over exp(-w t), so nothing overflows. The uncorrected flow's
+    # trace itself grows without bound, so it is left out
+    rho0 = seeded_density(12, 36)
+    with np.errstate(over="raise", invalid="raise", divide="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (PDCParams(epsilon=EPS_08, gamma=1.0), PDCParams(epsilon=0.0, gamma=1.0)):
+            out = propagate_pdc(rho0, t, params)
+            assert np.isfinite(out).all()
