@@ -5,23 +5,24 @@ flow disentangles into an eight-factor operator product whose scalar
 coefficients depend on the index difference k only. That product collapses
 into a lowering series, the elementwise factor exp(t d) hinv^(s+1), with d
 the generator's diagonal, and a raising series. Both series take one
-weight u, which solves the Riccati flow du/dt = 1 - 2 z u + 4 gm gp u^2
-with u(0) = 0, z = g0 + i chi k. The weights stay bounded on the window
-and are smooth through a vanishing discriminant, so the flow is accurate
-at any window size and any time. The rates are real, so every weight at
--k is the conjugate of its value at k: the weights are evaluated on
-k >= 0 only, with real transcendental functions, and mirrored. Along
-each diagonal k the elementwise factor is a geometric progression in
-min(n, m): two exponentials per k >= 0 and time, and a table of powers
-built by doubling, each power at most log2(dim) + 1 rounded products
-from its ratio.
-The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0.
-Every series here, and the two jump series of pdc's channel, runs as the
-Pascal passes of _passes over the skewed window of _skew, in which each
-read chain is a column, with time the innermost axis; the resummed flow
-gathers its state, its weights and its factor into one such layout, which
-both of its series share, and scatters back once. A zero rate skips its
-series, so lossless runs cost the elementwise factor.
+weight u, which solves the Riccati flow du/dt = 1 - 2 z u + mu u^2 with
+u(0) = 0, z = g0 + i chi k and mu = 4 gm gp. The weights stay bounded on
+the window and are smooth through a vanishing discriminant, so the flow
+is accurate at any window size and any time. The rates are real, so
+every weight at -k is the conjugate of its value at k: the weights are
+evaluated on k >= 0 only, with real transcendental functions, and
+mirrored. Along each diagonal k the elementwise factor is a geometric
+progression in min(n, m): two exponentials per k >= 0 and time, and a
+table of powers built by doubling, each power at most log2(dim) + 1
+rounded products from its ratio.
+The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
+and pdc's channel runs it at chi = 0 between its squeezes, with feeds
+2 gamma but mu = 4 (gamma^2 - |eps|^2): u at k = 0 is its kappa and
+exp(d t) / hinv its C. Both series run as the Pascal passes of _passes
+over the skewed window of _skew, each read chain a column and time the
+innermost axis; state, weights and factor are gathered into that one
+layout once, and the result is scattered back once. A zero rate skips
+its series, so lossless runs cost the elementwise factor.
 """
 
 import functools
@@ -174,49 +175,56 @@ class KerrFiniteTParams:
         return self.gamma_plus / (self.gamma_minus - self.gamma_plus)
 
 
-def _weights(times, dim, chi, gm, gp, g0):
+def _weights(times, dim, chi, mu, disc, g0):
     """Series weight u and log hinv on the grid of index differences by times.
 
     times is a 1-D array; the grid is (2 dim - 1, T), row k + dim - 1
-    holding k = 1 - dim ... dim - 1. With h = (1 - exp(-2 D t)) / (2 D)
-    the weights read
+    holding k = 1 - dim ... dim - 1. With z = g0 + i chi k, the root
+    D = sqrt(z^2 - mu) and h = (1 - exp(-2 D t)) / (2 D) the weights read
 
       q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
 
     with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t.
-    The rates are real, so each weight at -k is the conjugate of its value
-    at k: the grid is evaluated on k = 0 ... dim - 1 and mirrored. Its
+    D^2 is disc + i chi k (2 g0 + i chi k), with the k = 0 discriminant
+    disc = g0^2 - mu formed by the caller free of cancellation. The rates
+    are real, so each weight at -k is the conjugate of its value at k: the
+    grid is evaluated on k = 0 ... dim - 1 and mirrored. At chi = 0 the
+    exact weights are real, so their imaginary rounding is dropped. The
     transcendental functions run on real parts, since numpy's complex log
     and expm1 cost several times as much: with x + iy = (z - D) h,
 
       log q = log1p(x (2 + x) + y^2) / 2 + i atan2(y, 1 + x),
 
-    and exp(-2 D t) - 1 is taken by _expm1.
+    with log hypot(1 + x, y) for the real part where |q|^2 < 1/10, and
+    exp(-2 D t) - 1 is taken by _expm1.
     """
     k_line = np.arange(dim, dtype=float)[:, None]
     z = g0 + 1j * chi * k_line
-    mu = 4.0 * gm * gp
-    if mu:
-        root = np.sqrt(z * z - mu + 0j)
-        zmd = mu / (z + root)                    # z - D; z + D = 0 needs mu = 0
-    else:
-        root = z                                 # D = z, so q = hinv = 1 exactly
+    # at mu = 0, D = z and q = hinv = 1 exactly
+    root = np.sqrt(disc + 1j * chi * k_line * (2.0 * g0 + 1j * chi * k_line)) if mu else z
     rt = root * times
     small = np.abs(rt) < TAYLOR_SWITCH
-    h = np.where(
+    u = np.where(
         small,
         # not *: see _passes
         times * (1.0 - np.multiply(rt, 1.0 - rt * (2.0 / 3.0))),
         -_expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
     )
-    if not mu:
-        return _mirrored(h), _mirrored(np.zeros_like(h))
-    q = 1.0 + zmd * h
-    x, y = q.real - 1.0, q.imag
-    log_q = np.empty_like(q)
-    log_q.real = 0.5 * np.log1p(x * (2.0 + x) + y * y)
-    log_q.imag = np.arctan2(y, q.real)
-    return _mirrored(h / q), _mirrored(zmd * times - log_q)
+    log_hinv = np.zeros_like(u)
+    if mu:
+        zmd = mu / (z + root)                    # z - D; z + D = 0 needs mu = 0
+        q = 1.0 + zmd * u
+        x, y = q.real - 1.0, q.imag
+        s = x * (2.0 + x) + y * y                # |q|^2 - 1
+        far = s < -0.9                           # s holds few digits of a small |q|^2
+        log_q = 0.5 * np.log1p(s, out=np.zeros_like(s), where=~far)
+        log_q[far] = np.log(np.hypot(q.real[far], y[far]))
+        log_hinv.real = zmd.real * times - log_q
+        log_hinv.imag = zmd.imag * times - np.arctan2(y, q.real)
+        u /= q
+    if not chi:
+        u, log_hinv = u.real, log_hinv.real
+    return _mirrored(u), _mirrored(log_hinv)
 
 
 def _expm1(x):
@@ -271,15 +279,22 @@ def _power_table(log_hinv, times, chi, g0, cg):
     and not on the window. A round builds its rows on k < dim - h only, so
     row z holds at least the entries k < dim - z that a window element
     reads, and the rest is left unset. Time is the innermost axis, so each
-    round is one product over contiguous runs.
+    round is one product over contiguous runs. At chi = 0, w is one real
+    ratio for every k, and the real entry (z, k) is exp(log hinv + c_gamma t)
+    exp(w)^(k + 2 z), each power rounded once: at window 32 pdc's
+    near-threshold cancellation loses about twice as much to doubling.
     """
     dim = (log_hinv.shape[0] + 1) // 2
-    k = np.arange(dim, dtype=float)[:, None]
     log_hinv = log_hinv[dim - 1:]
+    if not chi:
+        s = np.minimum(np.add.outer(2 * np.arange(dim), np.arange(dim)), 2 * dim - 2)
+        powers = np.exp(log_hinv[0] - g0 * times) ** np.arange(2 * dim - 1)[:, None]
+        return (np.exp(log_hinv[0] + cg * times) * powers)[s]
+    k = np.arange(dim, dtype=float)[:, None]
     phase = 1j * times * (chi * k)
     w = log_hinv - g0 * times - phase
-    head, r = np.exp([log_hinv + cg * times + phase + k * w, 2.0 * w])
     table = np.empty((dim, dim, len(times)), dtype=complex)
+    head, r = np.exp([log_hinv + cg * times + phase + k * w, 2.0 * w])
     table[0] = head
     h = 1
     while h < dim:
@@ -307,7 +322,8 @@ def _diagonal_factor(log_hinv, times, chi, g0, cg):
     dim = len(table)
     _, power, neg = _diagonals(dim)
     factor = np.take(table.reshape(dim * dim, -1), power, axis=0)
-    np.negative(factor.imag, out=factor.imag, where=neg[:, :, None])
+    if chi:                                      # at chi = 0 the table is real
+        np.negative(factor.imag, out=factor.imag, where=neg[:, :, None])
     return factor
 
 
@@ -323,6 +339,31 @@ def _series_weights(c, read):
     return np.multiply(w, factor[:, :, None], out=w), up
 
 
+def _lower_factor_raise(rho, times, u, log_hinv, down, up, chi, g0, cg):
+    """The lowering series, the factor exp(t d) hinv^(s+1) and the raising series.
+
+    rho is one (dim, dim) state for every time or a (T, dim, dim) stack;
+    u and log_hinv are the grids of _weights at the 1-D times, and the
+    series weights are u times the feeds down and up, a zero feed skipping
+    its series. rho, the series weights and the factor are gathered into
+    the skewed (dim, dim, T) stack of _skew(dim, LOWER), which both series
+    share; the result is scattered back once, as a C-ordered (T, dim^2)
+    array. A raising order adds 2 to s at fixed k, so it commutes with d.
+    """
+    dim = rho.shape[-1]
+    flat = _skew(dim, LOWER)[0]
+    if rho.ndim == 2:
+        p = np.array(np.broadcast_to(rho.take(flat)[:, :, None], (dim, dim, len(times))))
+    else:
+        p = rho.reshape(len(times), dim * dim).T[flat]
+    if down:
+        _passes(p, *_series_weights(down * u, LOWER))
+    np.multiply(_diagonal_factor(log_hinv, times, chi, g0, cg), p, out=p)
+    if up:
+        _passes(p, *_series_weights(up * u, RAISE))
+    return _unskewed(p, flat)
+
+
 def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     """The resummed flow from raw rates, without the parameter checks.
 
@@ -330,28 +371,14 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     lowering series reads only from above each element, where rho0 is
     zero past the window, and the raising series only from below. t is a
     time or a 1-D array of times; the result has shape t.shape + rho0.shape.
-
-    The weights depend on k and t alone, so _weights evaluates them once on
-    the grid of index differences by times. The state is gathered once into
-    the skewed (dim, dim, T) stack of _skew(dim, LOWER), time innermost,
-    which the raising series shares. The series weights and the factor
-    exp(t d) hinv^(s+1) of _diagonal_factor are gathered straight into that
-    layout, and the result is scattered back once. Each raising order adds
-    2 to s at fixed k, so the Kerr phase in d commutes with the raising
-    series.
+    The weights depend on k and t alone, so _weights evaluates them once
+    on the grid of index differences by times, with mu = 4 gm gp.
     """
-    dim = rho0.shape[0]
     times = np.asarray(t, dtype=float).reshape(-1)
-    u, log_hinv = _weights(times, dim, chi, gm, gp, g0)
-    flat = _skew(dim, LOWER)[0]
-
-    p = np.array(np.broadcast_to(rho0.take(flat)[:, :, None], (dim, dim, len(times))))
-    if gm:
-        _passes(p, *_series_weights(2.0 * gm * u, LOWER))
-    np.multiply(_diagonal_factor(log_hinv, times, chi, g0, cg), p, out=p)
-    if gp:
-        _passes(p, *_series_weights(2.0 * gp * u, RAISE))
-    return _unskewed(p, flat).reshape(np.shape(t) + rho0.shape)
+    mu = 4.0 * gm * gp
+    u, log_hinv = _weights(times, rho0.shape[0], chi, mu, g0 * g0 - mu, g0)
+    out = _lower_factor_raise(rho0, times, u, log_hinv, 2.0 * gm, 2.0 * gp, chi, g0, cg)
+    return out.reshape(np.shape(t) + rho0.shape)
 
 
 def propagate_kerr_finite_t(rho0, t, params):

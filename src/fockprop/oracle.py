@@ -59,9 +59,11 @@ __all__ = [
     "converged_window_reference",
 ]
 
-# the relative size of the last Taylor term expm_dense sums, and the global
-# error recommended_steps sizes an RK4 run for
+# the global error recommended_steps sizes an RK4 run for
 TARGET_ERROR = 1e-12
+
+# unit roundoff: the relative size of the last Taylor term expm_dense sums
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _sectors(n, rows, cols):
@@ -135,7 +137,8 @@ def expm_dense(A):
     """exp(A) by scaling and squaring with a truncated Taylor series.
 
     The series on the scaled matrix is summed until the next term falls
-    below TARGET_ERROR relative to the running sum, then squared back up.
+    below UNIT_ROUNDOFF relative to the running sum, since the squarings
+    magnify a truncation error, and then squared back up.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -147,7 +150,7 @@ def expm_dense(A):
     for k in range(1, 64):
         term = term @ As / k
         acc += term
-        if np.abs(term).max() <= TARGET_ERROR * max(1.0, np.abs(acc).max()):
+        if np.abs(term).max() <= UNIT_ROUNDOFF * max(1.0, np.abs(acc).max()):
             break
     else:
         warnings.warn("matrix exponential series hit its iteration cap")
@@ -188,10 +191,6 @@ _ROW_ENTRIES = weakref.WeakKeyDictionary()
 # roundoff within about 32 terms, and none exceeds 4^4/4! (about 11) times
 # the substep's start in the 1-norm, so the sum loses little to cancellation.
 THETA = 4.0
-
-# unit roundoff: the relative size of the last Taylor term a substep sums.
-# The substeps add up their truncation errors, so it is not TARGET_ERROR.
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def _row_entries(L):

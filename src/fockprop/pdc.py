@@ -12,11 +12,13 @@ a^dag, so its flow is a Gaussian channel, and the channel factorises:
 with J- rho = a rho a^dag, J+ rho = a^dag rho a, G = exp(-i conj(eps) kappa a^2)
 and L = exp(-i eps kappa a^dag^2). With w = sqrt(d^2 - 4 (gamma^2 - |eps|^2)),
 C = cosh(w t) + d sinh(w t) / w and kappa = sinh(w t) / (w C); the corrected
-mode has w = 2 |eps|. G and the lowering series read only from above each
-element, where rho is zero past the window, and the raising series and L
-only from below, so the result is the untruncated flow projected onto the
-window, with no cutoff error from the method. No step builds a
-superoperator.
+mode has w = 2 |eps|. Between the squeezes runs the Kerr resummed flow at
+chi = 0, g0 = d, c_gamma = -c, feeds 2 gamma and mu = 4 (gamma^2 - |eps|^2),
+whose k = 0 discriminant is w^2 and weights kappa = u, C = exp(d t) / hinv.
+G and the lowering series read only from above each element, where rho is
+zero past the window, and the raising series and L only from below, so the
+result is the untruncated flow projected onto the window, with no cutoff
+error from the method. No step builds a superoperator.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kerr_finite_t import LOWER, RAISE, _check_finite, _checked_state, _passes, _skew, _unskewed
+from .kerr_finite_t import _check_finite, _checked_state, _lower_factor_raise, _weights
 
 __all__ = [
     "PDCParams",
@@ -50,15 +52,14 @@ class PDCParams:
 
 
 def _rates(params):
-    """(d, c, w^2): the number damping and trace rates and the squared growth rate.
+    """(d, c, mu, w^2): the damping and trace rates, mu = 4 (gamma^2 - |eps|^2) and w^2.
 
-    w^2 = d^2 - 4 (gamma^2 - |eps|^2) is formed as (d - 2 gamma)(d + 2 gamma)
-    + 4 |eps|^2, so the corrected mode's w = 2 |eps| keeps its digits at
-    small drives.
+    w^2 = d^2 - mu is formed as (d - 2 gamma)(d + 2 gamma) + 4 |eps|^2, so
+    the corrected mode's w = 2 |eps| keeps its digits at small drives.
     """
-    g = params.gamma
+    g, r = params.gamma, abs(params.epsilon)
     d, c = (2.0 * g, 2.0 * g) if params.corrected_mode else (g, 0.0)
-    return d, c, (d - 2.0 * g) * (d + 2.0 * g) + 4.0 * abs(params.epsilon) ** 2
+    return d, c, 4.0 * (g - r) * (g + r), (d - 2.0 * g) * (d + 2.0 * g) + 4.0 * r * r
 
 
 def _divergence_time(params):
@@ -68,28 +69,11 @@ def _divergence_time(params):
     C = cos(|w| t) + d sin(|w| t) / |w|, zero first at
     (pi - atan(|w| / d)) / |w|.
     """
-    d, _, w2 = _rates(params)
+    d, _, _, w2 = _rates(params)
     if w2 >= 0:
         return math.inf
     w = math.sqrt(-w2)
     return (math.pi - math.atan2(w, d)) / w
-
-
-def _coefficients(params, times):
-    """kappa, 1/C and the trace factor exp((d - c) t) / C at each of the 1-D times.
-
-    Written over exp(-w t), so that nothing overflows at long times: with
-    h = (1 - exp(-2 w t)) / w (2 t at w = 0) and den = 1 + exp(-2 w t) + d h,
-    kappa = h / den, 1/C = 2 exp(-w t) / den and the trace factor is
-    2 exp((d - c - w) t) / den. For w^2 < 0 the root w is imaginary and
-    every quantity is real up to rounding.
-    """
-    d, c, w2 = _rates(params)
-    w = np.sqrt(complex(w2))
-    h = -np.expm1(-2.0 * w * times) / w if w else 2.0 * times + 0j
-    den = 2.0 - w * h + d * h
-    inv_c, trace = 2.0 * np.exp([-w * times, (d - c - w) * times]) / den
-    return (h / den).real, inv_c.real, trace.real
 
 
 def _squeezes(c, dim):
@@ -115,11 +99,8 @@ def propagate_pdc(rho0, t, params):
     """Evolve rho0 for time t under the pdc flow, as the channel of the module docstring.
 
     t is a time, or a 1-D array of times for a (T, dim, dim) stack of
-    states. The squeezes are (T, dim, dim) stacks; between them the state
-    is gathered once into the skewed (dim, dim, T) layout of
-    _skew(dim, LOWER), which the raising series shares, and scattered back
-    once. The uncorrected mode refuses times at or past the divergence of
-    its trace.
+    states. The uncorrected mode refuses times at or past the divergence
+    of its trace.
     """
     rho0, t = _checked_state(rho0, t)
     t_max = _divergence_time(params)
@@ -131,16 +112,11 @@ def propagate_pdc(rho0, t, params):
             f"the uncorrected flow diverges at t = {t_max:.6g}, before t = {late[0]:g}")
     dim = rho0.shape[0]
     times = t.reshape(-1)
-    kappa, inv_c, trace = _coefficients(params, times)
-    eps, series = complex(params.epsilon), 2.0 * params.gamma * kappa
+    d, c, mu, w2 = _rates(params)
+    u, log_hinv = _weights(times, dim, 0.0, mu, w2, d)
+    kappa, eps, feed = u[dim - 1], complex(params.epsilon), 2.0 * params.gamma
     g = _squeezes(-1j * eps.conjugate() * kappa, dim)
     low = _squeezes(-1j * eps * kappa, dim).swapaxes(1, 2)
-
-    flat, factor, up = _skew(dim, LOWER)
-    p = (g @ rho0 @ g.conj().swapaxes(1, 2)).reshape(len(times), dim * dim).T[flat]
-    _passes(p, np.multiply.outer(factor, series), up)
-    p *= trace * inv_c ** np.add(*np.divmod(flat, dim))[:, :, None]
-    _, factor, up = _skew(dim, RAISE)
-    _passes(p, np.multiply.outer(factor, series), up)
-    out = _unskewed(p, flat).reshape(-1, dim, dim)
+    out = _lower_factor_raise(g @ rho0 @ g.conj().swapaxes(1, 2), times, u, log_hinv,
+                              feed, feed, 0.0, d, -c).reshape(-1, dim, dim)
     return (low @ out @ low.conj().swapaxes(1, 2)).reshape(t.shape + rho0.shape)

@@ -294,15 +294,11 @@ def pdc_drive(dim, epsilon):
 
 
 def kerr_zero_t_generator(dim, chi, gamma_minus):
-    """Kerr oscillator with downward decay only.
+    """Kerr oscillator with downward decay only: the finite-temperature one at gp = 0.
 
     d rho / dt = -i chi [n(n-1), rho] + 2 gm a rho a^dag - gm (n rho + rho n)
     """
-    return (
-        kerr_phase(dim, chi)
-        + lowering_sandwich(dim, 2.0 * gamma_minus)
-        + number_damping(dim, gamma_minus)
-    )
+    return kerr_finite_t_generator(dim, chi, gamma_minus, 0.0, gamma_minus, 0.0)
 
 
 def kerr_finite_t_generator(dim, chi, gamma_minus, gamma_plus, gamma0, c_gamma):

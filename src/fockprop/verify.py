@@ -14,10 +14,10 @@ import numpy as np
 
 from . import __version__
 from .fock import annihilation, coherent_state, density_from_ket, fidelity_pure, observables
-from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
+from .kerr_finite_t import KerrFiniteTParams, _weights, propagate_kerr_finite_t
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from .oracle import converged_window_reference, expm_evolve
-from .pdc import PDCParams, _coefficients, propagate_pdc
+from .pdc import PDCParams, _rates, propagate_pdc
 from .superop import (
     _maxabs,
     _record,
@@ -69,7 +69,7 @@ def _suite_kerr0(dim, seed, fault):
         a = propagate_kerr_zero_t(rho0, 0.5, params)
         b = expm_evolve(gen, rho0, 0.5)
         worst = max(worst, _maxabs(a - b))
-    recs.append(_check(f"propagator vs exponential, dim={dim}, t=0.5", worst, 1e-8))
+    recs.append(_check(f"propagator vs exponential, dim={dim}, t=0.5", worst, 1e-13))
 
     # mean occupation must decay at exactly twice the amplitude rate
     psi, _ = coherent_state(30, 2.0)
@@ -148,14 +148,15 @@ def _suite_pdc(dim, seed, fault):
     eps = 0.5 + 0.6245j
     params = PDCParams(epsilon=eps, gamma=1.0)
 
-    # at eps = 0.6, gamma = 1 the corrected channel has w = 2 |eps| = 1.2,
-    # and at t = ln(2) / w cosh(w t) = 5/4 and sinh(w t) = 3/4, so
-    # C = 5/4 + 2 (3/4) / 1.2 = 5/2 and kappa = (3/4) / (1.2 C) = 1/4
-    kappa, inv_c, _ = _coefficients(PDCParams(epsilon=0.6, gamma=1.0),
-                                    np.array([math.log(2.0) / 1.2]))
+    # at eps = 0.6, gamma = 1 the corrected channel has w = 2 |eps| = 1.2; at
+    # t = ln(2) / w, cosh(w t) = 5/4 and sinh(w t) = 3/4, so C = 5/4 + 2 (3/4) / 1.2
+    # = 5/2 and kappa = (3/4) / (1.2 C) = 1/4, the flow's u and exp(d t) / hinv at k = 0
+    t = math.log(2.0) / 1.2
+    d, _, mu, w2 = _rates(PDCParams(epsilon=0.6, gamma=1.0))
+    u, log_hinv = _weights(np.array([t]), 1, 0.0, mu, w2, d)
     recs.append(_check(
         "channel anchor values kappa=1/4, C=5/2 at eps=0.6, gamma=1, t=ln(2)/1.2",
-        max(abs(kappa[0] - 0.25), abs(inv_c[0] - 0.4)),
+        max(abs(u[0, 0] - 0.25), abs(math.exp(log_hinv[0, 0] - d * t) - 0.4)),
         1e-12,
     ))
 

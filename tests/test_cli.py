@@ -675,7 +675,7 @@ def test_pdc_runs_near_threshold_match_the_reference(tmp_path, epsilon, t):
 # their names, tolerances and order
 VERIFY_ALL_SEED0 = """\
 suite: all  seed: 0
-[kerr0] PASS propagator vs exponential, dim=12, t=0.5: residual * tol 1e-08
+[kerr0] PASS propagator vs exponential, dim=12, t=0.5: residual * tol 1e-13
 [kerr0] PASS mean occupation decay, coherent alpha=2, dim=30: residual * tol 1e-08
 [kerr0] PASS undamped revival fidelity at t=pi/chi, dim=20: residual * tol 1e-08
 [kerr0] PASS vacuum is stationary: residual * tol 1e-12

@@ -20,7 +20,7 @@ from fockprop.kerr_finite_t import (
 )
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import crop, embed, expm_evolve
-from fockprop.pdc import PDCParams, propagate_pdc
+from fockprop.pdc import PDCParams, _rates, propagate_pdc
 from fockprop.superop import (
     build_liouvillian,
     kerr_finite_t_generator,
@@ -167,14 +167,27 @@ def test_long_times_on_the_widest_window():
     assert maxabs(warm - thermal) < 1e-13
 
 
-# (chi, gamma_minus, gamma_plus, gamma0, c_gamma) of each flow that ends in
-# the elementwise factor; pdc's is its undriven generator, eps = 0, which is
-# this flow at chi = 0 with equal feeds, where the discriminant vanishes at k = 0
+def kerr_rates(chi, gm, gp, g0, cg):
+    """The arguments (chi, mu, disc, g0, c_gamma) of _weights and the factor for Kerr rates."""
+    mu = 4.0 * gm * gp
+    return chi, mu, g0 * g0 - mu, g0, cg
+
+
+def pdc_rates(params):
+    """The same arguments for pdc's channel: chi = 0, g0 = d, c_gamma = -c and disc = w^2."""
+    d, c, mu, w2 = _rates(params)
+    return 0.0, mu, w2, d, -c
+
+
+# each flow that ends in the elementwise factor; undriven, pdc's discriminant
+# vanishes at k = 0
 PDC_RATES = PDCParams(epsilon=0.3 + 0.4j, gamma=1.0)
 FACTOR_RATES = {
-    "kerr0": (1.0, 0.1, 0.0, 0.1, 0.0),
-    "kerrT": (PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus, PARAMS.gamma0, PARAMS.c_gamma),
-    "pdc": (0.0, PDC_RATES.gamma, PDC_RATES.gamma, 2.0 * PDC_RATES.gamma, -2.0 * PDC_RATES.gamma),
+    "kerr0": kerr_rates(1.0, 0.1, 0.0, 0.1, 0.0),
+    "kerrT": kerr_rates(PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus, PARAMS.gamma0,
+                        PARAMS.c_gamma),
+    "pdc": pdc_rates(PDC_RATES),
+    "pdc-undriven": pdc_rates(PDCParams(epsilon=0.0, gamma=1.0)),
 }
 
 
@@ -183,9 +196,9 @@ FACTOR_RATES = {
 def test_diagonal_factor_matches_the_per_entry_exponential(model, dim):
     # the geometric progression along each diagonal against the form it
     # replaced: one exponential of the whole exponent per window entry
-    chi, gm, gp, g0, cg = FACTOR_RATES[model]
+    chi, mu, disc, g0, cg = FACTOR_RATES[model]
     times = np.array([0.0, 1e-7, 0.3, 2.9, 1500.0])
-    _, log_hinv = _weights(times, dim, chi, gm, gp, g0)
+    _, log_hinv = _weights(times, dim, chi, mu, disc, g0)
     n = np.arange(dim)
     k, s = np.subtract.outer(n, n), np.add.outer(n, n)
     t = times[:, None, None]
@@ -209,16 +222,16 @@ def test_diagonal_factor_takes_exponentials_per_difference_not_per_entry(monkeyp
 
     monkeypatch.setattr(np, "exp", counted)
     rho = density_from_ket(coherent_state(dim, 2.0)[0])
-    out = _propagate_resummed(rho, times, *FACTOR_RATES["kerrT"])
+    out = _propagate_resummed(rho, times, PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus,
+                              PARAMS.gamma0, PARAMS.c_gamma)
     assert out.shape == (3, dim, dim)
     assert 0 < sum(sizes) <= 4 * len(times) * (2 * dim - 1)
 
 
-def _complex_weights(times, dim, chi, gm, gp, g0):
+def _complex_weights(times, dim, chi, mu, g0):
     # the grid as complex log and expm1 gave it, on every k = 1 - dim ... dim - 1
     k_line = np.arange(1 - dim, dim, dtype=float)[:, None]
     z = g0 + 1j * chi * k_line
-    mu = 4.0 * gm * gp
     if mu:
         root = np.sqrt(z * z - mu + 0j)
         zmd = mu / (z + root)
@@ -236,10 +249,10 @@ def _complex_weights(times, dim, chi, gm, gp, g0):
 @pytest.mark.parametrize("model", sorted(FACTOR_RATES))
 def test_weights_match_the_complex_forms(model, dim):
     # kerr0 has mu = 4 gm gp = 0, where q = hinv = 1
-    chi, gm, gp, g0, _ = FACTOR_RATES[model]
+    chi, mu, disc, g0, _ = FACTOR_RATES[model]
     times = np.array([0.0, 0.25 * TAYLOR_SWITCH, 4.0 * TAYLOR_SWITCH, 0.3, 2.9, 1500.0])
-    got = _weights(times, dim, chi, gm, gp, g0)
-    want = _complex_weights(times, dim, chi, gm, gp, g0)
+    got = _weights(times, dim, chi, mu, disc, g0)
+    want = _complex_weights(times, dim, chi, mu, g0)
     for g, w in zip(got, want):
         assert g.shape == (2 * dim - 1, len(times))
         assert np.isfinite(g).all()
@@ -268,8 +281,8 @@ def test_weights_take_real_transcendentals_per_nonnegative_difference(monkeypatc
                             ("exp", False), ("sin", False), ("cos", False), ("sqrt", False)):
         monkeypatch.setattr(np, name, watched(name, real_only))
     for model in sorted(FACTOR_RATES):
-        chi, gm, gp, g0, _ = FACTOR_RATES[model]
-        u, log_hinv = _weights(times, dim, chi, gm, gp, g0)
+        chi, mu, disc, g0, _ = FACTOR_RATES[model]
+        u, log_hinv = _weights(times, dim, chi, mu, disc, g0)
         assert u.shape == log_hinv.shape == (2 * dim - 1, len(times))
     assert {"expm1", "exp", "sin", "cos", "log1p", "arctan2"} <= set(sizes)
     assert max(max(s) for s in sizes.values()) <= len(times) * dim

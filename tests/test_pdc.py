@@ -2,19 +2,28 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from fockprop.fock import coherent_state, density_from_ket, observables
-from fockprop.kerr_finite_t import TAYLOR_SWITCH, KerrFiniteTParams, propagate_kerr_finite_t
+from fockprop.kerr_finite_t import (
+    TAYLOR_SWITCH,
+    KerrFiniteTParams,
+    _weights,
+    propagate_kerr_finite_t,
+)
 from fockprop.oracle import converged_window_reference, embed
-from fockprop.pdc import PDCParams, _coefficients, _divergence_time, propagate_pdc
+from fockprop.pdc import PDCParams, _divergence_time, _rates, propagate_pdc
 from fockprop.superop import pdc_generator
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
 
 
 PARAMS = PDCParams(epsilon=0.6, gamma=1.0)
+
+# the drive of the accuracy table in README: |eps| / gamma = 0.8
+EPS_08 = 0.5 + 0.6245j
 
 
 def test_param_validation():
@@ -28,19 +37,89 @@ def test_param_validation():
         PDCParams(epsilon=1.5j, gamma=1.0)
 
 
+def channel_row(params, times):
+    """kappa and 1/C from the k = 0 row of the Kerr flow's weights at pdc's rates."""
+    times = np.asarray(times, dtype=float)
+    d, _, mu, w2 = _rates(params)
+    u, log_hinv = _weights(times, 1, 0.0, mu, w2, d)
+    return u[0], np.exp(log_hinv[0] - d * times)
+
+
 def test_channel_anchor_values():
     # corrected mode at eps = 0.6, gamma = 1: w = 2 |eps| = 1.2, and at
     # t = ln(2) / w cosh(w t) = 5/4, sinh(w t) = 3/4, so C = 5/4 + 2 (3/4) / 1.2
     # = 5/2 and kappa = sinh(w t) / (w C) = 1/4; the trace factor is 1/C
-    kappa, inv_c, trace = _coefficients(PARAMS, np.array([math.log(2.0) / 1.2]))
+    kappa, inv_c = channel_row(PARAMS, [math.log(2.0) / 1.2])
     assert abs(kappa[0] - 0.25) < 1e-15
     assert abs(inv_c[0] - 0.4) < 1e-15
-    assert abs(trace[0] - 0.4) < 1e-15
     # without a drive w = 0: C = 1 + 2 gamma t and kappa = t / C
     times = np.array([0.0, 0.3, 7.0])
-    kappa, inv_c, _ = _coefficients(PDCParams(epsilon=0.0, gamma=1.0), times)
+    kappa, inv_c = channel_row(PDCParams(epsilon=0.0, gamma=1.0), times)
     assert maxabs(kappa - times / (1.0 + 2.0 * times)) < 1e-15
     assert maxabs(inv_c - 1.0 / (1.0 + 2.0 * times)) < 1e-15
+
+
+def closed_row(params, t, shift=0.0):
+    """kappa, log C and |q| at time t from the closed cosh/sinh forms, in mpmath at 40 digits.
+
+    w^2 = d^2 - 4 (gamma^2 - |eps|^2) is formed exactly, then moved by
+    shift; q = exp(-w t) C is the flow's q = 1 + (z - D) h at k = 0.
+    """
+    with mpmath.workdps(40):
+        g, r = mpmath.mpf(params.gamma), abs(mpmath.mpc(params.epsilon))
+        d = 2 * g if params.corrected_mode else g
+        w = mpmath.sqrt(mpmath.mpc(d * d - 4 * (g * g - r * r) + shift))
+        t = mpmath.mpf(t)
+        shw = t if w == 0 else mpmath.sinh(w * t) / w      # sinh(w t) / w
+        c = mpmath.cosh(w * t) + d * shw
+        return (float(mpmath.re(shw / c)), float(mpmath.re(mpmath.log(c))),
+                float(abs(mpmath.exp(-w * t) * c)))
+
+
+@pytest.mark.parametrize("params", [
+    PARAMS,
+    PDCParams(epsilon=EPS_08, gamma=1.0),
+    PDCParams(epsilon=1e-9 * cmath.exp(0.7j), gamma=1.0),
+    PDCParams(epsilon=0.5, gamma=1.0, corrected_mode=False),                   # w^2 < 0
+    PDCParams(epsilon=0.5 * math.sqrt(3.0), gamma=1.0, corrected_mode=False),  # w^2 = 0
+    PDCParams(epsilon=0.95 * cmath.exp(0.7j), gamma=1.0, corrected_mode=False),
+], ids=["corrected", "corrected-0.8", "drive-1e-9", "uncorrected-w2<0", "uncorrected-w2=0",
+        "uncorrected-w2>0"])
+def test_the_zero_difference_row_is_the_closed_channel(params):
+    # the flow's k = 0 row holds kappa = u and C = exp(d t) / hinv; the
+    # weights at chi = 0 come out real, as the exact ones are. The channel
+    # keeps exp((d - c) t) / C of the vacuum in the vacuum. Near the
+    # uncorrected divergence C falls: to 0.01 at t = 1.54 for |eps| = 0.5,
+    # and to 3e-10 at 1e-10 of the time before it, where |q|^2 - 1 rounds to -1
+    times = np.array([0.0, 1e-7, 0.3, 1.0, 1.54, 30.0, 1e3, 1e4])
+    t_max = _divergence_time(params)
+    if t_max < times[-1]:
+        times = np.sort(np.append(times[times < t_max], t_max * (1.0 - 1e-10)))
+    d, c, mu, w2 = _rates(params)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        u, log_hinv = _weights(times, 3, 0.0, mu, w2, d)
+        # past exp(700) the uncorrected trace overflows; the vacuum's share
+        # underflows past exp(-700) and is not compared there
+        kept = times[(d - c) * times < 700.0]
+        vacuum = propagate_pdc(vacuum_density(4), kept, params)[:, 0, 0]
+    assert not np.iscomplexobj(u) and not np.iscomplexobj(log_hinv)
+    assert (u == u[0]).all() and (log_hinv == log_hinv[0]).all()
+    # w^2 is good to the rounding of its cancellation-free terms
+    # (d - 2 gamma)(d + 2 gamma) and 4 |eps|^2, which long times feel near w^2 = 0
+    terms = 4.0 * params.gamma**2 - d * d + 4.0 * abs(params.epsilon)**2
+    shift = 2.0 * np.finfo(float).eps * terms
+    for i, t in enumerate(times):
+        kappa, log_c, q = closed_row(params, t)
+        kappa_moved, log_c_moved, _ = closed_row(params, t, shift)
+        # q is rounded to a few units of 1, so its relative error grows as 1 / |q|
+        rounding = 4.4e-16 * max(1.0, 2.0 / q)
+        assert abs(u[0, i] - kappa) <= rounding * kappa + abs(kappa_moved - kappa)
+        slack = rounding * max(1.0, d * t) + abs(log_c_moved - log_c)
+        assert abs(d * t - log_c - log_hinv[0, i]) <= slack
+        log_vacuum = (d - c) * t - log_c
+        if i < len(kept) and log_vacuum > -700.0:
+            assert vacuum[i].imag == 0.0
+            assert abs(math.log(vacuum[i].real) - log_vacuum) <= 2.0 * slack
 
 
 def test_undriven_channel_is_the_kerr_flow_at_chi_zero():
@@ -193,10 +272,6 @@ def test_uncorrected_mode_diverges_in_finite_time():
         propagate_pdc(rho0, [0.5, 2.5, 1.9, 1.0], raw)
 
 
-# the drive of the accuracy table in README: |eps| / gamma = 0.8
-EPS_08 = 0.5 + 0.6245j
-
-
 @pytest.mark.parametrize("dim", [12, 16, 20, 24])
 def test_window_map_is_completely_positive(dim):
     # the untruncated channel cropped to the window is a compression of a
@@ -252,3 +327,54 @@ def test_long_times_stay_finite(t):
         for params in (PDCParams(epsilon=EPS_08, gamma=1.0), PDCParams(epsilon=0.0, gamma=1.0)):
             out = propagate_pdc(rho0, t, params)
             assert np.isfinite(out).all()
+
+
+def longdouble_channel(rho0, t, eps, gamma, corrected):
+    """The channel of the pdc module docstring in np.clongdouble, with plain matrix products.
+
+    kappa and C come from the closed cosh/sinh forms. Every exponential is
+    its Taylor series, which terminates on the window.
+    """
+    dim = len(rho0)
+    g, t, eps = np.longdouble(gamma), np.longdouble(t), np.clongdouble(eps)
+    d, c = (2 * g, 2 * g) if corrected else (g, 0)
+    w = np.sqrt(np.clongdouble(d * d - 4 * (g * g - abs(eps) ** 2)))
+    C = (np.cosh(w * t) + d * np.sinh(w * t) / w).real
+    kappa = (np.sinh(w * t) / (w * C)).real
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.longdouble)), 1).astype(np.clongdouble)
+
+    def series(x, left, rho, right):
+        # sum_j x^j / j! left^j rho right^j
+        out = term = rho
+        for j in range(1, dim):
+            term = (x / j) * (left @ term @ right)
+            out = out + term
+        return out
+
+    one = np.eye(dim, dtype=np.clongdouble)
+    G = series(-1j * eps.conjugate() * kappa, a @ a, one, one)
+    L = series(-1j * eps * kappa, a.T @ a.T, one, one)
+    s = np.add.outer(np.arange(dim), np.arange(dim))
+    mid = series(2 * g * kappa, a, G @ rho0 @ G.conj().T, a.T) / C ** s
+    return np.exp((d - c) * t) / C * (L @ series(2 * g * kappa, a.T, mid, a) @ L.conj().T)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("dim", [16, 24, 32])
+@pytest.mark.parametrize("corrected", [True, False], ids=["corrected", "uncorrected"])
+def test_channel_matches_the_factorisation_in_long_double(dim, corrected):
+    # full-support states lose digits to cancellation inside the
+    # factorisation (README's pdc accuracy table), most in the uncorrected
+    # mode, whose outputs grow as exp(d t) / C; the error is held to a
+    # share of max(1, the output's largest entry). At window 32 and
+    # |eps| = 0.95 the corrected mode reads 2.6e-14 to 4.4e-14 over seeds
+    # 1-6, and 6.1e-14 to 8.6e-14 with C^-(n+m) built by doubling
+    rho0 = seeded_density(dim, 1)
+    for r, t in [(0.5, 0.3), (0.5, 1.0), (0.8, 0.3), (0.8, 1.0), (0.95, 0.3)]:
+        params = PDCParams(epsilon=r * cmath.exp(0.7j), gamma=1.0, corrected_mode=corrected)
+        assert t < _divergence_time(params)
+        want = longdouble_channel(rho0, t, params.epsilon, 1.0, corrected)
+        tol = 5e-14 if corrected else 5e-12 if r == 0.5 else 5e-11
+        err = np.abs(propagate_pdc(rho0, t, params) - want).max()
+        assert err <= tol * max(1.0, np.abs(want).max()), (r, t)

@@ -153,6 +153,19 @@ def test_trace_preserving_generators_kill_the_trace():
         assert abs(np.trace(apply(expr, rho))) < 1e-10, name
 
 
+@pytest.mark.parametrize("dim", range(2, 25))
+def test_zero_temperature_generator_is_the_finite_one_at_no_upward_rate(dim):
+    # kerr_zero_t_generator is kerr_finite_t_generator(dim, chi, gm, 0, gm, 0);
+    # its two zero terms add exact zeros, which build_liouvillian drops, so
+    # its entries are those of the three terms that remain, to the bit
+    chi, gm = 1.0, 0.1
+    want = build_liouvillian(kerr_phase(dim, chi) + lowering_sandwich(dim, 2.0 * gm)
+                             + number_damping(dim, gm))
+    got = build_liouvillian(kerr_zero_t_generator(dim, chi, gm))
+    for name in ("rows", "cols", "entries"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_literal_pdc_generator_inflates_trace():
     dim = 10
     expr = pdc_generator(dim, 0.3, 1.0, corrected=False)
