@@ -313,6 +313,12 @@ def _qfunc_rows(res, ims, q):
     return template % _floats(q)
 
 
+def _engine_fault(engine, times, e):
+    """The error of check e failed at times[e.index]: the input is valid, so it blames the engine."""
+    return ValueError(f"the {engine} engine's state at t = {times[e.index]:g} "
+                      f"failed its checks: {e}")
+
+
 def _write_text(path, text):
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -349,9 +355,7 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
             obs = observables(rhos)
             fidelity = [] if target is None else [fidelity_pure(target, rhos)]
         except ValueError as e:
-            # the input is a valid state, so a failed check blames the engine
-            raise ValueError(f"the {engine} engine's state at t = {ts[e.index]:g} "
-                             f"failed its checks: {e}") from None
+            raise _engine_fault(engine, ts, e) from None
         min_eig = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(-1, -2))).min(axis=-1)
         columns = [ts, obs["trace"].real, obs["trace"].imag, obs["purity"], obs["mean_n"],
                    min_eig, *fidelity]
@@ -400,6 +404,10 @@ def run_qfunc(config_path, out_path, engine=None):
     engine = engine or cfg.get("engine", "analytic")
     psi0, _ = _initial_state(cfg, dim)
     rho = _propagator(cfg, params, dim, engine)(density_from_ket(psi0), cfg["times"])[0]
+    try:
+        observables(rho)
+    except ValueError as e:
+        raise _engine_fault(engine, cfg["times"], e) from None
 
     res = np.linspace(cfg["re_min"], cfg["re_max"], pts)
     ims = np.linspace(cfg["im_min"], cfg["im_max"], pts)
@@ -418,6 +426,9 @@ def run_qfunc(config_path, out_path, engine=None):
 def run_verify(suite, dim=None, seed=0, out=None, fault=None):
     if fault is not None and fault not in FAULTS:
         raise ConfigError(f"unknown fault {fault!r}; known: {', '.join(FAULTS)}")
+    if fault is not None and suite not in ("all", FAULTS[fault]):
+        raise ConfigError(f"fault {fault!r} is planted by the {FAULTS[fault]} suite, "
+                          f"not by {suite}")
     if dim is not None and dim < 2:
         raise ConfigError("dim must be at least 2")
     text, failed = report(suite, dim, seed, fault)

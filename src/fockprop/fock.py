@@ -112,13 +112,13 @@ def density_from_ket(psi):
     return np.outer(psi, psi.conj())
 
 
-def _refuse_imaginary(value, limit, message):
-    """Raises message.format(imaginary part) at the first entry past limit;
+def _refuse(bad, value, message):
+    """Raises message.format(entry of value) at the first true entry of bad;
     on a stack the error names that slice (C order) and keeps it as .index."""
-    bad = np.flatnonzero(np.abs(np.imag(value)) > limit)
+    bad = np.flatnonzero(bad)
     if bad.size:
         where = f"slice {bad[0]}: " if np.ndim(value) else ""
-        err = ValueError(where + message.format(np.imag(value).flat[bad[0]]))
+        err = ValueError(where + message.format(np.asarray(value).flat[bad[0]]))
         err.index = int(bad[0])
         raise err
 
@@ -128,7 +128,8 @@ def observables(rho):
 
     trace is reported as a complex number so drift off the real axis is
     visible. purity = tr(rho^2), summed as sum_ij rho_ij rho_ji without
-    forming rho^2, must come out real; an imaginary part above
+    forming rho^2, must come out finite and real; a non-finite value, which
+    any non-finite entry of rho gives, or an imaginary part above
     1e-12 max(1, |tr rho|)^2 signals a corrupted input and raises. rho may
     be a (..., dim, dim) stack: each value is then an array over the leading
     axes, and the error names the first failing slice, also as its .index.
@@ -136,8 +137,9 @@ def observables(rho):
     rho = np.asarray(rho, dtype=complex)
     tr = np.trace(rho, axis1=-2, axis2=-1)
     pur = np.einsum("...ij,...ji->...", rho, rho)
-    _refuse_imaginary(pur, 1e-12 * np.maximum(1.0, np.abs(tr)) ** 2,
-                      "purity has imaginary part {:g}, not a density matrix")
+    _refuse(~np.isfinite(pur), pur, "purity is {:g}, not finite")
+    _refuse(np.abs(pur.imag) > 1e-12 * np.maximum(1.0, np.abs(tr)) ** 2, pur.imag,
+            "purity has imaginary part {:g}, not a density matrix")
     mean_n = np.real(np.sum(np.arange(rho.shape[-1]) * rho.diagonal(0, -2, -1), axis=-1))
     obs = {"trace": tr, "purity": pur.real, "mean_n": mean_n}
     return {k: v.item() for k, v in obs.items()} if rho.ndim == 2 else obs
@@ -157,7 +159,7 @@ def fidelity_pure(psi, rho):
         raise ValueError(f"shape mismatch: state {psi.size}, matrix {rho.shape}")
     val = ((psi.conj()[None, None, :] @ rho) @ psi).reshape(rho.shape[:-2])
     c = np.maximum(1.0, np.abs(np.trace(rho, axis1=-2, axis2=-1)))
-    _refuse_imaginary(val, 1e-12 * c, "fidelity has imaginary part {:g}")
+    _refuse(np.abs(val.imag) > 1e-12 * c, val.imag, "fidelity has imaginary part {:g}")
     out = np.minimum(np.maximum(val.real, 0.0), (1.0 + 1e-10) * c)
     return out.item() if rho.ndim == 2 else out
 

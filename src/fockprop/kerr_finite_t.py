@@ -10,19 +10,17 @@ u(0) = 0, z = g0 + i chi k and mu = 4 gm gp. The weights stay bounded on
 the window and are smooth through a vanishing discriminant, so the flow
 is accurate at any window size and any time. The rates are real, so
 every weight at -k is the conjugate of its value at k: the weights are
-evaluated on k >= 0 only, with real transcendental functions, and
-mirrored. Along each diagonal k the elementwise factor is a geometric
-progression in min(n, m): two exponentials per k >= 0 and time, and a
-table of powers built by doubling, each power at most log2(dim) + 1
-rounded products from its ratio.
-The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
-and pdc's channel runs it at chi = 0 between its squeezes, with feeds
-2 gamma but mu = 4 (gamma^2 - |eps|^2): u at k = 0 is its kappa and
-exp(d t) / hinv its C. Both series run as the Pascal passes of _passes
-over the skewed window of _skew, each read chain a column and time the
-innermost axis; state, weights and factor are gathered into that one
-layout once, and the result is scattered back once. A zero rate skips
-its series, so lossless runs cost the elementwise factor.
+evaluated on k >= 0 only, with real transcendental functions. Along each
+diagonal k the elementwise factor is a geometric progression in min(n, m):
+two exponentials per k >= 0 and time, and a table of powers built by
+doubling, each power at most log2(dim) + 1 rounded products from its ratio.
+The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0.
+Both series run as the Pascal passes of _passes over the skewed window of
+_skew, each read chain a column and time the innermost axis. The core,
+_lower_factor_raise, gathers state, weights and the caller's factor table
+into that one layout once and scatters the result back once; pdc's
+channel runs it with its own weights and table. A zero rate skips its
+series, so lossless runs cost the elementwise factor.
 """
 
 import functools
@@ -178,20 +176,17 @@ class KerrFiniteTParams:
 def _weights(times, dim, chi, mu, disc, g0):
     """Series weight u and log hinv on the grid of index differences by times.
 
-    times is a 1-D array; the grid is (2 dim - 1, T), row k + dim - 1
-    holding k = 1 - dim ... dim - 1. With z = g0 + i chi k, the root
-    D = sqrt(z^2 - mu) and h = (1 - exp(-2 D t)) / (2 D) the weights read
+    times is a 1-D array; the grid is (dim, T), row k holding k >= 0. With
+    z = g0 + i chi k, D = sqrt(z^2 - mu) and h = (1 - exp(-2 D t)) / (2 D):
 
       q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
 
     with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t.
     D^2 is disc + i chi k (2 g0 + i chi k), with the k = 0 discriminant
-    disc = g0^2 - mu formed by the caller free of cancellation. The rates
-    are real, so each weight at -k is the conjugate of its value at k: the
-    grid is evaluated on k = 0 ... dim - 1 and mirrored. At chi = 0 the
-    exact weights are real, so their imaginary rounding is dropped. The
-    transcendental functions run on real parts, since numpy's complex log
-    and expm1 cost several times as much: with x + iy = (z - D) h,
+    disc = g0^2 - mu formed by the caller free of cancellation. At -k a
+    weight is the conjugate of its value at k. The transcendental functions
+    run on real parts, since numpy's complex log and expm1 cost several
+    times as much: with x + iy = (z - D) h,
 
       log q = log1p(x (2 + x) + y^2) / 2 + i atan2(y, 1 + x),
 
@@ -222,9 +217,7 @@ def _weights(times, dim, chi, mu, disc, g0):
         log_hinv.real = zmd.real * times - log_q
         log_hinv.imag = zmd.imag * times - np.arctan2(y, q.real)
         u /= q
-    if not chi:
-        u, log_hinv = u.real, log_hinv.real
-    return _mirrored(u), _mirrored(log_hinv)
+    return u, log_hinv
 
 
 def _expm1(x):
@@ -240,19 +233,14 @@ def _expm1(x):
     return out
 
 
-def _mirrored(grid):
-    """A (dim, T) grid on k = 0 ... dim - 1 extended to k = 1 - dim ... dim - 1 by conjugation."""
-    return np.concatenate((grid[:0:-1].conj(), grid))
-
-
 @functools.lru_cache(maxsize=4)
 def _diagonals(dim):
     """Where each element of the skewed window of LOWER and RAISE sits on the grids.
 
     At each (z, j) of _skew(dim, LOWER), which RAISE shares, returns the
-    element's row k + dim - 1 in the grid of _weights; its flat row
-    min(n, m) dim + |k| in the (dim, dim, T) table of _power_table; and
-    whether k < 0, where that table entry is to be conjugated. The result
+    element's row k + dim - 1 in the mirrored grid of _series_weights; its
+    flat row min(n, m) dim + |k| in a (dim, dim, T) factor table; and
+    whether k < 0, where the gathered entries are conjugated. The result
     is cached, so the arrays are read-only.
     """
     n, m = np.divmod(_skew(dim, LOWER)[0], dim)
@@ -265,37 +253,32 @@ def _diagonals(dim):
 
 
 def _power_table(log_hinv, times, chi, g0, cg):
-    """head r^z by rows z < dim and columns k = 0 ... dim - 1, as a (dim, dim, T) table.
+    """exp(t d) hinv^(s+1) by rows z = min(n, m) < dim and columns k >= 0, as a (dim, dim, T) table.
 
-    log_hinv is the grid of _weights at the 1-D times. With
-    w = log hinv - g0 t - i chi t k, head and r are
+    d = c_gamma - g0 s - i chi k (s - 1) is the generator's diagonal and
+    log_hinv the grid of _weights at the 1-D times. The exponent is linear
+    in s = k + 2 z, so each column is a geometric progression head r^z:
+    with w = log hinv - g0 t - i chi t k,
 
       head = exp(log hinv + c_gamma t + i chi t k + k w),  r = exp(2 w),
 
     two exponentials per k >= 0 and time; at -k both are the conjugates.
-    The powers are built by doubling: rows h ... 2h - 1 are rows 0 ... h - 1
-    times r^h, and r is squared each round, so each power takes at most
-    log2(dim) + 1 rounded products, in an order that depends on z alone
-    and not on the window. A round builds its rows on k < dim - h only, so
-    row z holds at least the entries k < dim - z that a window element
-    reads, and the rest is left unset. Time is the innermost axis, so each
-    round is one product over contiguous runs. At chi = 0, w is one real
-    ratio for every k, and the real entry (z, k) is exp(log hinv + c_gamma t)
-    exp(w)^(k + 2 z), each power rounded once: at window 32 pdc's
-    near-threshold cancellation loses about twice as much to doubling.
+    hinv's power is an integer, so the branch of log q cancels, and decay
+    and growth meet inside w, never as 0 * inf. The powers are built by
+    doubling: rows h ... 2h - 1 are rows 0 ... h - 1 times r^h, and r is
+    squared each round, so each power takes at most log2(dim) + 1 rounded
+    products, in an order that depends on z alone, and r^z rounds as an
+    exponent z times as large would. A round builds its rows on k < dim - h
+    only, which covers the entries k < dim - z that a window element reads;
+    the rest is left unset. Time is the innermost axis, so each round is one
+    product over contiguous runs.
     """
-    dim = (log_hinv.shape[0] + 1) // 2
-    log_hinv = log_hinv[dim - 1:]
-    if not chi:
-        s = np.minimum(np.add.outer(2 * np.arange(dim), np.arange(dim)), 2 * dim - 2)
-        powers = np.exp(log_hinv[0] - g0 * times) ** np.arange(2 * dim - 1)[:, None]
-        return (np.exp(log_hinv[0] + cg * times) * powers)[s]
+    dim = len(log_hinv)
     k = np.arange(dim, dtype=float)[:, None]
     phase = 1j * times * (chi * k)
     w = log_hinv - g0 * times - phase
     table = np.empty((dim, dim, len(times)), dtype=complex)
-    head, r = np.exp([log_hinv + cg * times + phase + k * w, 2.0 * w])
-    table[0] = head
+    table[0], r = np.exp([log_hinv + cg * times + phase + k * w, 2.0 * w])
     h = 1
     while h < dim:
         rows, cols = min(h, dim - h), dim - h
@@ -305,60 +288,51 @@ def _power_table(log_hinv, times, chi, g0, cg):
     return table
 
 
-def _diagonal_factor(log_hinv, times, chi, g0, cg):
-    """The elementwise factor exp(t d) hinv^(s+1) on the skewed (dim, dim, T) stack.
+def _diagonal_factor(table):
+    """The elementwise factor on the skewed (dim, dim, T) stack, from its table.
 
-    d = c_gamma - g0 s - i chi k (s - 1) is the generator's diagonal and
-    log_hinv the grid of _weights at the 1-D times. Along a diagonal
-    k = n - m the exponent is linear in s = |k| + 2 min(n, m), so the
-    factor is a geometric progression, head r^min(n, m): it is gathered
-    from _power_table at each element's row min(n, m) and column |k|, and
-    conjugated where k < 0. The rounding of r grows z-fold in r^z, as an
-    exponent z times as large would round. An integer power of hinv, so the
-    branch of log q cancels. Decay and growth meet inside w, never as
-    0 * inf, so long times stay finite.
+    table holds the factor by rows min(n, m) and columns |k| < dim at each
+    time, as _power_table builds it; each element's entry is gathered and
+    conjugated where k < 0, which leaves a real table as it is.
     """
-    table = _power_table(log_hinv, times, chi, g0, cg)
     dim = len(table)
     _, power, neg = _diagonals(dim)
     factor = np.take(table.reshape(dim * dim, -1), power, axis=0)
-    if chi:                                      # at chi = 0 the table is real
-        np.negative(factor.imag, out=factor.imag, where=neg[:, :, None])
-    return factor
+    return np.conjugate(factor, out=factor, where=neg[:, :, None])
 
 
 def _series_weights(c, read):
     """The pass weights of LOWER or RAISE on the skewed stack, and whether they read up.
 
-    c is the series weight on the grid of index differences by times; it
-    is gathered straight into the (dim, dim, T) layout of _skew.
+    c is the series weight on k >= 0 by times, mirrored onto k < 0 by
+    conjugation and gathered straight into the (dim, dim, T) layout of _skew.
     """
-    dim = (len(c) + 1) // 2
+    dim = len(c)
     _, factor, up = _skew(dim, read)
-    w = np.take(c, _diagonals(dim)[0], axis=0)
+    w = np.take(np.concatenate((c[:0:-1].conj(), c)), _diagonals(dim)[0], axis=0)
     return np.multiply(w, factor[:, :, None], out=w), up
 
 
-def _lower_factor_raise(rho, times, u, log_hinv, down, up, chi, g0, cg):
-    """The lowering series, the factor exp(t d) hinv^(s+1) and the raising series.
+def _lower_factor_raise(rho, u, table, down, up):
+    """The lowering series, the elementwise factor and the raising series.
 
-    rho is one (dim, dim) state for every time or a (T, dim, dim) stack;
-    u and log_hinv are the grids of _weights at the 1-D times, and the
-    series weights are u times the feeds down and up, a zero feed skipping
-    its series. rho, the series weights and the factor are gathered into
-    the skewed (dim, dim, T) stack of _skew(dim, LOWER), which both series
-    share; the result is scattered back once, as a C-ordered (T, dim^2)
-    array. A raising order adds 2 to s at fixed k, so it commutes with d.
+    rho is one (dim, dim) state for every time or a (T, dim, dim) stack, u
+    the series weight on k >= 0 by time, scaled by the feeds down and up (a
+    zero feed skips its series), and table the factor as _diagonal_factor
+    reads it. All are gathered into the skewed (dim, dim, T) stack of
+    _skew(dim, LOWER), which both series share; the result is scattered
+    back once, as a C-ordered (T, dim^2) array. A raising order adds 2 to s
+    at fixed k, so it commutes with the factor.
     """
-    dim = rho.shape[-1]
+    dim, count = rho.shape[-1], table.shape[-1]
     flat = _skew(dim, LOWER)[0]
     if rho.ndim == 2:
-        p = np.array(np.broadcast_to(rho.take(flat)[:, :, None], (dim, dim, len(times))))
+        p = np.array(np.broadcast_to(rho.take(flat)[:, :, None], (dim, dim, count)))
     else:
-        p = rho.reshape(len(times), dim * dim).T[flat]
+        p = rho.reshape(count, dim * dim).T[flat]
     if down:
         _passes(p, *_series_weights(down * u, LOWER))
-    np.multiply(_diagonal_factor(log_hinv, times, chi, g0, cg), p, out=p)
+    np.multiply(_diagonal_factor(table), p, out=p)
     if up:
         _passes(p, *_series_weights(up * u, RAISE))
     return _unskewed(p, flat)
@@ -371,13 +345,13 @@ def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
     lowering series reads only from above each element, where rho0 is
     zero past the window, and the raising series only from below. t is a
     time or a 1-D array of times; the result has shape t.shape + rho0.shape.
-    The weights depend on k and t alone, so _weights evaluates them once
-    on the grid of index differences by times, with mu = 4 gm gp.
+    The weights, at mu = 4 gm gp, are evaluated once per k >= 0 and time.
     """
     times = np.asarray(t, dtype=float).reshape(-1)
     mu = 4.0 * gm * gp
     u, log_hinv = _weights(times, rho0.shape[0], chi, mu, g0 * g0 - mu, g0)
-    out = _lower_factor_raise(rho0, times, u, log_hinv, 2.0 * gm, 2.0 * gp, chi, g0, cg)
+    table = _power_table(log_hinv, times, chi, g0, cg)
+    out = _lower_factor_raise(rho0, u, table, 2.0 * gm, 2.0 * gp)
     return out.reshape(np.shape(t) + rho0.shape)
 
 

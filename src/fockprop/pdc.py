@@ -12,9 +12,10 @@ a^dag, so its flow is a Gaussian channel, and the channel factorises:
 with J- rho = a rho a^dag, J+ rho = a^dag rho a, G = exp(-i conj(eps) kappa a^2)
 and L = exp(-i eps kappa a^dag^2). With w = sqrt(d^2 - 4 (gamma^2 - |eps|^2)),
 C = cosh(w t) + d sinh(w t) / w and kappa = sinh(w t) / (w C); the corrected
-mode has w = 2 |eps|. Between the squeezes runs the Kerr resummed flow at
-chi = 0, g0 = d, c_gamma = -c, feeds 2 gamma and mu = 4 (gamma^2 - |eps|^2),
-whose k = 0 discriminant is w^2 and weights kappa = u, C = exp(d t) / hinv.
+mode has w = 2 |eps|. kappa = u and C = exp(d t) / hinv are the k = 0 weights
+of the Kerr resummed flow at chi = 0, g0 = d, mu = 4 (gamma^2 - |eps|^2) and
+discriminant w^2; between the squeezes runs that flow's series core with
+feeds 2 gamma, taking kappa and pdc's own table of trace C^-(n+m), both real.
 G and the lowering series read only from above each element, where rho is
 zero past the window, and the raising series and L only from below, so the
 result is the untruncated flow projected onto the window, with no cutoff
@@ -76,6 +77,29 @@ def _divergence_time(params):
     return (math.pi - math.atan2(w, d)) / w
 
 
+def _channel_row(params, times):
+    """kappa and log hinv at the 1-D times: the k = 0 row of _weights at pdc's rates, real.
+
+    Its imaginary rounding, kept, made the uncorrected channel at w^2 < 0 15 times less accurate.
+    """
+    d, _, mu, w2 = _rates(params)
+    u, log_hinv = _weights(times, 1, 0.0, mu, w2, d)
+    return u[0].real, log_hinv[0].real
+
+
+def _factor_table(params, log_hinv, times, dim):
+    """trace C^-s by rows z and columns |k| < dim, s = min(2 z + |k|, 2 dim - 2), at the times.
+
+    trace = exp(log hinv - c t), log hinv of _channel_row. Each power of 1/C
+    is rounded once: built by doubling, they lose the near-threshold
+    cancellation about twice as much at window 32.
+    """
+    d, c, _, _ = _rates(params)
+    s = np.minimum(np.add.outer(2 * np.arange(dim), np.arange(dim)), 2 * dim - 2)
+    powers = np.exp(log_hinv - d * times) ** np.arange(2 * dim - 1)[:, None]
+    return (np.exp(log_hinv - c * times) * powers)[s]
+
+
 def _squeezes(c, dim):
     """exp(c a^2) for each weight of the 1-D c, as a (T, dim, dim) upper triangular stack.
 
@@ -112,11 +136,12 @@ def propagate_pdc(rho0, t, params):
             f"the uncorrected flow diverges at t = {t_max:.6g}, before t = {late[0]:g}")
     dim = rho0.shape[0]
     times = t.reshape(-1)
-    d, c, mu, w2 = _rates(params)
-    u, log_hinv = _weights(times, dim, 0.0, mu, w2, d)
-    kappa, eps, feed = u[dim - 1], complex(params.epsilon), 2.0 * params.gamma
+    kappa, log_hinv = _channel_row(params, times)
+    eps, feed = complex(params.epsilon), 2.0 * params.gamma
     g = _squeezes(-1j * eps.conjugate() * kappa, dim)
     low = _squeezes(-1j * eps * kappa, dim).swapaxes(1, 2)
-    out = _lower_factor_raise(g @ rho0 @ g.conj().swapaxes(1, 2), times, u, log_hinv,
-                              feed, feed, 0.0, d, -c).reshape(-1, dim, dim)
+    out = _lower_factor_raise(g @ rho0 @ g.conj().swapaxes(1, 2),
+                              np.broadcast_to(kappa, (dim, len(times))),
+                              _factor_table(params, log_hinv, times, dim),
+                              feed, feed).reshape(-1, dim, dim)
     return (low @ out @ low.conj().swapaxes(1, 2)).reshape(t.shape + rho0.shape)

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import __version__
 from .fock import annihilation, coherent_state, density_from_ket, fidelity_pure, observables
-from .kerr_finite_t import KerrFiniteTParams, _weights, propagate_kerr_finite_t
+from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
 from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from .oracle import converged_window_reference, expm_evolve
-from .pdc import PDCParams, _rates, propagate_pdc
+from .pdc import PDCParams, _channel_row, _rates, propagate_pdc
 from .superop import (
     _maxabs,
     _record,
@@ -31,7 +31,8 @@ from .superop import (
     verify_commutator_table,
 )
 
-FAULTS = ("kerr0-phase-sign", "pdc-conjugate-eps", "pdc-mode-flip")
+# each planted fault and the suite that plants it
+FAULTS = {"kerr0-phase-sign": "kerr0", "pdc-conjugate-eps": "pdc", "pdc-mode-flip": "pdc"}
 
 
 def _check(name, residual, tol):
@@ -152,11 +153,11 @@ def _suite_pdc(dim, seed, fault):
     # t = ln(2) / w, cosh(w t) = 5/4 and sinh(w t) = 3/4, so C = 5/4 + 2 (3/4) / 1.2
     # = 5/2 and kappa = (3/4) / (1.2 C) = 1/4, the flow's u and exp(d t) / hinv at k = 0
     t = math.log(2.0) / 1.2
-    d, _, mu, w2 = _rates(PDCParams(epsilon=0.6, gamma=1.0))
-    u, log_hinv = _weights(np.array([t]), 1, 0.0, mu, w2, d)
+    anchor = PDCParams(epsilon=0.6, gamma=1.0)
+    kappa, log_hinv = _channel_row(anchor, np.array([t]))
     recs.append(_check(
         "channel anchor values kappa=1/4, C=5/2 at eps=0.6, gamma=1, t=ln(2)/1.2",
-        max(abs(u[0, 0] - 0.25), abs(math.exp(log_hinv[0, 0] - d * t) - 0.4)),
+        max(abs(kappa[0] - 0.25), abs(math.exp(log_hinv[0] - _rates(anchor)[0] * t) - 0.4)),
         1e-12,
     ))
 

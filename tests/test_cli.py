@@ -605,6 +605,18 @@ def test_verify_faults_are_caught(tmp_path):
     assert main(["verify", "--suite", "kerr0", "--inject-fault", "made-up"]) == 2
 
 
+def test_verify_refuses_a_fault_that_no_selected_suite_plants(capsys):
+    # a fault outside the selected suite would leave the negative control
+    # silently unplanted; --suite all plants every fault
+    for suite, fault, owner in (("kerrT", "kerr0-phase-sign", "kerr0"),
+                                ("tables", "pdc-mode-flip", "pdc")):
+        assert main(["verify", "--suite", suite, "--inject-fault", fault]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"planted by the {owner} suite" in err
+    assert main(["verify", "--suite", "all", "--dim", "10", "--inject-fault",
+                 "kerr0-phase-sign"]) == 1
+
+
 def test_top_level_usage(tmp_path):
     assert main(["--version"]) == 0
     assert main([]) == 2
@@ -731,6 +743,29 @@ suite: all  seed: 0
 [tables] UNVERIFIABLE [cross_lower, <undefined partner>] = (coupling/g)(jump_up + jump_down): the partner superoperator is never defined, so the relation cannot be evaluated; recorded, not failed
 51 checks, all passed
 """
+
+
+# a heating c_gamma carries the trace past the float range by t = 800
+NON_FINITE = (
+    "model = kerrT\ndim = 8\nchi = 1.0\ngamma_minus = 0.3\ngamma_plus = 0.1\nc_gamma = 1.0\n"
+    "state = coherent\nalpha = 1.0\ntimes = 800\n"
+    "re_min = -1.0\nre_max = 1.0\nim_min = -1.0\nim_max = 1.0\npoints_per_axis = 3\n"
+)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "expm"])
+@pytest.mark.parametrize("command", ["propagate", "qfunc"])
+def test_a_non_finite_state_exits_2(tmp_path, capsys, command, engine):
+    # a nan or inf state must not reach the CSV as nan values
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", cfg_file(tmp_path, NON_FINITE), "--out", str(out),
+            "--engine", engine]
+    with pytest.warns(UserWarning, match="trace-preserving"), np.errstate(all="ignore"):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"the {engine} engine's state at t = 800 failed its checks" in err
+    assert "not finite" in err
+    assert not out.exists()
 
 
 def test_verify_report_lists_every_check(capsys):

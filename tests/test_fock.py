@@ -164,6 +164,19 @@ def test_observables_rejects_garbage_purity():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_observables_refuses_a_non_finite_state(entry):
+    # one non-finite entry anywhere makes sum_ij rho_ij rho_ji non-finite,
+    # whether or not its partner entry is zero
+    good = np.diag([0.5, 0.5]).astype(complex)
+    bad = good.copy()
+    bad[0, 1] = entry
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^slice 2: purity") as err:
+        observables(np.stack([good, good, bad]))
+    assert err.value.index == 2
+    assert "not finite" in str(err.value)
+
+
 def test_fidelity_pure_values_and_clamp():
     psi = np.array([1.0, 0.0], dtype=complex)
     rho = np.diag([0.7, 0.3]).astype(complex)

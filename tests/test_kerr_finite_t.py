@@ -12,7 +12,9 @@ from fockprop.kerr_finite_t import (
     _diagonal_factor,
     _diagonals,
     _passes,
+    _power_table,
     _propagate_resummed,
+    _series_weights,
     _skew,
     _unskewed,
     _weights,
@@ -20,7 +22,7 @@ from fockprop.kerr_finite_t import (
 )
 from fockprop.kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from fockprop.oracle import crop, embed, expm_evolve
-from fockprop.pdc import PDCParams, _rates, propagate_pdc
+from fockprop.pdc import PDCParams, _channel_row, _factor_table, _rates, propagate_pdc
 from fockprop.superop import (
     build_liouvillian,
     kerr_finite_t_generator,
@@ -167,27 +169,36 @@ def test_long_times_on_the_widest_window():
     assert maxabs(warm - thermal) < 1e-13
 
 
-def kerr_rates(chi, gm, gp, g0, cg):
-    """The arguments (chi, mu, disc, g0, c_gamma) of _weights and the factor for Kerr rates."""
-    mu = 4.0 * gm * gp
-    return chi, mu, g0 * g0 - mu, g0, cg
+def weight_rates(params):
+    """The arguments (chi, mu, disc, g0) of _weights and c_gamma for Kerr or pdc rates.
+
+    pdc's channel is the flow at chi = 0, g0 = d, c_gamma = -c and disc = w^2.
+    """
+    if isinstance(params, PDCParams):
+        d, c, mu, w2 = _rates(params)
+        return 0.0, mu, w2, d, -c
+    mu = 4.0 * params.gamma_minus * params.gamma_plus
+    return params.chi, mu, params.gamma0 * params.gamma0 - mu, params.gamma0, params.c_gamma
 
 
-def pdc_rates(params):
-    """The same arguments for pdc's channel: chi = 0, g0 = d, c_gamma = -c and disc = w^2."""
-    d, c, mu, w2 = _rates(params)
-    return 0.0, mu, w2, d, -c
+def factor_table(params, times, dim):
+    """log hinv on k >= 0 and the factor table that the propagator of params builds."""
+    if isinstance(params, PDCParams):
+        _, row = _channel_row(params, times)
+        return np.broadcast_to(row, (dim, len(times))), _factor_table(params, row, times, dim)
+    chi, mu, disc, g0, cg = weight_rates(params)
+    _, log_hinv = _weights(times, dim, chi, mu, disc, g0)
+    return log_hinv, _power_table(log_hinv, times, chi, g0, cg)
 
 
 # each flow that ends in the elementwise factor; undriven, pdc's discriminant
-# vanishes at k = 0
-PDC_RATES = PDCParams(epsilon=0.3 + 0.4j, gamma=1.0)
+# vanishes at k = 0, and Kerr at chi = 0 runs the doubling table on real ratios
 FACTOR_RATES = {
-    "kerr0": kerr_rates(1.0, 0.1, 0.0, 0.1, 0.0),
-    "kerrT": kerr_rates(PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus, PARAMS.gamma0,
-                        PARAMS.c_gamma),
-    "pdc": pdc_rates(PDC_RATES),
-    "pdc-undriven": pdc_rates(PDCParams(epsilon=0.0, gamma=1.0)),
+    "kerr0": KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.0),
+    "kerrT": PARAMS,
+    "kerrT-chi0": KerrFiniteTParams(chi=0.0, gamma_minus=0.1, gamma_plus=0.05),
+    "pdc": PDCParams(epsilon=0.3 + 0.4j, gamma=1.0),
+    "pdc-undriven": PDCParams(epsilon=0.0, gamma=1.0),
 }
 
 
@@ -196,16 +207,17 @@ FACTOR_RATES = {
 def test_diagonal_factor_matches_the_per_entry_exponential(model, dim):
     # the geometric progression along each diagonal against the form it
     # replaced: one exponential of the whole exponent per window entry
-    chi, mu, disc, g0, cg = FACTOR_RATES[model]
+    chi, _, _, g0, cg = weight_rates(FACTOR_RATES[model])
     times = np.array([0.0, 1e-7, 0.3, 2.9, 1500.0])
-    _, log_hinv = _weights(times, dim, chi, mu, disc, g0)
+    log_hinv, table = factor_table(FACTOR_RATES[model], times, dim)
     n = np.arange(dim)
     k, s = np.subtract.outer(n, n), np.add.outer(n, n)
     t = times[:, None, None]
-    want = np.exp((s + 1) * np.moveaxis(log_hinv[k + (dim - 1)], -1, 0) - (g0 * t) * s + cg * t
-                  - 1j * t * (chi * k * (s - 1.0)))
+    at_k = np.moveaxis(log_hinv[np.abs(k)], -1, 0)
+    at_k = np.where(k < 0, at_k.conj(), at_k)
+    want = np.exp((s + 1) * at_k - (g0 * t) * s + cg * t - 1j * t * (chi * k * (s - 1.0)))
     # the factor comes on the skewed window; scattered back, it is in window order
-    got = _unskewed(_diagonal_factor(log_hinv, times, chi, g0, cg), _skew(dim, LOWER)[0])
+    got = _unskewed(_diagonal_factor(table), _skew(dim, LOWER)[0])
     got = got.reshape(want.shape)
     assert np.isfinite(got).all() and np.isfinite(want).all()
     assert maxabs(got - want) < 1e-13
@@ -229,8 +241,8 @@ def test_diagonal_factor_takes_exponentials_per_difference_not_per_entry(monkeyp
 
 
 def _complex_weights(times, dim, chi, mu, g0):
-    # the grid as complex log and expm1 gave it, on every k = 1 - dim ... dim - 1
-    k_line = np.arange(1 - dim, dim, dtype=float)[:, None]
+    # the grid as complex log and expm1 gave it, on k = 0 ... dim - 1
+    k_line = np.arange(dim, dtype=float)[:, None]
     z = g0 + 1j * chi * k_line
     if mu:
         root = np.sqrt(z * z - mu + 0j)
@@ -249,16 +261,30 @@ def _complex_weights(times, dim, chi, mu, g0):
 @pytest.mark.parametrize("model", sorted(FACTOR_RATES))
 def test_weights_match_the_complex_forms(model, dim):
     # kerr0 has mu = 4 gm gp = 0, where q = hinv = 1
-    chi, mu, disc, g0, _ = FACTOR_RATES[model]
+    chi, mu, disc, g0, _ = weight_rates(FACTOR_RATES[model])
     times = np.array([0.0, 0.25 * TAYLOR_SWITCH, 4.0 * TAYLOR_SWITCH, 0.3, 2.9, 1500.0])
     got = _weights(times, dim, chi, mu, disc, g0)
     want = _complex_weights(times, dim, chi, mu, g0)
     for g, w in zip(got, want):
-        assert g.shape == (2 * dim - 1, len(times))
+        assert g.shape == (dim, len(times))
         assert np.isfinite(g).all()
         assert maxabs(g - w) <= 4.4e-16
-        # -k is the conjugate of k, to the bit
-        assert g[dim - 2::-1].tobytes() == g[dim:].conj().tobytes()
+
+
+@pytest.mark.parametrize("read", [LOWER, RAISE], ids=["lower", "raise"])
+def test_series_weights_at_minus_k_are_the_conjugates(read):
+    # the weight grid holds k >= 0; gathered onto the skewed window, the
+    # weight at -k is the conjugate of the one at k, to the bit
+    dim, times = 9, np.array([0.0, 0.3, 2.9])
+    chi, mu, disc, g0, _ = weight_rates(PARAMS)
+    u = _weights(times, dim, chi, mu, disc, g0)[0]
+    got, up = _series_weights(u, read)
+    flat, factor, want_up = _skew(dim, read)
+    n, m = np.divmod(flat, dim)
+    at_k = u[np.abs(n - m)]
+    want = np.where((n < m)[:, :, None], at_k.conj(), at_k) * factor[:, :, None]
+    assert up == want_up
+    assert got.tobytes() == want.tobytes()
 
 
 def test_weights_take_real_transcendentals_per_nonnegative_difference(monkeypatch):
@@ -281,9 +307,9 @@ def test_weights_take_real_transcendentals_per_nonnegative_difference(monkeypatc
                             ("exp", False), ("sin", False), ("cos", False), ("sqrt", False)):
         monkeypatch.setattr(np, name, watched(name, real_only))
     for model in sorted(FACTOR_RATES):
-        chi, mu, disc, g0, _ = FACTOR_RATES[model]
+        chi, mu, disc, g0, _ = weight_rates(FACTOR_RATES[model])
         u, log_hinv = _weights(times, dim, chi, mu, disc, g0)
-        assert u.shape == log_hinv.shape == (2 * dim - 1, len(times))
+        assert u.shape == log_hinv.shape == (dim, len(times))
     assert {"expm1", "exp", "sin", "cos", "log1p", "arctan2"} <= set(sizes)
     assert max(max(s) for s in sizes.values()) <= len(times) * dim
 
@@ -382,7 +408,7 @@ def test_an_empty_list_of_times_gives_an_empty_stack():
     rho0 = seeded_density(6, 42)
     lossless = KerrZeroTParams(chi=1.0, gamma_minus=0.0)
     for run, params in ((propagate_kerr_zero_t, lossless), (propagate_kerr_finite_t, PARAMS),
-                        (propagate_pdc, PDC_RATES)):
+                        (propagate_pdc, FACTOR_RATES["pdc"])):
         assert run(rho0, [], params).shape == (0, 6, 6)
 
 

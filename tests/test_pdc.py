@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 from fockprop.fock import coherent_state, density_from_ket, observables
-from fockprop.kerr_finite_t import (
-    TAYLOR_SWITCH,
-    KerrFiniteTParams,
-    _weights,
-    propagate_kerr_finite_t,
-)
+from fockprop.kerr_finite_t import TAYLOR_SWITCH, KerrFiniteTParams, propagate_kerr_finite_t
 from fockprop.oracle import converged_window_reference, embed
-from fockprop.pdc import PDCParams, _divergence_time, _rates, propagate_pdc
+from fockprop.pdc import PDCParams, _channel_row, _divergence_time, _rates, propagate_pdc
 from fockprop.superop import pdc_generator
 
 from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, vacuum_density
@@ -38,11 +33,10 @@ def test_param_validation():
 
 
 def channel_row(params, times):
-    """kappa and 1/C from the k = 0 row of the Kerr flow's weights at pdc's rates."""
+    """kappa and 1/C from pdc's row of the Kerr flow's k = 0 weights."""
     times = np.asarray(times, dtype=float)
-    d, _, mu, w2 = _rates(params)
-    u, log_hinv = _weights(times, 1, 0.0, mu, w2, d)
-    return u[0], np.exp(log_hinv[0] - d * times)
+    kappa, log_hinv = _channel_row(params, times)
+    return kappa, np.exp(log_hinv - _rates(params)[0] * times)
 
 
 def test_channel_anchor_values():
@@ -86,8 +80,8 @@ def closed_row(params, t, shift=0.0):
 ], ids=["corrected", "corrected-0.8", "drive-1e-9", "uncorrected-w2<0", "uncorrected-w2=0",
         "uncorrected-w2>0"])
 def test_the_zero_difference_row_is_the_closed_channel(params):
-    # the flow's k = 0 row holds kappa = u and C = exp(d t) / hinv; the
-    # weights at chi = 0 come out real, as the exact ones are. The channel
+    # the flow's k = 0 row holds kappa = u and C = exp(d t) / hinv; pdc
+    # keeps the row real, as the exact one is. The channel
     # keeps exp((d - c) t) / C of the vacuum in the vacuum. Near the
     # uncorrected divergence C falls: to 0.01 at t = 1.54 for |eps| = 0.5,
     # and to 3e-10 at 1e-10 of the time before it, where |q|^2 - 1 rounds to -1
@@ -95,15 +89,15 @@ def test_the_zero_difference_row_is_the_closed_channel(params):
     t_max = _divergence_time(params)
     if t_max < times[-1]:
         times = np.sort(np.append(times[times < t_max], t_max * (1.0 - 1e-10)))
-    d, c, mu, w2 = _rates(params)
+    d, c, _, _ = _rates(params)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        u, log_hinv = _weights(times, 3, 0.0, mu, w2, d)
+        u, log_hinv = _channel_row(params, times)
         # past exp(700) the uncorrected trace overflows; the vacuum's share
         # underflows past exp(-700) and is not compared there
         kept = times[(d - c) * times < 700.0]
         vacuum = propagate_pdc(vacuum_density(4), kept, params)[:, 0, 0]
     assert not np.iscomplexobj(u) and not np.iscomplexobj(log_hinv)
-    assert (u == u[0]).all() and (log_hinv == log_hinv[0]).all()
+    assert u.shape == log_hinv.shape == times.shape
     # w^2 is good to the rounding of its cancellation-free terms
     # (d - 2 gamma)(d + 2 gamma) and 4 |eps|^2, which long times feel near w^2 = 0
     terms = 4.0 * params.gamma**2 - d * d + 4.0 * abs(params.epsilon)**2
@@ -113,9 +107,9 @@ def test_the_zero_difference_row_is_the_closed_channel(params):
         kappa_moved, log_c_moved, _ = closed_row(params, t, shift)
         # q is rounded to a few units of 1, so its relative error grows as 1 / |q|
         rounding = 4.4e-16 * max(1.0, 2.0 / q)
-        assert abs(u[0, i] - kappa) <= rounding * kappa + abs(kappa_moved - kappa)
+        assert abs(u[i] - kappa) <= rounding * kappa + abs(kappa_moved - kappa)
         slack = rounding * max(1.0, d * t) + abs(log_c_moved - log_c)
-        assert abs(d * t - log_c - log_hinv[0, i]) <= slack
+        assert abs(d * t - log_c - log_hinv[i]) <= slack
         log_vacuum = (d - c) * t - log_c
         if i < len(kept) and log_vacuum > -700.0:
             assert vacuum[i].imag == 0.0
