@@ -477,14 +477,18 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
 
+    # an overflow or nan is caught by the finiteness checks, which name it
+    # in one error line; numpy's own floating-point warnings would only echo
+    # library source lines
     try:
-        if args.command == "propagate":
-            return run_propagate(args.config, args.out, engine=args.engine,
-                                 dump_density=args.dump_density)
-        if args.command == "verify":
-            return run_verify(args.suite, dim=args.dim, seed=args.seed,
-                              out=args.out, fault=args.fault)
-        return run_qfunc(args.config, args.out, engine=args.engine)
+        with np.errstate(all="ignore"):
+            if args.command == "propagate":
+                return run_propagate(args.config, args.out, engine=args.engine,
+                                     dump_density=args.dump_density)
+            if args.command == "verify":
+                return run_verify(args.suite, dim=args.dim, seed=args.seed,
+                                  out=args.out, fault=args.fault)
+            return run_qfunc(args.config, args.out, engine=args.engine)
     except (ConfigError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -2,7 +2,7 @@
 
 Three independent engines act on the vectorized density matrix:
 
-  expm_evolve:   scaling-and-squaring matrix exponential of L t
+  expm_evolve:   scaling-and-squaring Taylor polynomial of L t, per sector
   action_evolve: exp(L t) v as a Taylor series in substeps, on L's entries
   rk4_evolve:    classical fixed-step fourth-order Runge-Kutta
 
@@ -62,7 +62,8 @@ __all__ = [
 # the global error recommended_steps sizes an RK4 run for
 TARGET_ERROR = 1e-12
 
-# unit roundoff: the relative size of the last Taylor term expm_dense sums
+# unit roundoff: the Taylor tail expm_dense leaves, and the relative size of
+# the last term action_evolve sums
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -133,27 +134,54 @@ def _max_entry(L):
     return float(np.max(np.abs(L.entries))) if L.entries.size else 0.0
 
 
-def expm_dense(A):
-    """exp(A) by scaling and squaring with a truncated Taylor series.
+def _taylor_degree(theta):
+    """Smallest m whose Taylor tail bound theta^(m+1) / (m+1)! e^theta is at
+    most UNIT_ROUNDOFF, for a matrix of 1-norm theta."""
+    m, tail = 0, theta * math.exp(theta)
+    while tail > UNIT_ROUNDOFF:
+        m += 1
+        tail *= theta / (m + 1)
+    return m
 
-    The series on the scaled matrix is summed until the next term falls
-    below UNIT_ROUNDOFF relative to the running sum, since the squarings
-    magnify a truncation error, and then squared back up.
+
+def expm_dense(A):
+    """exp(A) by scaling and squaring with a Taylor polynomial of fixed degree.
+
+    A is scaled to X = A / 2^s with theta = ||X||_1 <= 1/2, and the degree
+    is fixed before any product: m = _taylor_degree(theta) bounds the
+    series' tail by unit roundoff, since the s squarings magnify a
+    truncation error (m <= 14 at theta = 1/2). The polynomial is evaluated
+    by Paterson & Stockmeyer (SIAM J. Comput. 2, 60, 1973): the powers
+    X ... X^p with p = ceil(sqrt(m)), then Horner in X^p over blocks of p
+    coefficients, about 2 sqrt(m) matrix products and no reductions. A
+    non-finite matrix is refused: its norm would fix no degree.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     norm1 = float(np.max(np.sum(np.abs(A), axis=0))) if n else 0.0
+    if not math.isfinite(norm1):
+        raise ValueError(f"matrix exponential needs a finite matrix; its 1-norm is {norm1}")
     squarings = max(0, int(math.ceil(math.log2(norm1))) + 1) if norm1 > 0.5 else 0
-    As = A / (2.0 ** squarings)
-    acc = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, 64):
-        term = term @ As / k
-        acc += term
-        if np.abs(term).max() <= UNIT_ROUNDOFF * max(1.0, np.abs(acc).max()):
-            break
-    else:
-        warnings.warn("matrix exponential series hit its iteration cap")
+    scale = 0.5 ** squarings
+    m = _taylor_degree(norm1 * scale)
+    p = math.isqrt(max(m - 1, 0)) + 1
+    top = max(0, (m - 1) // p)
+    powers = np.empty((p + 1, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    powers[1] = A * scale
+    for i in range(2, p + 1):
+        np.matmul(powers[i - 1], powers[1], out=powers[i])
+    # block j holds the coefficients 1/k! of degrees k = j p ... j p + p - 1;
+    # the top block runs on to m, which may reach its X^p
+    coef = np.zeros((top + 1, p + 1))
+    for k in range(m + 1):
+        j = min(k // p, top)
+        coef[j, k - j * p] = 1.0 / math.factorial(k)
+    blocks = (coef @ powers.reshape(p + 1, n * n)).reshape(top + 1, n, n)
+    acc = blocks[top]
+    for j in range(top - 1, -1, -1):
+        acc = acc @ powers[p]
+        acc += blocks[j]
     for _ in range(squarings):
         acc = acc @ acc
     return acc

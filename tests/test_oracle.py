@@ -1,17 +1,20 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from fockprop import oracle
 from fockprop.oracle import (
+    UNIT_ROUNDOFF,
     _blocks,
     _matvec,
     _rk4,
     _row_entries,
     _sectors,
+    _taylor_degree,
     action_evolve,
     converged_window_reference,
     crop,
@@ -36,12 +39,49 @@ from helpers import maxabs, seeded_density, vacuum_density
 
 
 def test_expm_dense_against_scipy():
+    # 1-norms from degree 0 (1e-17) and degree 1 (1e-12, 1e-8) up to ten
+    # squarings (400); their rounding grows with the norm, and so does the
+    # bound past 50. Measured: at most 1.1e-14 up to 50, 5.9e-14 at 400
     rng = np.random.default_rng(42)
-    for scale in (0.1, 1.0, 10.0):
-        a = scale * (rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30)))
-        ours = expm_dense(a)
-        ref = scipy.linalg.expm(a)
-        assert maxabs(ours - ref) < 1e-9 * max(1.0, maxabs(ref))
+    a = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
+    for norm1 in (1e-17, 1e-12, 1e-8, 0.3, 4.0, 50.0, 400.0):
+        scaled = a * (norm1 / np.abs(a).sum(axis=0).max())
+        ref = scipy.linalg.expm(scaled)
+        bound = 1e-13 * max(1.0, norm1 / 50) * max(1.0, maxabs(ref))
+        assert maxabs(expm_dense(scaled) - ref) <= bound, norm1
+
+
+def test_taylor_degree_is_the_smallest_that_bounds_the_tail():
+    def tail(theta, m):
+        return theta ** (m + 1) / math.factorial(m + 1) * math.exp(theta)
+
+    for theta in [1e-17, 1e-12, 1e-8] + np.linspace(0.0, 0.5, 501)[1:].tolist():
+        m = _taylor_degree(theta)
+        assert tail(theta, m) <= UNIT_ROUNDOFF
+        assert m == 0 or tail(theta, m - 1) > UNIT_ROUNDOFF
+    assert (_taylor_degree(0.0), _taylor_degree(1e-17), _taylor_degree(0.5)) == (0, 0, 14)
+
+
+@pytest.mark.parametrize("model", ["kerr0", "kerrT"])
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_expm_dense_against_40_digit_mpmath(model, t):
+    # every third sector of window 12 (n - m = 0, ±3, ±6, ±9), 1-norms up to
+    # 92; the term-by-term series that summed until a term fell below unit
+    # roundoff read up to 2.2e-14 here, the fixed-degree polynomial 1.6e-14
+    for idx, block in _blocks(_matrix(model, 12)):
+        if len(idx) % 3:
+            continue
+        a = block * t
+        with mpmath.workdps(40):
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+        assert maxabs(expm_dense(a) - ref) <= 2e-14 * max(1.0, maxabs(ref))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_expm_dense_refuses_a_non_finite_matrix(bad):
+    # a nan norm fixes no degree and an infinite one no squaring count
+    with pytest.raises(ValueError, match="needs a finite matrix"):
+        expm_dense(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_expm_dense_trivial_cases():
@@ -332,8 +372,8 @@ def test_action_matches_the_blocked_exponential(model, dim):
 @pytest.mark.parametrize("model", ["kerr0", "kerrT"])
 @pytest.mark.parametrize("dim", [12, 16, 20, 24])
 def test_blocked_exponential_matches_scipy_to_rounding(model, dim):
-    # the Taylor series runs to unit roundoff before the squarings; stopped
-    # at a relative 1e-12, it sat up to 1.1e-13 from scipy here
+    # the Taylor tail is bounded by unit roundoff before the squarings;
+    # stopped at a relative 1e-12, the series sat up to 1.1e-13 from scipy here
     gen = _matrix(model, dim)
     rho0 = random_density(dim, np.random.default_rng([dim, 1]))
     v = vec(rho0)
