@@ -14,13 +14,15 @@ evaluated on k >= 0 only, with real transcendental functions. Along each
 diagonal k the elementwise factor is a geometric progression in min(n, m):
 two exponentials per k >= 0 and time, and a table of powers built by
 doubling, each power at most log2(dim) + 1 rounded products from its ratio.
-The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0.
-Both series run as the Pascal passes of _passes over the skewed window of
-_skew, each read chain a column and time the innermost axis. The core,
-_lower_factor_raise, gathers state, weights and the caller's factor table
-into that one layout once and scatters the result back once; pdc's
-channel runs it with its own weights and table. A zero rate skips its
-series, so lossless runs cost the elementwise factor.
+The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
+run through propagate_kerr_finite_t. Both series run as the Pascal passes
+of _passes over the one skewed window of _layout, each read chain a column
+and time the innermost axis; _layout, cached per window, also holds where
+each element of that window reads the weight grid and the factor table.
+The core, _lower_factor_raise, gathers state, weights and the caller's
+factor table into that layout once and scatters the result back once;
+pdc's channel runs it with its own weights and table. A zero rate skips
+its series, so lossless runs cost the elementwise factor.
 """
 
 import functools
@@ -38,33 +40,39 @@ __all__ = [
 # |D t| use its series t (1 - D t + 2/3 (D t)^2), good to (D t)^3 / 3
 TAYLOR_SWITCH = 1e-6
 
-# read directions of a series, per axis: +1 reads index n + j (a on that
-# side of rho), -1 reads n - j (a^dag)
-LOWER = (1, 1)      # a^j rho a^dag^j
-RAISE = (-1, -1)    # a^dag^j rho a^j
-
 
 @functools.lru_cache(maxsize=2)
-def _skew(dim, read):
-    """Gather order and pass factors of the skewed window of read, LOWER or RAISE.
+def _layout(dim):
+    """The skewed window of the resummed flow, and where each of its elements sits on the grids.
 
     Row z is the row index n of rho and column j is (m - n) mod dim, so
-    each column holds two whole read chains of one k = n - m; both reads
-    share the layout. Returns the flat window index at each (z, j); the
-    pass weight over c there, which is sqrt(p+1) sqrt(q+1) over z + 1
-    (LOWER, reading up) or z (RAISE, reading down), p and q the smaller of
-    the two indices per axis, and 0 wherever the read leaves the window, so
-    the two chains of a column stay apart; and whether the reads go up.
-    The result is cached, both reads deep, so its arrays are read-only.
+    each column holds two whole read chains of one k = n - m, and both
+    series run on this one layout. At each (z, j) returns the flat window
+    index; the element's row k + dim - 1 in the mirrored weight grid of
+    _series_weights; its flat row min(n, m) dim + |k| in a (dim, dim, T)
+    factor table; whether k < 0, where gathered entries are conjugated; and
+    the pass factors of the lowering series a^j rho a^dag^j, which reads up,
+    sqrt(n+1) sqrt(m+1) / (n+1), and of the raising series a^dag^j rho a^j,
+    which reads down, sqrt(n) sqrt(m) / n. A pass factor is 0 wherever its
+    read leaves the window, so the two chains of a column stay apart. The
+    result is cached, so its arrays are read-only.
     """
     i = np.arange(dim)
     z = i[:, None]
     flat = z * dim + (i + z) % dim
-    up = read[0] > 0
-    factor = [np.sqrt(i + (r > 0)) * ((i + r >= 0) & (i + r < dim)) for r in read]
-    factor = np.multiply.outer(factor[0] / np.maximum(i + up, 1), factor[1]).take(flat)
-    flat.flags.writeable = factor.flags.writeable = False
-    return flat, factor, up
+    n, m = np.divmod(flat, dim)
+    above, below = np.sqrt(i + 1) * (i + 1 < dim), np.sqrt(i) * (i > 0)
+    layout = (
+        flat,
+        n - m + (dim - 1),
+        np.minimum(n, m) * dim + np.abs(n - m),
+        n < m,
+        np.multiply.outer(above / (i + 1), above).take(flat),
+        np.multiply.outer(below / np.maximum(i, 1), below).take(flat),
+    )
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def _passes(p, w, up):
@@ -233,25 +241,6 @@ def _expm1(x):
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _diagonals(dim):
-    """Where each element of the skewed window of LOWER and RAISE sits on the grids.
-
-    At each (z, j) of _skew(dim, LOWER), which RAISE shares, returns the
-    element's row k + dim - 1 in the mirrored grid of _series_weights; its
-    flat row min(n, m) dim + |k| in a (dim, dim, T) factor table; and
-    whether k < 0, where the gathered entries are conjugated. The result
-    is cached, so the arrays are read-only.
-    """
-    n, m = np.divmod(_skew(dim, LOWER)[0], dim)
-    at = n - m + (dim - 1)
-    power = np.minimum(n, m) * dim + np.abs(n - m)
-    neg = n < m
-    for index in (at, power, neg):
-        index.flags.writeable = False
-    return at, power, neg
-
-
 def _power_table(log_hinv, times, chi, g0, cg):
     """exp(t d) hinv^(s+1) by rows z = min(n, m) < dim and columns k >= 0, as a (dim, dim, T) table.
 
@@ -288,29 +277,16 @@ def _power_table(log_hinv, times, chi, g0, cg):
     return table
 
 
-def _diagonal_factor(table):
-    """The elementwise factor on the skewed (dim, dim, T) stack, from its table.
-
-    table holds the factor by rows min(n, m) and columns |k| < dim at each
-    time, as _power_table builds it; each element's entry is gathered and
-    conjugated where k < 0, which leaves a real table as it is.
-    """
-    dim = len(table)
-    _, power, neg = _diagonals(dim)
-    factor = np.take(table.reshape(dim * dim, -1), power, axis=0)
-    return np.conjugate(factor, out=factor, where=neg[:, :, None])
-
-
-def _series_weights(c, read):
-    """The pass weights of LOWER or RAISE on the skewed stack, and whether they read up.
+def _series_weights(c, at, factor):
+    """The pass weights of one series on the skewed stack.
 
     c is the series weight on k >= 0 by times, mirrored onto k < 0 by
-    conjugation and gathered straight into the (dim, dim, T) layout of _skew.
+    conjugation and gathered by at, the mirrored-grid rows of _layout,
+    straight into its (dim, dim, T) layout; factor is the series' pass
+    factor there.
     """
-    dim = len(c)
-    _, factor, up = _skew(dim, read)
-    w = np.take(np.concatenate((c[:0:-1].conj(), c)), _diagonals(dim)[0], axis=0)
-    return np.multiply(w, factor[:, :, None], out=w), up
+    w = np.take(np.concatenate((c[:0:-1].conj(), c)), at, axis=0)
+    return np.multiply(w, factor[:, :, None], out=w)
 
 
 def _lower_factor_raise(rho, u, table, down, up):
@@ -318,48 +294,44 @@ def _lower_factor_raise(rho, u, table, down, up):
 
     rho is one (dim, dim) state for every time or a (T, dim, dim) stack, u
     the series weight on k >= 0 by time, scaled by the feeds down and up (a
-    zero feed skips its series), and table the factor as _diagonal_factor
-    reads it. All are gathered into the skewed (dim, dim, T) stack of
-    _skew(dim, LOWER), which both series share; the result is scattered
-    back once, as a C-ordered (T, dim^2) array. A raising order adds 2 to s
-    at fixed k, so it commutes with the factor.
+    zero feed skips its series), and table the factor by rows min(n, m) and
+    columns |k| < dim at each time, as _power_table builds it. All are
+    gathered into the skewed (dim, dim, T) stack of _layout, the factor
+    conjugated where k < 0, which leaves a real table as it is; the result
+    is scattered back once, as a C-ordered (T, dim^2) array. A raising
+    order adds 2 to s at fixed k, so it commutes with the factor.
     """
     dim, count = rho.shape[-1], table.shape[-1]
-    flat = _skew(dim, LOWER)[0]
+    flat, at, power, neg, lowering, raising = _layout(dim)
     if rho.ndim == 2:
         p = np.array(np.broadcast_to(rho.take(flat)[:, :, None], (dim, dim, count)))
     else:
         p = rho.reshape(count, dim * dim).T[flat]
     if down:
-        _passes(p, *_series_weights(down * u, LOWER))
-    np.multiply(_diagonal_factor(table), p, out=p)
+        _passes(p, _series_weights(down * u, at, lowering), True)
+    factor = np.take(table.reshape(dim * dim, -1), power, axis=0)
+    np.conjugate(factor, out=factor, where=neg[:, :, None])
+    np.multiply(factor, p, out=p)
     if up:
-        _passes(p, *_series_weights(up * u, RAISE))
+        _passes(p, _series_weights(up * u, at, raising), False)
     return _unskewed(p, flat)
-
-
-def _propagate_resummed(rho0, t, chi, gm, gp, g0, cg):
-    """The resummed flow from raw rates, without the parameter checks.
-
-    Returns the untruncated flow of rho0 projected onto its window: the
-    lowering series reads only from above each element, where rho0 is
-    zero past the window, and the raising series only from below. t is a
-    time or a 1-D array of times; the result has shape t.shape + rho0.shape.
-    The weights, at mu = 4 gm gp, are evaluated once per k >= 0 and time.
-    """
-    times = np.asarray(t, dtype=float).reshape(-1)
-    mu = 4.0 * gm * gp
-    u, log_hinv = _weights(times, rho0.shape[0], chi, mu, g0 * g0 - mu, g0)
-    table = _power_table(log_hinv, times, chi, g0, cg)
-    out = _lower_factor_raise(rho0, u, table, 2.0 * gm, 2.0 * gp)
-    return out.reshape(np.shape(t) + rho0.shape)
 
 
 def propagate_kerr_finite_t(rho0, t, params):
     """Evolve rho0 for time t under the finite-temperature Kerr flow.
 
-    t is a time, or a 1-D array of times for a (T, dim, dim) stack of states.
+    Returns the untruncated flow of rho0 projected onto its window: the
+    lowering series reads only from above each element, where rho0 is
+    zero past the window, and the raising series only from below. t is a
+    time, or a 1-D array of times for a (T, dim, dim) stack of states. The
+    weights, at mu = 4 gamma_minus gamma_plus, are evaluated once per
+    k >= 0 and time.
     """
     rho0, t = _checked_state(rho0, t)
-    return _propagate_resummed(rho0, t, params.chi, params.gamma_minus,
-                               params.gamma_plus, params.gamma0, params.c_gamma)
+    times = t.reshape(-1)
+    chi, gm, gp, g0 = params.chi, params.gamma_minus, params.gamma_plus, params.gamma0
+    mu = 4.0 * gm * gp
+    u, log_hinv = _weights(times, rho0.shape[0], chi, mu, g0 * g0 - mu, g0)
+    table = _power_table(log_hinv, times, chi, g0, params.c_gamma)
+    out = _lower_factor_raise(rho0, u, table, 2.0 * gm, 2.0 * gp)
+    return out.reshape(t.shape + rho0.shape)

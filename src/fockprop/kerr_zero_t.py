@@ -1,18 +1,18 @@
 """Closed-form propagator for the damped Kerr oscillator at zero temperature.
 
 This is the finite-temperature resummed flow (kerr_finite_t) with no
-upward jumps: gamma_plus = 0, gamma0 = gamma_minus, c_gamma = 0. There
-hinv = 1 and the raising series drops out, leaving the textbook form: a
-lowering series whose weight (1 - exp(-2 z t)) / (2 z), z = gamma_minus +
-i chi k, depends only on k = n - m, then exp(t d) with d = -gamma_minus s -
-i chi k (s - 1) the generator's diagonal. The series terminates after at
-most dim terms, so the only error left is the truncation of the initial
-state.
+upward jumps: gamma_plus = 0, gamma0 = gamma_minus, c_gamma = 0, and it
+runs as propagate_kerr_finite_t at those rates. There hinv = 1 and the
+raising series drops out, leaving the textbook form: a lowering series
+whose weight (1 - exp(-2 z t)) / (2 z), z = gamma_minus + i chi k, depends
+only on k = n - m, then exp(t d) with d = -gamma_minus s - i chi k (s - 1)
+the generator's diagonal. The series terminates after at most dim terms,
+so the only error left is the truncation of the initial state.
 """
 
 from dataclasses import dataclass
 
-from .kerr_finite_t import _check_finite, _checked_state, _propagate_resummed
+from .kerr_finite_t import KerrFiniteTParams, _check_finite, propagate_kerr_finite_t
 
 __all__ = [
     "KerrZeroTParams",
@@ -37,6 +37,5 @@ def propagate_kerr_zero_t(rho0, t, params):
     The lowering series, then exp(t d). t is a time, or a 1-D array of
     times for a (T, dim, dim) stack of states.
     """
-    rho0, t = _checked_state(rho0, t)
-    gm = params.gamma_minus
-    return _propagate_resummed(rho0, t, params.chi, gm, 0.0, gm, 0.0)
+    return propagate_kerr_finite_t(
+        rho0, t, KerrFiniteTParams(params.chi, params.gamma_minus, 0.0))

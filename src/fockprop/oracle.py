@@ -188,11 +188,17 @@ def expm_dense(A):
 
 
 def _evolve_inputs(L, rho0, t):
-    """rho0 as a complex array, after checking it against L's window and t."""
+    """rho0 as a complex array, after checking it against L's window and t.
+
+    A generator with a nan or infinite entry is refused: no engine can size
+    its steps or its Taylor degree from it.
+    """
     rho0 = np.asarray(rho0, dtype=complex)
     if not isinstance(L, Liouvillian):
         raise ValueError(f"the generator for a state of shape {rho0.shape} must come from "
                          f"build_liouvillian, not an array of shape {np.shape(L)}")
+    if not np.isfinite(L.entries).all():
+        raise ValueError("the generator has a nan or infinite entry; its entries must be finite")
     if rho0.shape != (L.dim, L.dim):
         raise ValueError(f"state shape {rho0.shape} does not match the generator's "
                          f"window {L.dim}")
@@ -249,8 +255,9 @@ def action_evolve(L, rho0, t):
     exp(L t) v is never formed as a matrix (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488, 2011): t is cut into s = ceil(||L||_1 t / THETA)
     substeps of h = t / s, and each substep sums the terms (hL)^k v / k!
-    until one falls below UNIT_ROUNDOFF relative to the running sum. Every
-    term is one matvec over L's nonzero entries, so no block is dense.
+    until one falls below UNIT_ROUNDOFF relative to the running sum, or the
+    sum turns non-finite. Every term is one matvec over L's nonzero
+    entries, so no block is dense.
     """
     v = vec(_evolve_inputs(L, rho0, t))
     by_row, norm1 = _row_entries(L)
@@ -260,7 +267,8 @@ def action_evolve(L, rho0, t):
         for k in range(1, 64):
             term = _matvec(by_row, term) * (t / steps / k)
             v = v + term
-            if np.abs(term).max() <= UNIT_ROUNDOFF * np.abs(v).max():
+            # not <=: a nan or inf sum must end the series, not run it to the cap
+            if not np.abs(term).max() > UNIT_ROUNDOFF * np.abs(v).max():
                 break
         else:
             warnings.warn("Taylor action series hit its iteration cap")

@@ -753,10 +753,12 @@ NON_FINITE = (
 )
 
 
-@pytest.mark.parametrize("engine", ["analytic", "expm"])
+@pytest.mark.parametrize("engine", ["analytic", "expm", "action"])
 @pytest.mark.parametrize("command", ["propagate", "qfunc"])
 def test_a_non_finite_state_exits_2(tmp_path, capsys, command, engine):
-    # a nan or inf state must not reach the CSV as nan values
+    # a nan or inf state must not reach the CSV as nan values; the action
+    # engine ends each substep's series once its sum is no longer finite,
+    # rather than running it to the iteration cap
     out = tmp_path / "x.csv"
     argv = [command, "--config", cfg_file(tmp_path, NON_FINITE), "--out", str(out),
             "--engine", engine]
@@ -765,6 +767,7 @@ def test_a_non_finite_state_exits_2(tmp_path, capsys, command, engine):
     with pytest.warns(UserWarning, match="trace-preserving") as caught:
         assert main(argv) == 2
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not any("iteration cap" in str(w.message) for w in caught)
     err = capsys.readouterr().err
     assert f"the {engine} engine's state at t = 800 failed its checks" in err
     assert "not finite" in err

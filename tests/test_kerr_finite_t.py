@@ -5,17 +5,13 @@ import pytest
 
 from fockprop.fock import annihilation, coherent_state, creation, density_from_ket, observables
 from fockprop.kerr_finite_t import (
-    LOWER,
-    RAISE,
     TAYLOR_SWITCH,
     KerrFiniteTParams,
-    _diagonal_factor,
-    _diagonals,
+    _layout,
+    _lower_factor_raise,
     _passes,
     _power_table,
-    _propagate_resummed,
     _series_weights,
-    _skew,
     _unskewed,
     _weights,
     propagate_kerr_finite_t,
@@ -34,6 +30,15 @@ from helpers import hermiticity_error, maxabs, min_eigenvalue, seeded_density, v
 
 
 PARAMS = KerrFiniteTParams(chi=1.0, gamma_minus=0.1, gamma_plus=0.05)
+
+# the two series, by whether they read up: lowering a^j rho a^dag^j reads
+# (n + j, m + j), raising a^dag^j rho a^j reads (n - j, m - j)
+LOWER, RAISE = True, False
+
+
+def pass_factor(dim, read):
+    """The pass factor of the series read on the skewed window of _layout."""
+    return _layout(dim)[4 if read else 5]
 
 
 def test_trace_preserving_defaults():
@@ -216,8 +221,9 @@ def test_diagonal_factor_matches_the_per_entry_exponential(model, dim):
     at_k = np.moveaxis(log_hinv[np.abs(k)], -1, 0)
     at_k = np.where(k < 0, at_k.conj(), at_k)
     want = np.exp((s + 1) * at_k - (g0 * t) * s + cg * t - 1j * t * (chi * k * (s - 1.0)))
-    # the factor comes on the skewed window; scattered back, it is in window order
-    got = _unskewed(_diagonal_factor(table), _skew(dim, LOWER)[0])
+    # the core at zero feeds runs no series: on a unit state it returns the
+    # factor alone, scattered back to window order
+    got = _lower_factor_raise(np.ones((dim, dim), dtype=complex), None, table, 0.0, 0.0)
     got = got.reshape(want.shape)
     assert np.isfinite(got).all() and np.isfinite(want).all()
     assert maxabs(got - want) < 1e-13
@@ -234,8 +240,7 @@ def test_diagonal_factor_takes_exponentials_per_difference_not_per_entry(monkeyp
 
     monkeypatch.setattr(np, "exp", counted)
     rho = density_from_ket(coherent_state(dim, 2.0)[0])
-    out = _propagate_resummed(rho, times, PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus,
-                              PARAMS.gamma0, PARAMS.c_gamma)
+    out = propagate_kerr_finite_t(rho, times, PARAMS)
     assert out.shape == (3, dim, dim)
     assert 0 < sum(sizes) <= 4 * len(times) * (2 * dim - 1)
 
@@ -278,12 +283,12 @@ def test_series_weights_at_minus_k_are_the_conjugates(read):
     dim, times = 9, np.array([0.0, 0.3, 2.9])
     chi, mu, disc, g0, _ = weight_rates(PARAMS)
     u = _weights(times, dim, chi, mu, disc, g0)[0]
-    got, up = _series_weights(u, read)
-    flat, factor, want_up = _skew(dim, read)
+    flat, at = _layout(dim)[:2]
+    factor = pass_factor(dim, read)
+    got = _series_weights(u, at, factor)
     n, m = np.divmod(flat, dim)
     at_k = u[np.abs(n - m)]
     want = np.where((n < m)[:, :, None], at_k.conj(), at_k) * factor[:, :, None]
-    assert up == want_up
     assert got.tobytes() == want.tobytes()
 
 
@@ -312,13 +317,6 @@ def test_weights_take_real_transcendentals_per_nonnegative_difference(monkeypatc
         assert u.shape == log_hinv.shape == (dim, len(times))
     assert {"expm1", "exp", "sin", "cos", "log1p", "arctan2"} <= set(sizes)
     assert max(max(s) for s in sizes.values()) <= len(times) * dim
-
-
-def test_the_cached_diagonal_index_is_read_only():
-    # every flow on the window shares _diagonals' arrays, so none may write them
-    indices = _diagonals(7)
-    assert len(indices) == 3
-    assert not any(index.flags.writeable for index in indices)
 
 
 def test_semigroup_property():
@@ -433,10 +431,10 @@ def series(c, rho, read):
     """
     rho, c = np.broadcast_arrays(np.asarray(rho, dtype=complex), np.asarray(c, dtype=complex))
     dim = rho.shape[-1]
-    flat, factor, up = _skew(dim, read)
+    flat = _layout(dim)[0]
     p = rho.reshape(-1, dim * dim).T[flat]
-    w = c.reshape(-1, dim * dim).T[flat] * factor[:, :, None]
-    return _unskewed(_passes(p, w, up), flat).reshape(rho.shape)
+    w = c.reshape(-1, dim * dim).T[flat] * pass_factor(dim, read)[:, :, None]
+    return _unskewed(_passes(p, w, read), flat).reshape(rho.shape)
 
 
 def _with_signed_zeros(rho):
@@ -478,8 +476,9 @@ def test_shift_series_on_a_wide_window():
     rho[n0, m0] = 1.0
     for read in (LOWER, RAISE):
         want = np.zeros_like(rho)
+        step = 1 if read else -1
         for j in range(dim):
-            n, m = n0 - read[0] * j, m0 - read[1] * j
+            n, m = n0 - step * j, m0 - step * j
             if not (0 <= n < dim and 0 <= m < dim):
                 break
             p, q = min(n, n0), min(m, m0)
@@ -537,13 +536,19 @@ def test_shift_series_does_not_depend_on_the_window(read):
         assert crop(wide, small).tobytes() == series(c_small, rho, read).tobytes()
 
 
-def test_the_cached_skew_is_read_only():
-    # every series on the window shares _skew's arrays, so none may write them
+def test_the_cached_layout_is_read_only():
+    # every flow on the window shares _layout's arrays, so none may write
+    # them; and a layout built afresh gives the flow the same bytes as the
+    # cached one
     rho = seeded_density(9, 5)
-    first = series(0.3 - 0.1j, rho, RAISE)
-    flat, factor, _ = _skew(9, RAISE)
-    assert not flat.flags.writeable and not factor.flags.writeable
-    assert series(0.3 - 0.1j, rho, RAISE).tobytes() == first.tobytes()
+    _layout.cache_clear()
+    cold = propagate_kerr_finite_t(rho, [0.0, 0.4], PARAMS)
+    layout = _layout(9)
+    assert len(layout) == 6
+    assert not any(array.flags.writeable for array in layout)
+    assert propagate_kerr_finite_t(rho, [0.0, 0.4], PARAMS).tobytes() == cold.tobytes()
+    _layout.cache_clear()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_layout(9), layout))
 
 
 def test_closed_forms_do_not_depend_on_the_window():

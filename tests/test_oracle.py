@@ -143,6 +143,18 @@ def test_dense_engines_refuse_non_finite_times(evolve, t):
         evolve(L, vacuum_density(4), t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("evolve", [expm_evolve, action_evolve, rk4_evolve])
+def test_engines_refuse_a_generator_with_a_non_finite_entry(evolve, bad):
+    # a nan entry fixes no step count and an infinite one no Taylor degree;
+    # the shared gate names the problem before any engine sizes its run
+    L = build_liouvillian(kerr_zero_t_generator(4, 1.0, 0.1))
+    entries = L.entries.copy()
+    entries[3] = bad
+    with pytest.raises(ValueError, match="nan or infinite entry"):
+        evolve(Liouvillian(L.dim, L.rows, L.cols, entries), vacuum_density(4), 0.5)
+
+
 def test_recommended_steps_behaviour():
     dim = 10
     L = build_liouvillian(kerr_zero_t_generator(dim, 1.0, 0.1))
