@@ -37,7 +37,10 @@ The helpers at the bottom embed a state in a larger window and run the
 exponential there, on the engine that suits the generator's widest sector.
 Comparing a propagator against an oracle truncated at the same window
 would fold the oracle's own cutoff error into the residual; running the
-oracle wide and cropping isolates the propagator's error.
+oracle wide and cropping isolates the propagator's error. The reference
+sizes its own window: it climbs a fixed ladder of pads until two rungs
+agree to REFERENCE_TARGET, stop converging, or the ladder ends, so no
+caller picks a pad.
 """
 
 import math
@@ -336,6 +339,15 @@ def crop(rho, dim):
     return np.asarray(rho, dtype=complex)[:dim, :dim]
 
 
+# the pads, beyond the state's own window, of the wide windows that
+# converged_window_reference climbs
+PADS = (16, 24, 32, 48, 64)
+
+# the self-convergence, relative to max(1, |reference|max), at which the
+# climb stops
+REFERENCE_TARGET = 1e-14
+
+
 def _wide_evolve(L, rho0, t):
     """exp(L t) rho0 on the engine that suits L's sectors.
 
@@ -349,23 +361,33 @@ def _wide_evolve(L, rho0, t):
     return action_evolve(L, rho0, t)
 
 
-def converged_window_reference(generator, rho0, t, pad=16, check=8):
+def converged_window_reference(generator, rho0, t):
     """Exponential of the flow on a window wide enough that the cutoff is converged.
 
     generator(dim) must return the superoperator (superop.SuperopExpr) on a
-    window of that size. The state is embedded at dim+pad and
-    dim+pad+check, both are evolved on the engine _wide_evolve picks and
-    cropped back to dim, and their difference is returned alongside the
-    result as a self-convergence estimate. A small estimate certifies that
-    widening the window further would not move the cropped answer; check
-    must be at least 1, since a window compared with itself certifies
-    nothing.
+    window of that size. The state is embedded at dim + pad for each pad of
+    PADS in turn, evolved on the engine _wide_evolve picks and cropped back
+    to dim, and each crop is compared with the one below it. The climb stops
+    at the first pair whose difference is at most
+    REFERENCE_TARGET * max(1, |reference|max), or whose difference is more
+    than half the previous pair's (the widening is then at a rounding floor,
+    not a cutoff error), or at the top rung. The narrower crop of that pair
+    is returned with their difference, as a self-convergence estimate: a
+    small one certifies that widening the window further would not move the
+    answer, and a large one on the top rung says the ladder ran out.
     """
-    if check < 1:
-        raise ValueError(f"check must be at least 1, not {check}")
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
-    results = [crop(_wide_evolve(build_liouvillian(generator(big)), embed(rho0, big), t), dim)
-               for big in (dim + pad, dim + pad + check)]
-    conv = float(np.max(np.abs(results[0] - results[1])))
-    return results[0], conv
+
+    def evolve(pad):
+        big = dim + pad
+        return crop(_wide_evolve(build_liouvillian(generator(big)), embed(rho0, big), t), dim)
+
+    narrow, last = evolve(PADS[0]), math.inf
+    for pad in PADS[1:]:
+        wide = evolve(pad)
+        conv = float(np.max(np.abs(narrow - wide)))
+        target = REFERENCE_TARGET * max(1.0, float(np.max(np.abs(narrow))))
+        if conv <= target or conv > last / 2 or pad == PADS[-1]:
+            return narrow, conv
+        narrow, last = wide, conv

@@ -183,7 +183,7 @@ def test_converged_reference_is_exact_for_downward_only_flow():
     def build(n):
         return kerr_zero_t_generator(n, 1.0, 0.1)
 
-    ref, conv = converged_window_reference(build, rho0, 0.5, pad=6, check=4)
+    ref, conv = converged_window_reference(build, rho0, 0.5)
     assert conv < 1e-12
     same = expm_evolve(build_liouvillian(build(dim)), rho0, 0.5)
     assert maxabs(ref - same) < 1e-12
@@ -197,20 +197,10 @@ def test_converged_reference_methods_agree():
         return kerr_zero_t_generator(n, 1.0, 0.1)
 
     # the reference is the exponential; RK4 on the same wide window agrees
-    ref, _ = converged_window_reference(build, rho0, 0.3, pad=4, check=4)
-    wide = build_liouvillian(build(dim + 4))
-    assert maxabs(ref - crop(rk4_evolve(wide, embed(rho0, dim + 4), 0.3), dim)) < 1e-9
-
-
-@pytest.mark.parametrize("check", [0, -2])
-def test_converged_reference_refuses_to_compare_a_window_with_itself(check):
-    # with check = 0 both runs share one window, so the self-convergence
-    # reads exactly 0 and certifies nothing
-    rho0 = seeded_density(6, 27)
-    with pytest.raises(ValueError, match="check must be at least 1"):
-        converged_window_reference(
-            lambda n: kerr_finite_t_generator(n, 1.0, 0.1, 0.05, 0.15, -0.1), rho0, 2.0,
-            pad=0, check=check)
+    ref, _ = converged_window_reference(build, rho0, 0.3)
+    big = dim + oracle.PADS[0]
+    wide = build_liouvillian(build(big))
+    assert maxabs(ref - crop(rk4_evolve(wide, embed(rho0, big), 0.3), dim)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +426,8 @@ def test_action_returns_the_state_at_time_zero():
     assert np.array_equal(action_evolve(gen, rho0, 0.0), rho0)
 
 
-@pytest.mark.parametrize("model, engine, other", [
-    ("kerrT", "expm_evolve", "action_evolve"),
-    ("pdc", "action_evolve", "expm_evolve"),
-])
-def test_reference_engine_follows_the_widest_sector(monkeypatch, model, engine, other):
-    # every Kerr sector is at most the window wide, so the reference runs
-    # the sector blocks; the pair drive's two parity sectors are wider
+def count_windows(monkeypatch, engine, other):
+    """Windows `engine` runs on from here on; `other` may not run at all."""
     calls = []
     chosen = getattr(oracle, engine)
 
@@ -455,8 +440,48 @@ def test_reference_engine_follows_the_widest_sector(monkeypatch, model, engine, 
 
     monkeypatch.setattr(oracle, engine, counted)
     monkeypatch.setattr(oracle, other, refuse)
+    return calls
+
+
+@pytest.mark.parametrize("model, engine, other", [
+    ("kerrT", "expm_evolve", "action_evolve"),
+    ("pdc", "action_evolve", "expm_evolve"),
+])
+def test_reference_engine_follows_the_widest_sector(monkeypatch, model, engine, other):
+    # every Kerr sector is at most the window wide, so the reference runs
+    # the sector blocks; the pair drive's two parity sectors are wider. The
+    # Kerr input is converged on the first pair of rungs (1.5e-15); the pair
+    # drive's first pair differs by 2.9e-9, so it climbs to pads 32 and 48
+    chosen = getattr(oracle, engine)
+    calls = count_windows(monkeypatch, engine, other)
     rho0 = seeded_density(6, 49)
-    ref, _ = converged_window_reference(GENERATORS[model], rho0, 0.3, pad=4, check=2)
-    assert calls == [10, 12]
-    wide = build_liouvillian(GENERATORS[model](10))
-    assert np.array_equal(ref, crop(chosen(wide, embed(rho0, 10), 0.3), 6))
+    ref, _ = converged_window_reference(GENERATORS[model], rho0, 0.3)
+    windows = {"kerrT": [22, 30], "pdc": [22, 30, 38, 54]}[model]
+    assert calls == windows
+    # the narrower window of the last pair is the one returned
+    wide = build_liouvillian(GENERATORS[model](windows[-2]))
+    assert np.array_equal(ref, crop(chosen(wide, embed(rho0, windows[-2]), 0.3), 6))
+
+
+# near threshold the pair drive carries a full-support state far past the
+# first rungs: at window 16 pads 16 and 24 differ by 1.5e-4
+def near_threshold(n):
+    return pdc_generator(n, 0.95 * np.exp(0.7j), 1.0)
+
+
+def test_reference_widens_until_it_converges(monkeypatch):
+    calls = count_windows(monkeypatch, "action_evolve", "expm_evolve")
+    rho0 = random_density(16, np.random.default_rng(1))
+    _, conv = converged_window_reference(near_threshold, rho0, 0.3)
+    assert calls == [32, 40, 48, 64, 80]
+    assert conv <= 1e-15
+
+
+def test_reference_reports_an_unconverged_top_rung(monkeypatch):
+    # at window 32 the same flow is still moving at the top rung, dim + 64;
+    # the ladder ends there and its difference is returned, above the target
+    calls = count_windows(monkeypatch, "action_evolve", "expm_evolve")
+    rho0 = random_density(32, np.random.default_rng(1))
+    _, conv = converged_window_reference(near_threshold, rho0, 0.3)
+    assert calls == [48, 56, 64, 80, 96]
+    assert conv > 100 * oracle.REFERENCE_TARGET

@@ -131,7 +131,7 @@ def test_undriven_channel_is_the_kerr_flow_at_chi_zero():
 def reference(params, rho0, t):
     """Wide-window exponential result and its self-convergence."""
     return converged_window_reference(
-        lambda n: pdc_generator(n, params.epsilon, params.gamma), rho0, t, pad=8, check=4)
+        lambda n: pdc_generator(n, params.epsilon, params.gamma), rho0, t)
 
 
 def test_propagation_matches_wide_window_reference():
@@ -192,7 +192,7 @@ def test_small_drive_is_kept(size):
     rho0 = vacuum_density(8)
 
     ref, conv = converged_window_reference(
-        lambda n: pdc_generator(n, eps, 1.0), rho0, 0.2, pad=14, check=4)
+        lambda n: pdc_generator(n, eps, 1.0), rho0, 0.2)
     assert conv < 1e-15
     assert maxabs(propagate_pdc(rho0, 0.2, params) - ref) <= 1e-12
 
@@ -288,7 +288,7 @@ def test_states_near_threshold_match_the_reference(dim):
     params = PDCParams(epsilon=EPS_08, gamma=1.0)
     for rho0 in (seeded_density(dim, 1), density_from_ket(coherent_state(dim, 2.0)[0])):
         ref, conv = converged_window_reference(
-            lambda n: pdc_generator(n, EPS_08, 1.0), rho0, 0.05, pad=24, check=8)
+            lambda n: pdc_generator(n, EPS_08, 1.0), rho0, 0.05)
         assert conv < 1e-15
         assert maxabs(propagate_pdc(rho0, 0.05, params) - ref) < 1e-12
 
