@@ -14,8 +14,7 @@ import cmath
 import functools
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
-from typing import Callable
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -23,14 +22,9 @@ from . import __version__
 from .fock import (
     _chunks, cat_state, coherent_state, density_from_ket, fidelity_pure, husimi_q, observables,
 )
-from .kerr_finite_t import KerrFiniteTParams, propagate_kerr_finite_t
-from .kerr_zero_t import KerrZeroTParams, propagate_kerr_zero_t
 from .oracle import action_evolve, expm_evolve, rk4_evolve
-from .pdc import PDCParams, propagate_pdc
-from .superop import (
-    build_liouvillian, kerr_finite_t_generator, kerr_zero_t_generator, pdc_generator,
-)
-from .verify import FAULTS, SUITES, report
+from .superop import build_liouvillian
+from .verify import FAULTS, MODELS, SUITES, report
 
 
 class ConfigError(Exception):
@@ -41,37 +35,8 @@ class ConfigError(Exception):
 # Model plumbing
 
 
-@dataclass(frozen=True)
-class _Model:
-    params: type           # parameter dataclass, one field per config key
-    closed_form: Callable  # rho0, t, params -> rho(t), or the stack of a 1-D t
-    generator: Callable    # dim, params -> the generator on that window
-
-
-# The entries look this module's names up when they run, so a rebound name
-# (a profiler's wrapper, a test's monkeypatch) reaches them.
-MODELS = {
-    "kerr0": _Model(
-        KerrZeroTParams,
-        lambda rho0, t, p: propagate_kerr_zero_t(rho0, t, p),
-        lambda dim, p: kerr_zero_t_generator(dim, p.chi, p.gamma_minus),
-    ),
-    "kerrT": _Model(
-        KerrFiniteTParams,
-        lambda rho0, t, p: propagate_kerr_finite_t(rho0, t, p),
-        lambda dim, p: kerr_finite_t_generator(
-            dim, p.chi, p.gamma_minus, p.gamma_plus, p.gamma0, p.c_gamma),
-    ),
-    "pdc": _Model(
-        PDCParams,
-        lambda rho0, t, p: propagate_pdc(rho0, t, p),
-        lambda dim, p: pdc_generator(dim, p.epsilon, p.gamma, corrected=p.corrected_mode),
-    ),
-}
-
-
-# The oracle engines: generator, rho0, t -> rho(t). Like MODELS, the entries
-# look the engine up when they run.
+# The oracle engines: generator, rho0, t -> rho(t). Like verify.MODELS, the
+# entries look the engine up when they run, so a rebound name reaches them.
 ENGINES = {
     "expm": lambda L, rho0, t: expm_evolve(L, rho0, t),
     "rk4": lambda L, rho0, t: rk4_evolve(L, rho0, t),

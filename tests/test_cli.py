@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import pytest
 from fockprop import __version__, cli, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
 from fockprop.fock import annihilation, coherent_state, density_from_ket, husimi_q, observables
+from fockprop.kerr_finite_t import propagate_kerr_finite_t
 from fockprop.oracle import converged_window_reference
 from fockprop.superop import SandwichTerm, SuperopExpr, pdc_generator
 
@@ -328,7 +330,7 @@ def test_pair_drive_run_stays_physical(tmp_path):
 @pytest.mark.parametrize("epsilon", [0.98, 0.99])
 def test_pair_drive_run_near_threshold_matches_untruncated_flow(tmp_path, epsilon):
     # a valid drive just below threshold must be answered, and the vacuum
-    # stays accurate there despite the dressing's growth
+    # stays accurate there, where the channel's squeezes are largest
     cfg = cfg_file(tmp_path, (
         f"model = pdc\ndim = 16\nepsilon = {epsilon}\ngamma = 1.0\n"
         "state = vacuum\ntimes = 0.1\n"
@@ -587,8 +589,11 @@ def test_verify_suites_pass_and_report(tmp_path):
     assert main(["verify", "--suite", "tables", "--out", str(report)]) == 0
     text = report.read_text()
     assert text.splitlines()[0].startswith("fockprop")
-    assert "UNVERIFIABLE" in text
     assert "FAIL" not in text
+    # every relation passes or is a note, and names the group it belongs to
+    table = [line for line in text.splitlines() if line.startswith("[tables] ")]
+    assert table and all(re.match(r"\[tables\] (PASS|NOTE) (paper|Kerr flow|pdc channel): ", line)
+                         for line in table)
     assert main(["verify", "--suite", "kerr0"]) == 0
     for seed in (24, 35):
         assert main(["verify", "--suite", "kerrT", "--seed", str(seed)]) == 0
@@ -657,7 +662,7 @@ def test_propagate_blames_the_engine_for_a_bad_state(tmp_path, monkeypatch, caps
         out[late, 1, 0] += 1.0j
         return out
 
-    monkeypatch.setattr(cli, "propagate_kerr_zero_t", skewed)
+    monkeypatch.setattr(verify, "propagate_kerr_zero_t", skewed)
     cfg = cfg_file(tmp_path, KERR0_DECAY.replace("0.0, 0.5, 1.0", "0.0, 0.25, 0.75, 1.0"))
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
@@ -696,54 +701,51 @@ suite: all  seed: 0
 [kerrT] PASS gamma_plus -> 0 continuity, dim=12, t=0.5: residual * tol 1e-06
 [kerrT] PASS thermal state annihilated by the generator, dim=40: residual * tol 1e-10
 [kerrT] PASS thermal state fixed by the propagator, dim=40, t=0.7: residual * tol 1e-08
-[kerrT] PASS wide-window exponential self-convergence, dim=12+pad: residual * tol 1e-13
+[kerrT] PASS wide-window exponential self-convergence, dim=12: residual * tol 1e-13
 [kerrT] PASS resummed propagator vs wide-window exponential, dim=12, t=0.5: residual * tol 1e-13
 [pdc] PASS channel anchor values kappa=1/4, C=5/2 at eps=0.6, gamma=1, t=ln(2)/1.2: residual * tol 1e-12
 [pdc] PASS drive equals -i[eps adag^2 + conj(eps) a^2, rho]: residual * tol 1e-13
-[pdc] PASS wide-window exponential self-convergence, dim=16+pad: residual * tol 1e-13
+[pdc] PASS wide-window exponential self-convergence, dim=16: residual * tol 1e-13
 [pdc] PASS propagation vs wide-window exponential, random state, dim=16, t=0.05: residual * tol 1e-13
-[tables] PASS [pair_sink, jump_down_scaled] = 0: residual * tol 1e-10
-[tables] PASS [jump_down_scaled, pair_sink] = -(0): residual * tol 1e-10
-[tables] PASS [pair_sink, cross_shift_sum] = -jump_down_scaled: residual * tol 1e-10
-[tables] PASS [cross_shift_sum, pair_sink] = -(-jump_down_scaled): residual * tol 1e-10
-[tables] PASS [pair_sink, pair_source] = 4*damping_shift: residual * tol 1e-10
-[tables] PASS [pair_source, pair_sink] = -(4*damping_shift): residual * tol 1e-10
-[tables] PASS [pair_sink, jump_up_scaled] = -8*cross_shift_sum: residual * tol 1e-10
-[tables] PASS [jump_up_scaled, pair_sink] = -(-8*cross_shift_sum): residual * tol 1e-10
-[tables] PASS [jump_down_scaled, cross_shift_sum] = -4*pair_sink: residual * tol 1e-10
-[tables] PASS [cross_shift_sum, jump_down_scaled] = -(-4*pair_sink): residual * tol 1e-10
-[tables] PASS [jump_down_scaled, pair_source] = 8*cross_shift_sum: residual * tol 1e-10
-[tables] PASS [pair_source, jump_down_scaled] = -(8*cross_shift_sum): residual * tol 1e-10
-[tables] PASS [jump_down_scaled, jump_up_scaled] = -16*damping_shift: residual * tol 1e-10
-[tables] PASS [jump_up_scaled, jump_down_scaled] = -(-16*damping_shift): residual * tol 1e-10
-[tables] PASS [cross_shift_sum, pair_source] = jump_up_scaled: residual * tol 1e-10
-[tables] PASS [pair_source, cross_shift_sum] = -(jump_up_scaled): residual * tol 1e-10
-[tables] PASS [cross_shift_sum, jump_up_scaled] = 4*pair_source: residual * tol 1e-10
-[tables] PASS [jump_up_scaled, cross_shift_sum] = -(4*pair_source): residual * tol 1e-10
-[tables] PASS [pair_source, jump_up_scaled] = 0: residual * tol 1e-10
-[tables] PASS [jump_up_scaled, pair_source] = -(0): residual * tol 1e-10
-[tables] PASS [pair_sink, pair_sink] = 0: residual * tol 1e-10
-[tables] PASS [jump_down_scaled, jump_down_scaled] = 0: residual * tol 1e-10
-[tables] PASS [cross_shift_sum, cross_shift_sum] = 0: residual * tol 1e-10
-[tables] PASS [pair_source, pair_source] = 0: residual * tol 1e-10
-[tables] PASS [jump_up_scaled, jump_up_scaled] = 0: residual * tol 1e-10
-[tables] NOTE [pair_sink, jump_up_scaled] coefficient-2 variant: residual * (coefficient 2 rejected in favor of 8, residual shown)
-[tables] NOTE [jump_up_scaled, pair_sink] coefficient-2 variant: residual * (coefficient 2 rejected in favor of 8, residual shown)
-[tables] PASS closure: span{jump_down_scaled, pair_sink, cross_shift_sum}: residual * tol 1e-10
-[tables] PASS closure: span{jump_up_scaled, pair_source, cross_shift_sum}: residual * tol 1e-10
-[tables] PASS [number_damping(0.1), lowering] = 2*0.1*lowering: residual * tol 1e-10
-[tables] PASS [kerr_phase(1.0), lowering] = 2i*1.0*index_difference.lowering: residual * tol 1e-10
-[tables] PASS [index_difference, lowering] = 0: residual * tol 1e-10
-[tables] PASS [cross_raise, jump_down] rho = -2g rho adag^2: residual * tol 1e-10
-[tables] PASS [cross_raise, jump_up] rho = 2g adag^2 rho: residual * tol 1e-10
-[tables] PASS [cross_raise, drive] = (i conj(eps)/g) (jump_down + jump_up): residual * tol 1e-10
-[tables] PASS [cross_lower, jump_down] rho = -2g a^2 rho: residual * tol 1e-10
-[tables] PASS [cross_lower, jump_up] rho = 2g rho a^2: residual * tol 1e-10
-[tables] PASS [cross_lower, drive] = (-i eps/g) (jump_down + jump_up): residual * tol 1e-10
-[tables] PASS [cross_raise, number_damping] = 0: residual * tol 1e-10
-[tables] PASS [cross_lower, number_damping] = 0: residual * tol 1e-10
-[tables] UNVERIFIABLE [cross_lower, <undefined partner>] = (coupling/g)(jump_up + jump_down): the partner superoperator is never defined, so the relation cannot be evaluated; recorded, not failed
-51 checks, all passed
+[tables] PASS paper: [pair_sink, jump_down_scaled] = 0: residual * tol 1e-10
+[tables] PASS paper: [jump_down_scaled, pair_sink] = -(0): residual * tol 1e-10
+[tables] PASS paper: [pair_sink, cross_shift_sum] = -jump_down_scaled: residual * tol 1e-10
+[tables] PASS paper: [cross_shift_sum, pair_sink] = -(-jump_down_scaled): residual * tol 1e-10
+[tables] PASS paper: [pair_sink, pair_source] = 4*damping_shift: residual * tol 1e-10
+[tables] PASS paper: [pair_source, pair_sink] = -(4*damping_shift): residual * tol 1e-10
+[tables] PASS paper: [pair_sink, jump_up_scaled] = -8*cross_shift_sum: residual * tol 1e-10
+[tables] PASS paper: [jump_up_scaled, pair_sink] = -(-8*cross_shift_sum): residual * tol 1e-10
+[tables] PASS paper: [jump_down_scaled, cross_shift_sum] = -4*pair_sink: residual * tol 1e-10
+[tables] PASS paper: [cross_shift_sum, jump_down_scaled] = -(-4*pair_sink): residual * tol 1e-10
+[tables] PASS paper: [jump_down_scaled, pair_source] = 8*cross_shift_sum: residual * tol 1e-10
+[tables] PASS paper: [pair_source, jump_down_scaled] = -(8*cross_shift_sum): residual * tol 1e-10
+[tables] PASS paper: [jump_down_scaled, jump_up_scaled] = -16*damping_shift: residual * tol 1e-10
+[tables] PASS paper: [jump_up_scaled, jump_down_scaled] = -(-16*damping_shift): residual * tol 1e-10
+[tables] PASS paper: [cross_shift_sum, pair_source] = jump_up_scaled: residual * tol 1e-10
+[tables] PASS paper: [pair_source, cross_shift_sum] = -(jump_up_scaled): residual * tol 1e-10
+[tables] PASS paper: [cross_shift_sum, jump_up_scaled] = 4*pair_source: residual * tol 1e-10
+[tables] PASS paper: [jump_up_scaled, cross_shift_sum] = -(4*pair_source): residual * tol 1e-10
+[tables] PASS paper: [pair_source, jump_up_scaled] = 0: residual * tol 1e-10
+[tables] PASS paper: [jump_up_scaled, pair_source] = -(0): residual * tol 1e-10
+[tables] PASS paper: [pair_sink, pair_sink] = 0: residual * tol 1e-10
+[tables] PASS paper: [jump_down_scaled, jump_down_scaled] = 0: residual * tol 1e-10
+[tables] PASS paper: [cross_shift_sum, cross_shift_sum] = 0: residual * tol 1e-10
+[tables] PASS paper: [pair_source, pair_source] = 0: residual * tol 1e-10
+[tables] PASS paper: [jump_up_scaled, jump_up_scaled] = 0: residual * tol 1e-10
+[tables] NOTE paper: [pair_sink, jump_up_scaled] coefficient-2 variant: residual * (coefficient 2 rejected in favor of 8, residual shown)
+[tables] NOTE paper: [jump_up_scaled, pair_sink] coefficient-2 variant: residual * (coefficient 2 rejected in favor of 8, residual shown)
+[tables] PASS paper: closure: span{jump_down_scaled, pair_sink, cross_shift_sum}: residual * tol 1e-10
+[tables] PASS paper: closure: span{jump_up_scaled, pair_source, cross_shift_sum}: residual * tol 1e-10
+[tables] PASS Kerr flow: [number_damping(0.1), lowering] = 2*0.1*lowering: residual * tol 1e-10
+[tables] PASS Kerr flow: [kerr_phase(1.0), lowering] = 2i*1.0*index_difference.lowering: residual * tol 1e-10
+[tables] PASS Kerr flow: [index_difference, lowering] = 0: residual * tol 1e-10
+[tables] PASS pdc channel: [a^2 rho, rho adag^2] = 0 on the input side: residual * tol 1e-10
+[tables] PASS pdc channel: [a^2 rho, J-] = 0 on the input side: residual * tol 1e-10
+[tables] PASS pdc channel: [rho adag^2, J-] = 0 on the input side: residual * tol 1e-10
+[tables] PASS pdc channel: [adag^2 rho, rho a^2] = 0 on the output side: residual * tol 1e-10
+[tables] PASS pdc channel: [adag^2 rho, J+] = 0 on the output side: residual * tol 1e-10
+[tables] PASS pdc channel: [rho a^2, J+] = 0 on the output side: residual * tol 1e-10
+49 checks, all passed
 """
 
 
@@ -796,4 +798,26 @@ def test_verify_refuses_a_small_window_before_any_suite(monkeypatch, capsys):
 
 def test_verify_all_at_the_smallest_common_window(capsys):
     assert main(["verify", "--suite", "all", "--dim", "10"]) == 0
-    assert capsys.readouterr().out.endswith("\n51 checks, all passed\n")
+    assert capsys.readouterr().out.endswith("\n49 checks, all passed\n")
+
+
+def test_verify_runs_the_closed_form_of_the_shared_model_table(monkeypatch, capsys):
+    # verify builds its closed forms from the table the CLI propagates with,
+    # so a kerrT closed form off by 1e-10 in chi there must fail the suite
+    model = verify.MODELS["kerrT"]
+
+    def detuned(rho0, t, p):
+        return propagate_kerr_finite_t(rho0, t, dataclasses.replace(p, chi=p.chi * (1 + 1e-10)))
+
+    monkeypatch.setitem(verify.MODELS, "kerrT", dataclasses.replace(model, closed_form=detuned))
+    assert main(["verify", "--suite", "kerrT"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+    assert len(failed) == 1 and "resummed propagator vs wide-window" in failed[0]
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_record_names_are_unique_within_a_suite(suite):
+    # the table keys each relation's seeded draw and its closure lookups by
+    # name, so a repeated name would silently reuse a draw
+    names = [rec["name"] for rec in verify.SUITES[suite](None, 0, None)]
+    assert names and len(names) == len(set(names))

@@ -108,3 +108,18 @@ def test_oracle_verify_layers_resolve():
     assert expected and missing == []
     # the tracer counts RK4 steps as recommended_steps(L, t), positionally
     assert recommended_steps(build_liouvillian(kerr_zero_t_generator(4, 1.0, 0.1)), 0.5) >= 2
+
+
+def test_cli_imports_no_closed_form_or_generator_builder():
+    # the model table lives in verify, which the CLI reads; a closed form or
+    # a generator builder imported here would start a second table
+    tree = ast.parse(Path(fockprop.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert imported and {m for m, _ in imported} & {"kerr_zero_t", "kerr_finite_t", "pdc"} == set()
+    assert [name for m, name in imported if m == "superop" and name.endswith("_generator")] == []
+    cli, verify = (importlib.import_module(f"fockprop.{name}") for name in ("cli", "verify"))
+    assert cli.MODELS is verify.MODELS

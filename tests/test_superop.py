@@ -9,8 +9,7 @@ from fockprop.superop import (
     apply,
     build_liouvillian,
     commutator,
-    cross_lower,
-    cross_raise,
+    cross_shift_sum,
     damping_shift,
     identity_superop,
     index_difference,
@@ -61,8 +60,7 @@ def named_blocks(dim):
         "kerr_phase": kerr_phase(dim, 0.7),
         "index_difference": index_difference(dim),
         "identity_superop": identity_superop(dim, -2.5),
-        "cross_raise": cross_raise(dim, 0.5),
-        "cross_lower": cross_lower(dim, 0.5),
+        "cross_shift_sum": cross_shift_sum(dim),
         "pair_sink": pair_sink(dim),
         "pair_source": pair_source(dim),
         "pdc_drive": pdc_drive(dim, 0.4 - 0.2j),
@@ -212,36 +210,41 @@ def test_drive_is_hamiltonian_commutator():
 
 
 def test_commutator_table_all_checks_pass():
-    records = verify_commutator_table(12, epsilon=0.3, gamma=1.0, samples=5, seed=3)
+    records = verify_commutator_table(12, samples=5, seed=3)
     checks = [r for r in records if r["kind"] == "check"]
     notes = [r for r in records if r["kind"] == "note"]
-    unver = [r for r in records if r["kind"] == "unverifiable"]
+    assert len(checks) + len(notes) == len(records)
     assert checks and all(r["passed"] for r in checks)
     assert max(r["residual"] for r in checks) < 1e-10
     # the two rejected-coefficient audits must show a fat residual
     assert len(notes) == 2
     assert all(r["residual"] > 1e-2 for r in notes)
-    assert len(unver) == 1
+    # every relation names the group it belongs to
+    groups = [r["name"].split(": ", 1)[0] for r in records]
+    assert (groups.count("paper"), groups.count("Kerr flow"), groups.count("pdc channel")) \
+        == (29, 3, 6)
 
 
 def test_commutator_table_needs_room():
     with pytest.raises(ValueError):
-        verify_commutator_table(8, epsilon=0.3, gamma=1.0)
+        verify_commutator_table(8)
 
 
 def test_commutator_table_refuses_what_it_cannot_check():
-    # no samples would pass every check unevaluated; gamma = 0 would divide by zero
+    # no samples would pass every check unevaluated
     with pytest.raises(ValueError, match="samples"):
-        verify_commutator_table(12, epsilon=0.3, gamma=1.0, samples=0)
-    with pytest.raises(ValueError, match="gamma"):
-        verify_commutator_table(12, epsilon=0.3, gamma=0.0)
+        verify_commutator_table(12, samples=0)
+
+
+def _table_records(monkeypatch, name, fake):
+    monkeypatch.setattr(superop, name, fake)
+    return verify_commutator_table(12, samples=3, seed=0)
 
 
 def _table_verdicts(monkeypatch, name, fake):
-    monkeypatch.setattr(superop, name, fake)
-    records = verify_commutator_table(12, epsilon=0.3, gamma=1.0, samples=3, seed=0)
+    records = _table_records(monkeypatch, name, fake)
     failed = {r["name"] for r in records if r["passed"] is False}
-    closures = [r["passed"] for r in records if r["name"].startswith("closure:")]
+    closures = [r["passed"] for r in records if r["name"].startswith("paper: closure:")]
     return failed, closures
 
 
@@ -250,10 +253,10 @@ def test_commutator_table_blames_a_wrong_damping_shift(monkeypatch):
     failed, closures = _table_verdicts(
         monkeypatch, "damping_shift", lambda dim: number_damping(dim, 1.0))
     assert failed == {
-        "[pair_sink, pair_source] = 4*damping_shift",
-        "[pair_source, pair_sink] = -(4*damping_shift)",
-        "[jump_down_scaled, jump_up_scaled] = -16*damping_shift",
-        "[jump_up_scaled, jump_down_scaled] = -(-16*damping_shift)",
+        "paper: [pair_sink, pair_source] = 4*damping_shift",
+        "paper: [pair_source, pair_sink] = -(4*damping_shift)",
+        "paper: [jump_down_scaled, jump_up_scaled] = -16*damping_shift",
+        "paper: [jump_up_scaled, jump_down_scaled] = -(-16*damping_shift)",
     }
     assert closures == [True, True]
 
@@ -265,14 +268,28 @@ def test_commutator_table_blames_a_wrong_pair_sink(monkeypatch):
     failed, closures = _table_verdicts(
         monkeypatch, "pair_sink", lambda dim: 2.0 * true_sink(dim))
     assert failed == {
-        "[pair_sink, cross_shift_sum] = -jump_down_scaled",
-        "[cross_shift_sum, pair_sink] = -(-jump_down_scaled)",
-        "[pair_sink, pair_source] = 4*damping_shift",
-        "[pair_source, pair_sink] = -(4*damping_shift)",
-        "[pair_sink, jump_up_scaled] = -8*cross_shift_sum",
-        "[jump_up_scaled, pair_sink] = -(-8*cross_shift_sum)",
-        "[jump_down_scaled, cross_shift_sum] = -4*pair_sink",
-        "[cross_shift_sum, jump_down_scaled] = -(-4*pair_sink)",
-        "closure: span{jump_down_scaled, pair_sink, cross_shift_sum}",
+        "paper: [pair_sink, cross_shift_sum] = -jump_down_scaled",
+        "paper: [cross_shift_sum, pair_sink] = -(-jump_down_scaled)",
+        "paper: [pair_sink, pair_source] = 4*damping_shift",
+        "paper: [pair_source, pair_sink] = -(4*damping_shift)",
+        "paper: [pair_sink, jump_up_scaled] = -8*cross_shift_sum",
+        "paper: [jump_up_scaled, pair_sink] = -(-8*cross_shift_sum)",
+        "paper: [jump_down_scaled, cross_shift_sum] = -4*pair_sink",
+        "paper: [cross_shift_sum, jump_down_scaled] = -(-4*pair_sink)",
+        "paper: closure: span{jump_down_scaled, pair_sink, cross_shift_sum}",
     }
     assert closures == [False, True]
+
+
+def test_commutator_table_blames_a_channel_side_that_does_not_commute(monkeypatch):
+    # J+ does not commute with a^2 on the left or a^dag^2 on the right, so
+    # planted on the input side it breaks exactly those two relations, by
+    # residuals of order one; the output side and the paper's cells stand
+    sides = {**superop._CHANNEL_SIDES, "input": ("a^2 rho", "rho adag^2", "J+")}
+    records = _table_records(monkeypatch, "_CHANNEL_SIDES", sides)
+    failed = {r["name"]: r["residual"] for r in records if r["passed"] is False}
+    assert set(failed) == {
+        "pdc channel: [a^2 rho, J+] = 0 on the input side",
+        "pdc channel: [rho adag^2, J+] = 0 on the input side",
+    }
+    assert min(failed.values()) > 1.0
