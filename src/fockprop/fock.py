@@ -108,8 +108,16 @@ def cat_state(dim, alpha, phase):
 
 
 def density_from_ket(psi):
+    """|psi><psi|, exactly Hermitian: a real diagonal, and entry (n, m) the conjugate of (m, n).
+
+    numpy's complex products may fuse a multiply and an add, so the outer
+    product alone can differ from its adjoint in the last bit; their mean
+    cannot, and the Kerr flows run an exactly Hermitian state on half the
+    skewed window.
+    """
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    r = np.outer(psi, psi.conj())
+    return 0.5 * (r + r.conj().T)
 
 
 def _refuse(bad, value, message):

@@ -16,13 +16,18 @@ two exponentials per k >= 0 and time, and a table of powers built by
 doubling, each power at most log2(dim) + 1 rounded products from its ratio.
 The zero-temperature flow (kerr_zero_t) is this flow at gamma_plus = 0,
 run through propagate_kerr_finite_t. Both series run as the Pascal passes
-of _passes over the one skewed window of _layout, each read chain a column
+of _passes over the one skewed window of _layout, two read chains a column
 and time the innermost axis; _layout, cached per window, also holds where
 each element of that window reads the weight grid and the factor table.
-The core, _lower_factor_raise, gathers state, weights and the caller's
-factor table into that layout once and scatters the result back once;
-pdc's channel runs it with its own weights and table. A zero rate skips
-its series, so lossless runs cost the elementwise factor.
+The flow maps a Hermitian state to a Hermitian state, so an exactly
+Hermitian rho0 runs on the hermitian layout, one chain of each pair of
+diagonals +-k in about half the columns, and the other side is written as
+its conjugate; any other state runs on the general layout, all of the
+window. The core, _lower_factor_raise, gathers state, weights and the
+caller's factor table into that layout once and puts the result back in
+window order once; pdc's channel runs it on the general layout with its
+own weights and table. A zero rate skips its series, so lossless runs
+cost the elementwise factor.
 """
 
 import functools
@@ -42,36 +47,61 @@ TAYLOR_SWITCH = 1e-6
 
 
 @functools.lru_cache(maxsize=2)
-def _layout(dim):
+def _layout(dim, hermitian):
     """The skewed window of the resummed flow, and where each of its elements sits on the grids.
 
-    Row z is the row index n of rho and column j is (m - n) mod dim, so
-    each column holds two whole read chains of one k = n - m, and both
-    series run on this one layout. At each (z, j) returns the flat window
-    index; the element's row k + dim - 1 in the mirrored weight grid of
-    _series_weights; its flat row min(n, m) dim + |k| in a (dim, dim, T)
-    factor table; whether k < 0, where gathered entries are conjugated; and
-    the pass factors of the lowering series a^j rho a^dag^j, which reads up,
-    sqrt(n+1) sqrt(m+1) / (n+1), and of the raising series a^dag^j rho a^j,
-    which reads down, sqrt(n) sqrt(m) / n. A pass factor is 0 wherever its
-    read leaves the window, so the two chains of a column stay apart. The
-    result is cached, so its arrays are read-only.
+    Row z is the row index n of rho, and each column holds two read chains,
+    an upper chain m - n = j >= 0 on rows z < dim - j and a lower chain
+    n - m = k > 0 on rows z >= k, so both series run on this one layout. The
+    general layout pairs j with k = dim - j, j = 0 ... dim - 1: column j is
+    (m - n) mod dim, a permutation of the window. The hermitian layout
+    holds one chain of each pair of diagonals +-d, the upper one for even d
+    and the lower one for odd d, a rule independent of the window: it pairs
+    each even j with the smallest odd k >= dim - j, which for even dim
+    leaves a gap row at z = dim - j and needs one more column for k = 1
+    alone. A gap gathers a window entry, its pass factors are 0 and it is
+    never read back; the entries left out are the conjugates of the kept.
+
+    At each (z, column) returns the flat window index; the element's row
+    k + dim - 1 in the mirrored weight grid of _series_weights; its flat row
+    min(n, m) dim + |k| in a (dim, dim, T) factor table; whether k < 0,
+    where gathered entries are conjugated; and the pass factors of the
+    lowering series a^j rho a^dag^j, which reads up, sqrt(n+1) sqrt(m+1) /
+    (n+1), and of the raising series a^dag^j rho a^j, which reads down,
+    sqrt(n) sqrt(m) / n. A pass factor is 0 wherever its read leaves the
+    window, so the two chains of a column stay apart. Last, for the
+    hermitian layout, the row each window entry reads in _unskewed: its
+    flat skewed position if kept, else its transpose's plus dim times the
+    columns, the offset of the conjugates; the general layout has None
+    there. The result is cached, so its arrays are read-only.
     """
     i = np.arange(dim)
     z = i[:, None]
-    flat = z * dim + (i + z) % dim
+    col = i
+    if hermitian:
+        j = np.arange(0, dim + 1, 2)
+        # for even dim the lower chain dim - j + 1 is general column j - 1
+        shift = (z >= dim - j) & (dim % 2 == 0)
+        gap = shift & (z == dim - j)
+        col = j - shift
+    flat = z * dim + (col + z) % dim
     n, m = np.divmod(flat, dim)
     above, below = np.sqrt(i + 1) * (i + 1 < dim), np.sqrt(i) * (i > 0)
-    layout = (
-        flat,
-        n - m + (dim - 1),
-        np.minimum(n, m) * dim + np.abs(n - m),
-        n < m,
-        np.multiply.outer(above / (i + 1), above).take(flat),
-        np.multiply.outer(below / np.maximum(i, 1), below).take(flat),
-    )
+    lowering = np.multiply.outer(above / (i + 1), above).take(flat)
+    raising = np.multiply.outer(below / np.maximum(i, 1), below).take(flat)
+    source = None
+    if hermitian:
+        lowering[gap] = raising[gap] = 0.0
+        kept = np.flatnonzero(~gap)
+        source = np.empty(dim * dim, dtype=np.intp)
+        source[(m * dim + n).flat[kept]] = kept + flat.size
+        # after the transposes, so the diagonal reads its computed value
+        source[flat.flat[kept]] = kept
+    layout = (flat, n - m + (dim - 1), np.minimum(n, m) * dim + np.abs(n - m), n < m,
+              lowering, raising, source)
     for array in layout:
-        array.flags.writeable = False
+        if array is not None:
+            array.flags.writeable = False
     return layout
 
 
@@ -102,11 +132,22 @@ def _passes(p, w, up):
     return p
 
 
-def _unskewed(p, flat):
-    """A skewed (dim, dim, S) stack back in window order, as a C-ordered (S, dim^2) array."""
-    out = np.empty((p.shape[2], flat.size), dtype=complex)
-    out[:, flat] = p.transpose(2, 0, 1)
-    return out
+def _unskewed(p, flat, source=None):
+    """A skewed (dim, columns, S) stack back in window order, as a C-ordered (S, dim^2) array.
+
+    On the general layout flat scatters the stack. On the hermitian one
+    each window entry is read instead from the stack followed by its
+    conjugate, at its row in source: a kept entry, the diagonal among
+    them, reads its computed value, and its transpose the exact conjugate.
+    """
+    dim, columns, count = p.shape
+    if source is None:
+        out = np.empty((count, flat.size), dtype=complex)
+        out[:, flat] = p.transpose(2, 0, 1)
+        return out
+    skewed = p.reshape(dim * columns, count)
+    both = np.concatenate((skewed, skewed.conj()))
+    return np.ascontiguousarray(both.take(source, axis=0).T)
 
 
 def _checked_state(rho0, t):
@@ -289,22 +330,25 @@ def _series_weights(c, at, factor):
     return np.multiply(w, factor[:, :, None], out=w)
 
 
-def _lower_factor_raise(rho, u, table, down, up):
+def _lower_factor_raise(rho, u, table, down, up, hermitian=False):
     """The lowering series, the elementwise factor and the raising series.
 
     rho is one (dim, dim) state for every time or a (T, dim, dim) stack, u
     the series weight on k >= 0 by time, scaled by the feeds down and up (a
     zero feed skips its series), and table the factor by rows min(n, m) and
     columns |k| < dim at each time, as _power_table builds it. All are
-    gathered into the skewed (dim, dim, T) stack of _layout, the factor
-    conjugated where k < 0, which leaves a real table as it is; the result
-    is scattered back once, as a C-ordered (T, dim^2) array. A raising
-    order adds 2 to s at fixed k, so it commutes with the factor.
+    gathered into the skewed stack of _layout, the factor conjugated where
+    k < 0, which leaves a real table as it is; the result is put back in
+    window order once, as a C-ordered (T, dim^2) array. A raising order adds 2 to s at
+    fixed k, so it commutes with the factor. hermitian, which the caller
+    may pass only for one exactly Hermitian state whose flow keeps it so,
+    runs the hermitian layout: half the columns, and an output whose
+    entries are those of the general layout or their exact conjugates.
     """
     dim, count = rho.shape[-1], table.shape[-1]
-    flat, at, power, neg, lowering, raising = _layout(dim)
+    flat, at, power, neg, lowering, raising, source = _layout(dim, hermitian)
     if rho.ndim == 2:
-        p = np.array(np.broadcast_to(rho.take(flat)[:, :, None], (dim, dim, count)))
+        p = np.array(np.broadcast_to(rho.take(flat)[:, :, None], flat.shape + (count,)))
     else:
         p = rho.reshape(count, dim * dim).T[flat]
     if down:
@@ -314,7 +358,7 @@ def _lower_factor_raise(rho, u, table, down, up):
     np.multiply(factor, p, out=p)
     if up:
         _passes(p, _series_weights(up * u, at, raising), False)
-    return _unskewed(p, flat)
+    return _unskewed(p, flat, source)
 
 
 def propagate_kerr_finite_t(rho0, t, params):
@@ -333,5 +377,6 @@ def propagate_kerr_finite_t(rho0, t, params):
     mu = 4.0 * gm * gp
     u, log_hinv = _weights(times, rho0.shape[0], chi, mu, g0 * g0 - mu, g0)
     table = _power_table(log_hinv, times, chi, g0, params.c_gamma)
-    out = _lower_factor_raise(rho0, u, table, 2.0 * gm, 2.0 * gp)
+    out = _lower_factor_raise(rho0, u, table, 2.0 * gm, 2.0 * gp,
+                              np.array_equal(rho0, rho0.conj().T))
     return out.reshape(t.shape + rho0.shape)

@@ -140,6 +140,7 @@ def propagate_pdc(rho0, t, params):
     eps, feed = complex(params.epsilon), 2.0 * params.gamma
     g = _squeezes(-1j * eps.conjugate() * kappa, dim)
     low = _squeezes(-1j * eps * kappa, dim).swapaxes(1, 2)
+    # the general layout: the product rounds the middle's two triangles apart
     out = _lower_factor_raise(g @ rho0 @ g.conj().swapaxes(1, 2),
                               np.broadcast_to(kappa, (dim, len(times))),
                               _factor_table(params, log_hinv, times, dim),

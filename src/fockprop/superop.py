@@ -185,10 +185,16 @@ def build_liouvillian(expr):
 
 
 def random_density(dim, rng):
-    """Full-rank random density matrix G G^dag / tr, G complex Gaussian."""
+    """Full-rank random density matrix G G^dag / tr, G complex Gaussian, exactly Hermitian.
+
+    The product rounds its two triangles apart at most windows; the mean
+    with its adjoint is Hermitian to the bit, so the Kerr flows run it on
+    their hermitian layout, as they run every CLI state.
+    """
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
-    return rho / np.trace(rho)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockprop import __version__, cli, verify
+from fockprop import __version__, cli, kerr_finite_t, verify
 from fockprop.cli import ConfigError, main, parse_config, serialize_config
 from fockprop.fock import annihilation, coherent_state, density_from_ket, husimi_q, observables
 from fockprop.kerr_finite_t import propagate_kerr_finite_t
@@ -813,6 +813,26 @@ def test_verify_runs_the_closed_form_of_the_shared_model_table(monkeypatch, caps
     assert main(["verify", "--suite", "kerrT"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
     assert len(failed) == 1 and "resummed propagator vs wide-window" in failed[0]
+
+
+@pytest.mark.parametrize("suite, code, seen", [
+    ("kerr0", 2, "not a density matrix"),
+    ("kerrT", 1, " FAIL "),
+])
+def test_verify_catches_a_mirror_that_drops_its_conjugate(monkeypatch, capsys, suite, code, seen):
+    # verify's states are exactly Hermitian, so its Kerr checks run the
+    # hermitian layout, whose left-out side is the conjugate of the kept
+    # one; written unconjugated, it must fail the suite (kerr0's occupation
+    # check refuses the evolved state before its report is printed)
+    layout = kerr_finite_t._layout
+
+    def unconjugated(dim, hermitian):
+        *arrays, source = layout(dim, hermitian)
+        return (*arrays, None if source is None else source % arrays[0].size)
+
+    monkeypatch.setattr(kerr_finite_t, "_layout", unconjugated)
+    assert main(["verify", "--suite", suite]) == code
+    assert seen in "".join(capsys.readouterr())
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockprop import kerr_finite_t
 from fockprop.fock import annihilation, coherent_state, creation, density_from_ket, observables
 from fockprop.kerr_finite_t import (
     TAYLOR_SWITCH,
@@ -22,6 +23,7 @@ from fockprop.pdc import PDCParams, _channel_row, _factor_table, _rates, propaga
 from fockprop.superop import (
     build_liouvillian,
     kerr_finite_t_generator,
+    kerr_zero_t_generator,
     lowering_sandwich,
     raising_sandwich,
 )
@@ -37,8 +39,8 @@ LOWER, RAISE = True, False
 
 
 def pass_factor(dim, read):
-    """The pass factor of the series read on the skewed window of _layout."""
-    return _layout(dim)[4 if read else 5]
+    """The pass factor of the series read on the general skewed window of _layout."""
+    return _layout(dim, False)[4 if read else 5]
 
 
 def test_trace_preserving_defaults():
@@ -283,7 +285,7 @@ def test_series_weights_at_minus_k_are_the_conjugates(read):
     dim, times = 9, np.array([0.0, 0.3, 2.9])
     chi, mu, disc, g0, _ = weight_rates(PARAMS)
     u = _weights(times, dim, chi, mu, disc, g0)[0]
-    flat, at = _layout(dim)[:2]
+    flat, at = _layout(dim, False)[:2]
     factor = pass_factor(dim, read)
     got = _series_weights(u, at, factor)
     n, m = np.divmod(flat, dim)
@@ -431,7 +433,7 @@ def series(c, rho, read):
     """
     rho, c = np.broadcast_arrays(np.asarray(rho, dtype=complex), np.asarray(c, dtype=complex))
     dim = rho.shape[-1]
-    flat = _layout(dim)[0]
+    flat = _layout(dim, False)[0]
     p = rho.reshape(-1, dim * dim).T[flat]
     w = c.reshape(-1, dim * dim).T[flat] * pass_factor(dim, read)[:, :, None]
     return _unskewed(_passes(p, w, read), flat).reshape(rho.shape)
@@ -539,23 +541,95 @@ def test_shift_series_does_not_depend_on_the_window(read):
 def test_the_cached_layout_is_read_only():
     # every flow on the window shares _layout's arrays, so none may write
     # them; and a layout built afresh gives the flow the same bytes as the
-    # cached one
+    # cached one. A Hermitian state takes the hermitian layout, which adds
+    # the rows _unskewed reads, and any other state the general one
     rho = seeded_density(9, 5)
-    _layout.cache_clear()
-    cold = propagate_kerr_finite_t(rho, [0.0, 0.4], PARAMS)
-    layout = _layout(9)
-    assert len(layout) == 6
-    assert not any(array.flags.writeable for array in layout)
-    assert propagate_kerr_finite_t(rho, [0.0, 0.4], PARAMS).tobytes() == cold.tobytes()
-    _layout.cache_clear()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(_layout(9), layout))
+    for hermitian, state, count in ((True, rho, 7), (False, np.triu(rho), 6)):
+        _layout.cache_clear()
+        cold = propagate_kerr_finite_t(state, [0.0, 0.4], PARAMS)
+        layout = [array for array in _layout(9, hermitian) if array is not None]
+        assert _layout.cache_info()[:2] == (1, 1)
+        assert len(layout) == count
+        assert not any(array.flags.writeable for array in layout)
+        assert propagate_kerr_finite_t(state, [0.0, 0.4], PARAMS).tobytes() == cold.tobytes()
+        _layout.cache_clear()
+        fresh = [array for array in _layout(9, hermitian) if array is not None]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, layout))
+
+
+def test_the_hermitian_layout_holds_fewer_bytes():
+    # the cache may hold a layout of each kind; the hermitian one, which
+    # every CLI state takes, must not raise the memory of the widest runs
+    def size(hermitian):
+        return sum(array.nbytes for array in _layout(160, hermitian) if array is not None)
+
+    assert size(True) < size(False)
+
+
+def spy_on_the_layout(monkeypatch, hermitian=None):
+    """Records the layout the Kerr flows ask the core for; hermitian, if given, overrides it."""
+    asked = []
+
+    def core(*args):
+        asked.append(args[5])
+        return _lower_factor_raise(*args[:5], args[5] if hermitian is None else hermitian)
+
+    monkeypatch.setattr(kerr_finite_t, "_lower_factor_raise", core)
+    return asked
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 16, 41, 160])
+def test_the_hermitian_layout_computes_the_general_entries(monkeypatch, dim, count):
+    # an exactly Hermitian state runs one chain of each pair of diagonals
+    # +-d, the upper one for even d and the lower one for odd d: those
+    # entries are the general layout's to the bit, and the output is
+    # exactly Hermitian
+    rho = seeded_density(dim, 60, count)
+    times = [0.3, 2.9, 0.0][:count]
+    n, m = np.indices((dim, dim))
+    computed = np.where((n - m) % 2 == 0, n <= m, n > m)
+    cold = KerrZeroTParams(chi=1.3, gamma_minus=0.2)
+    for run, params in ((propagate_kerr_zero_t, cold), (propagate_kerr_finite_t, PARAMS)):
+        asked = spy_on_the_layout(monkeypatch)
+        got = run(rho, times, params)
+        assert asked == [True]
+        spy_on_the_layout(monkeypatch, hermitian=False)
+        want = run(rho, times, params)
+        assert got[:, computed].tobytes() == want[:, computed].tobytes()
+        assert np.array_equal(got, got.conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("dim", [7, 8])
+def test_a_state_that_is_not_hermitian_runs_the_general_layout(monkeypatch, dim):
+    # matrix units off the diagonal are not Hermitian, so the flows may not
+    # mirror them; the window map the units span must still be the flow's:
+    # the same-window exponential for kerr0, which moves nothing upward,
+    # and the wide-window one, cropped, for kerrT
+    cold = KerrZeroTParams(chi=1.3, gamma_minus=0.2)
+    wide = dim + 14
+    cold_map = build_liouvillian(kerr_zero_t_generator(dim, cold.chi, cold.gamma_minus))
+    warm_map = build_liouvillian(kerr_finite_t_generator(
+        wide, PARAMS.chi, PARAMS.gamma_minus, PARAMS.gamma_plus, PARAMS.gamma0, PARAMS.c_gamma))
+    asked = spy_on_the_layout(monkeypatch)
+    for i, j in np.ndindex(dim, dim):
+        unit = np.zeros((dim, dim), dtype=complex)
+        unit[i, j] = 1.0
+        got = propagate_kerr_zero_t(unit, 0.7, cold)
+        assert maxabs(got - expm_evolve(cold_map, unit, 0.7)) < 1e-12
+        big = embed(unit, wide)
+        got = propagate_kerr_finite_t(big, 0.5, PARAMS)
+        assert maxabs(crop(got - expm_evolve(warm_map, big, 0.5), dim)) < 1e-9
+        assert asked[-2:] == [i == j] * 2
 
 
 def test_closed_forms_do_not_depend_on_the_window():
-    small, large = 40, 64
-    rho = density_from_ket(coherent_state(small, 2.5 + 1.5j)[0])
-    times = [0.0, 0.35, 2.0]
+    # an even and an odd window, each nested in an even one: the hermitian
+    # layout picks its chains by the parity of n - m, not by the window
+    large = 64
     cold = KerrZeroTParams(chi=1.3, gamma_minus=0.2)
-    for run, params in ((propagate_kerr_zero_t, cold), (propagate_kerr_finite_t, PARAMS)):
-        wide = run(embed(rho, large), times, params)
-        assert wide[:, :small, :small].tobytes() == run(rho, times, params).tobytes()
+    for small, times in ((40, [0.0, 0.35, 2.0]), (39, [0.35, 2.0]), (39, [0.0, 0.35, 0.9, 2.0, 7.5])):
+        rho = density_from_ket(coherent_state(small, 2.5 + 1.5j)[0])
+        for run, params in ((propagate_kerr_zero_t, cold), (propagate_kerr_finite_t, PARAMS)):
+            wide = run(embed(rho, large), times, params)
+            assert wide[:, :small, :small].tobytes() == run(rho, times, params).tobytes()

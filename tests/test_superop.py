@@ -293,3 +293,12 @@ def test_commutator_table_blames_a_channel_side_that_does_not_commute(monkeypatc
         "pdc channel: [rho adag^2, J+] = 0 on the input side",
     }
     assert min(failed.values()) > 1.0
+
+
+def test_random_density_is_exactly_hermitian():
+    # G G^dag alone rounds its two triangles apart at most windows, which
+    # would keep verify's Kerr states off the flows' hermitian layout
+    for dim in range(1, 100):
+        rho = superop.random_density(dim, np.random.default_rng([dim, 3]))
+        assert np.array_equal(rho, rho.conj().T)
+        assert abs(np.trace(rho) - 1.0) < 1e-14
