@@ -127,8 +127,10 @@ def _passes(p, w, up):
         dst = slice(a, dim - 1) if up else slice(a, dim)
         src = slice(dst.start + step, dst.stop + step)
         # not *: numpy may reuse a temporary right operand and swap the
-        # operands, which moves a complex product's last bit (see README)
-        p[dst] += np.multiply(w[dst], p[src])
+        # operands, which moves a complex product's last bit (see README);
+        # adding into the view writes no slab back onto itself
+        d = p[dst]
+        np.add(d, np.multiply(w[dst], p[src]), out=d)
     return p
 
 

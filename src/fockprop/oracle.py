@@ -25,6 +25,18 @@ sectors of at most dim indices; the pair drive conserves the parity of
 n - m and splits into 2 of dim^2 / 2.) They are found once per generator
 and kept while the generator lives.
 
+Sectors are also paired under the transpose (n, m) -> (m, n) of the
+column-stacked index. A Lindblad generator maps rho^dagger to L(rho)^dagger,
+so on the Kerr generators the block of n - m = -k, in transposed order, is
+the conjugate of the block of k. Where the entries show exactly that, the
+pair's exponential (or RK4 power) is formed once and its conjugate is
+applied to the mirror, whose entries are not kept: conjugating both factors of a complex product conjugates it
+exactly, and the two blocks have equal 1-norms and so the same Taylor
+degree and squarings, so every product is the exact conjugate of the one
+the mirror's own exponential would form. A sector that is its own mirror
+(Kerr's k = 0, the pair drive's two parities), or whose mirror's entries
+differ, runs on its own block.
+
 action_evolve forms no block at all: each Taylor term is one product of
 L's entries, sorted by row once per generator, with a vector. Its cost
 grows like ||L||_1 t times the number of entries, the blocked exponential's
@@ -96,13 +108,16 @@ def _sectors(n, rows, cols):
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-# generator -> [(sector indices, block rows, block cols, block entries)]
+# generator -> [(sector indices, block rows, block cols, block entries, mirror)]
 _SECTOR_ENTRIES = weakref.WeakKeyDictionary()
 
 
 def _sector_entries(L):
-    """(idx, block rows, block cols, block entries) for each sector of L.
+    """(idx, block rows, block cols, block entries, mirror) for each sector
+    of L the engines exponentiate.
 
+    mirror is None, or the indices, in idx's order, of the sector whose
+    block is the conjugate of idx's; that sector is not listed (_mirrors).
     Found on the first call for L and kept while L lives.
     """
     parts = _SECTOR_ENTRIES.get(L)
@@ -113,24 +128,62 @@ def _sector_entries(L):
         for i, idx in enumerate(sectors):
             sector_of[idx] = i
             local[idx] = np.arange(len(idx))
+        mirrors = _mirrors(L, sectors, sector_of)
         owner = sector_of[L.rows]
         by_sector = np.argsort(owner, kind="stable")
         cuts = np.cumsum(np.bincount(owner, minlength=len(sectors)))[:-1]
-        parts = [(idx, local[L.rows[e]], local[L.cols[e]], L.entries[e])
-                 for idx, e in zip(sectors, np.split(by_sector, cuts))]
+        parts = [(idx, local[L.rows[e]], local[L.cols[e]], L.entries[e], mirrors[i])
+                 for i, (idx, e) in enumerate(zip(sectors, np.split(by_sector, cuts)))
+                 if i in mirrors]
         _SECTOR_ENTRIES[L] = parts
     return parts
 
 
+def _mirrors(L, sectors, sector_of):
+    """{i: mirror} over the sectors i the engines exponentiate, from L's entries.
+
+    The transpose (n, m) -> (m, n) of the column-stacked index takes sector
+    i's indices idx to tr[idx]. Where those are all of another sector j, and
+    L's entry at (tr[a], tr[b]) is the conjugate of its entry at (a, b) for
+    every a, b of idx, j's block in the order tr[idx] is the conjugate of
+    i's: the first of the two is listed with mirror = tr[idx], the other
+    not at all. Every other sector, one that is its own mirror among them,
+    is listed with mirror None.
+    """
+    size = L.dim * L.dim
+    flat = np.arange(size)
+    tr = flat % L.dim * L.dim + flat // L.dim
+    partner = sector_of[tr[[idx[0] for idx in sectors]]]
+    ok = np.ones(len(sectors), dtype=bool)
+    # an index whose transpose lands outside its sector's partner
+    ok[sector_of[partner[sector_of] != sector_of[tr]]] = False
+    # an entry without its conjugate at the transposed position, among the
+    # entries of sectors with another partner (the pair drive has none)
+    owner = sector_of[L.rows]
+    e = np.flatnonzero(partner[owner] != owner)
+    rows, cols, entries = L.rows[e], L.cols[e], L.entries[e]
+    keys = rows * size + cols
+    order = np.argsort(keys)
+    want = tr[rows] * size + tr[cols]
+    at = order[np.minimum(np.searchsorted(keys[order], want), keys.size - 1)]
+    matched = (keys[at] == want) & (entries[at] == entries.conj())
+    ok[owner[e[~matched]]] = False
+    ok &= ok[partner]
+    return {i: tr[idx] if ok[i] and j != i else None
+            for i, (idx, j) in enumerate(zip(sectors, partner))
+            if not ok[i] or j >= i}
+
+
 def _blocks(L):
-    """(idx, block) for each sector of L; block is L's matrix on idx x idx.
+    """(idx, block, mirror) for each sector of L the engines exponentiate;
+    block is L's matrix on idx x idx, and mirror as in _sector_entries.
 
     A block is scattered when it is reached, so one block is dense at a time.
     """
-    for idx, r, c, e in _sector_entries(L):
+    for idx, r, c, e, mirror in _sector_entries(L):
         block = np.zeros((len(idx), len(idx)), dtype=complex)
         block[r, c] = e
-        yield idx, block
+        yield idx, block, mirror
 
 
 def _max_entry(L):
@@ -216,8 +269,11 @@ def expm_evolve(L, rho0, t):
     """Propagate rho0 by exp(L t) acting on the vectorized state."""
     v = vec(_evolve_inputs(L, rho0, t))
     out = np.empty_like(v)
-    for idx, block in _blocks(L):
-        out[idx] = expm_dense(block * t) @ v[idx]
+    for idx, block, mirror in _blocks(L):
+        e = expm_dense(block * t)
+        out[idx] = e @ v[idx]
+        if mirror is not None:
+            out[mirror] = e.conj() @ v[mirror]
     return unvec(out, L.dim)
 
 
@@ -306,17 +362,20 @@ def _rk4(L, rho0, t, steps):
 
     For d/dt v = L v one RK4 step is v -> M v with
     M = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so the steps are
-    M**steps applied once, sector by sector.
+    M**steps applied once, sector by sector, and its conjugate to a mirror.
     """
     v = vec(rho0)
     h = t / steps
     y = np.empty_like(v)
-    for idx, block in _blocks(L):
+    for idx, block, mirror in _blocks(L):
         hL = block * h
         eye = np.eye(len(idx), dtype=complex)
         # Horner form of the degree-4 Taylor step
         m = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
-        y[idx] = np.linalg.matrix_power(m, steps) @ v[idx]
+        power = np.linalg.matrix_power(m, steps)
+        y[idx] = power @ v[idx]
+        if mirror is not None:
+            y[mirror] = power.conj() @ v[mirror]
     return unvec(y, L.dim)
 
 

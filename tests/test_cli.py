@@ -816,14 +816,14 @@ def test_verify_runs_the_closed_form_of_the_shared_model_table(monkeypatch, caps
 
 
 @pytest.mark.parametrize("suite, code, seen", [
-    ("kerr0", 2, "not a density matrix"),
+    ("kerr0", 1, " FAIL "),
     ("kerrT", 1, " FAIL "),
 ])
 def test_verify_catches_a_mirror_that_drops_its_conjugate(monkeypatch, capsys, suite, code, seen):
     # verify's states are exactly Hermitian, so its Kerr checks run the
     # hermitian layout, whose left-out side is the conjugate of the kept
     # one; written unconjugated, it must fail the suite (kerr0's occupation
-    # check refuses the evolved state before its report is printed)
+    # check, which refuses the evolved state, is reported as a FAIL)
     layout = kerr_finite_t._layout
 
     def unconjugated(dim, hermitian):
@@ -833,6 +833,27 @@ def test_verify_catches_a_mirror_that_drops_its_conjugate(monkeypatch, capsys, s
     monkeypatch.setattr(kerr_finite_t, "_layout", unconjugated)
     assert main(["verify", "--suite", suite]) == code
     assert seen in "".join(capsys.readouterr())
+
+
+def test_a_kerr0_state_that_is_no_density_matrix_fails_its_check(monkeypatch):
+    # the occupation and revival checks cannot read the observables of a
+    # state that is not Hermitian; each fails with the error in its record,
+    # and the suite still reports every check
+    model = verify.MODELS["kerr0"]
+
+    def skewed(rho0, t, p):
+        rho = model.closed_form(rho0, t, p)
+        return rho + 0.1j * np.tril(np.ones(rho.shape[-2:]), -1)
+
+    monkeypatch.setitem(verify.MODELS, "kerr0", dataclasses.replace(model, closed_form=skewed))
+    recs = {rec["name"]: rec for rec in verify.SUITES["kerr0"](None, 0, None)}
+    assert len(recs) == 4
+    occupation = recs["mean occupation decay, coherent alpha=2, dim=30"]
+    assert occupation["residual"] == math.inf and not occupation["passed"]
+    assert "not a density matrix" in occupation["note"]
+    revival = recs["undamped revival fidelity at t=pi/chi, dim=20"]
+    assert revival["residual"] == math.inf and "imaginary part" in revival["note"]
+    assert not recs["propagator vs exponential, dim=12, t=0.5"]["passed"]
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import mpmath
 import numpy as np
@@ -68,7 +70,7 @@ def test_expm_dense_against_40_digit_mpmath(model, t):
     # every third sector of window 12 (n - m = 0, ±3, ±6, ±9), 1-norms up to
     # 92; the term-by-term series that summed until a term fell below unit
     # roundoff read up to 2.2e-14 here, the fixed-degree polynomial 1.6e-14
-    for idx, block in _blocks(_matrix(model, 12)):
+    for idx, block in _dense_blocks(_matrix(model, 12)):
         if len(idx) % 3:
             continue
         a = block * t
@@ -231,6 +233,13 @@ def _as_sets(sectors):
     return {frozenset(int(i) for i in idx) for idx in sectors}
 
 
+def _dense_blocks(gen):
+    """(idx, block) for every sector of gen, cut from its dense matrix."""
+    mat = gen.dense()
+    for idx in _sectors_of(gen):
+        yield idx, mat[np.ix_(idx, idx)]
+
+
 def _full_expm(mat, rho0, t):
     return expm_dense(mat * t) @ vec(rho0)
 
@@ -311,6 +320,126 @@ def test_blocking_follows_a_planted_cross_sector_entry():
 
 
 # ---------------------------------------------------------------------------
+# Mirrored sectors
+
+
+def _per_sector_expm(gen, rho0, t):
+    """The exponential with every sector's block exponentiated directly."""
+    v = vec(rho0)
+    out = np.empty_like(v)
+    for idx, block in _dense_blocks(gen):
+        out[idx] = expm_dense(block * t) @ v[idx]
+    return out
+
+
+def _per_sector_rk4(gen, rho0, t):
+    """RK4 at the recommended steps, with every sector's step formed directly."""
+    v = vec(rho0)
+    steps = recommended_steps(gen, t)
+    out = np.empty_like(v)
+    for idx, block in _dense_blocks(gen):
+        hL = block * (t / steps)
+        eye = np.eye(len(idx), dtype=complex)
+        step = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
+        out[idx] = np.linalg.matrix_power(step, steps) @ v[idx]
+    return out
+
+
+def _mirrored(gen):
+    return [mirror for *_, mirror in _blocks(gen) if mirror is not None]
+
+
+@pytest.mark.parametrize("model", ["kerr0", "kerrT"])
+@pytest.mark.parametrize("dim", [2, 3, 8, 13])
+def test_mirrored_sectors_run_bit_for_bit_as_their_own_blocks(model, dim):
+    # each sector n - m = k pairs with -k, k = 0 with none; the mirror's
+    # exponential and RK4 step are the conjugates of its partner's, exactly
+    gen = _matrix(model, dim)
+    assert len(_mirrored(gen)) == dim - 1
+    rho0 = random_density(dim, np.random.default_rng([dim, 2]))
+    t = 0.6
+    assert np.array_equal(vec(expm_evolve(gen, rho0, t)), _per_sector_expm(gen, rho0, t))
+    assert np.array_equal(vec(rk4_evolve(gen, rho0, t)), _per_sector_rk4(gen, rho0, t))
+
+
+@pytest.mark.parametrize("plant", ["new entry", "changed entry"])
+def test_a_mirror_whose_entries_differ_runs_on_its_own_block(plant):
+    # one entry inside sector n - m = 2, its transpose in sector -2 left
+    # alone: that pair runs unpaired, every other pair stays paired
+    dim = 6
+    gen = _matrix("kerrT", dim)
+    k = _k_labels(dim)
+    sector = np.flatnonzero(k == 2)
+    if plant == "new entry":
+        row, col = sector[0], sector[-1]  # the block is tridiagonal: a zero
+        assert not np.any((gen.rows == row) & (gen.cols == col))
+        gen = Liouvillian(dim, np.append(gen.rows, row), np.append(gen.cols, col),
+                          np.append(gen.entries, 0.7))
+    else:
+        entries = gen.entries.copy()
+        entries[np.flatnonzero(np.isin(gen.rows, sector))[0]] *= 1 + 1e-3
+        gen = Liouvillian(dim, gen.rows, gen.cols, entries)
+    blocks = list(_blocks(gen))
+    unpaired = _as_sets(idx for idx, _, mirror in blocks if mirror is None)
+    assert unpaired == _as_sets(np.flatnonzero(k == kk) for kk in (0, 2, -2))
+    assert len(_mirrored(gen)) == dim - 2
+
+    mat = gen.dense()
+    rho0 = seeded_density(dim, 43)
+    t = 0.4
+    assert maxabs(vec(expm_evolve(gen, rho0, t)) - _full_expm(mat, rho0, t)) <= 1e-12
+    assert maxabs(vec(rk4_evolve(gen, rho0, t))
+                  - _full_rk4(mat, rho0, t, recommended_steps(gen, t))) <= 1e-12
+
+
+def test_a_sector_whose_transpose_lies_inside_another_runs_unpaired():
+    # window 2, column-stacked: rho[0,0], rho[1,0], rho[0,1], rho[1,1]. One
+    # entry joins rho[0,1] to rho[0,0], its own mirror; the sector {rho[1,0]}
+    # maps into that sector but is not its mirror, so nothing pairs
+    gen = Liouvillian(2, np.array([2]), np.array([0]), np.array([0.5 + 0.25j]))
+    assert [idx.tolist() for idx in _sectors_of(gen)] == [[0, 2], [1], [3]]
+    assert _mirrored(gen) == []
+    rho0 = seeded_density(2, 44)
+    assert maxabs(vec(expm_evolve(gen, rho0, 0.7)) - _full_expm(gen.dense(), rho0, 0.7)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [4, 9])
+def test_the_pair_drive_pairs_no_sector(dim):
+    # each parity sector is its own mirror
+    gen = _matrix("pdc", dim)
+    assert len(list(_blocks(gen))) == 2 and _mirrored(gen) == []
+
+
+@pytest.mark.parametrize("dim", [5, 12])
+def test_a_kerr_exponential_forms_one_block_per_pair(monkeypatch, dim):
+    # 2 dim - 1 sectors: k = 0 and dim - 1 pairs
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return expm_dense(a)
+
+    monkeypatch.setattr(oracle, "expm_dense", counted)
+    expm_evolve(_matrix("kerrT", dim), seeded_density(dim, 44), 0.5)
+    assert len(calls) == dim
+
+
+def test_the_pairing_is_dropped_with_its_generator():
+    # the sectors and their pairing are kept per generator while it lives
+    gc.collect()
+    before = len(oracle._SECTOR_ENTRIES)
+    gen = _matrix("kerrT", 7)
+    expm_evolve(gen, seeded_density(7, 45), 0.5)
+    assert len(oracle._SECTOR_ENTRIES[gen]) == 7
+    assert len(oracle._SECTOR_ENTRIES) == before + 1
+    dead = weakref.ref(gen)
+    del gen
+    gc.collect()
+    assert dead() is None
+    assert len(oracle._SECTOR_ENTRIES) == before
+
+
+# ---------------------------------------------------------------------------
 # The generator's entries
 
 
@@ -340,9 +469,12 @@ def test_entries_scatter_to_the_dense_sum_bit_for_bit(model):
         assert gen.dense().tobytes() == dense.tobytes()
         assert gen.entries.size == np.count_nonzero(dense)  # no stored zeros
         blocks = list(_blocks(gen))
-        assert sum(len(idx) for idx, _ in blocks) == dim * dim
-        for idx, block in blocks:
+        runs = [idx for idx, _, _ in blocks] + [m for *_, m in blocks if m is not None]
+        assert np.array_equal(np.sort(np.concatenate(runs)), np.arange(dim * dim))
+        for idx, block, mirror in blocks:
             assert block.tobytes() == dense[np.ix_(idx, idx)].tobytes()
+            if mirror is not None:
+                assert np.array_equal(dense[np.ix_(mirror, mirror)], block.conj())
 
 
 def test_a_cancelled_generator_has_no_entries_and_moves_nothing():
@@ -380,7 +512,7 @@ def test_blocked_exponential_matches_scipy_to_rounding(model, dim):
     rho0 = random_density(dim, np.random.default_rng([dim, 1]))
     v = vec(rho0)
     ref = np.empty_like(v)
-    for idx, block in _blocks(gen):
+    for idx, block in _dense_blocks(gen):
         ref[idx] = scipy.linalg.expm(block * 0.4) @ v[idx]
     assert maxabs(vec(expm_evolve(gen, rho0, 0.4)) - ref) <= 2e-15
 
