@@ -396,6 +396,8 @@ def run_verify(suite, dim=None, seed=0, out=None, fault=None):
                           f"not by {suite}")
     if dim is not None and dim < 2:
         raise ConfigError("dim must be at least 2")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     text, failed = report(suite, dim, seed, fault)
     sys.stdout.write(text)
     if out:

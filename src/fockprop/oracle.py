@@ -26,16 +26,17 @@ n - m and splits into 2 of dim^2 / 2.) They are found once per generator
 and kept while the generator lives.
 
 Sectors are also paired under the transpose (n, m) -> (m, n) of the
-column-stacked index. A Lindblad generator maps rho^dagger to L(rho)^dagger,
-so on the Kerr generators the block of n - m = -k, in transposed order, is
-the conjugate of the block of k. Where the entries show exactly that, the
-pair's exponential (or RK4 power) is formed once and its conjugate is
-applied to the mirror, whose entries are not kept: conjugating both factors of a complex product conjugates it
-exactly, and the two blocks have equal 1-norms and so the same Taylor
-degree and squarings, so every product is the exact conjugate of the one
-the mirror's own exponential would form. A sector that is its own mirror
-(Kerr's k = 0, the pair drive's two parities), or whose mirror's entries
-differ, runs on its own block.
+column-stacked index. A Lindblad generator maps rho^dagger to L(rho)^dagger:
+each entry has its conjugate at the transposed position. Where all of L's
+entries show exactly that, the transpose is an automorphism of the entry
+graph, so it maps each sector onto a sector, its mirror, whose block in
+transposed order is the conjugate of the sector's (Kerr's n - m = -k mirrors
+k). The pair's exponential (or RK4 power) is formed once and its conjugate
+applied to the mirror. That is exact: conjugating both factors of a complex
+product conjugates it, and the two blocks have equal 1-norms and so the same
+Taylor degree and squarings. A sector that is its own mirror (Kerr's k = 0,
+the pair drive's two parities) runs alone, as does every sector of an L
+with an entry short of its conjugate.
 
 action_evolve forms no block at all: each Taylor term is one product of
 L's entries, sorted by row once per generator, with a vector. Its cost
@@ -116,74 +117,57 @@ def _sector_entries(L):
     """(idx, block rows, block cols, block entries, mirror) for each sector
     of L the engines exponentiate.
 
-    mirror is None, or the indices, in idx's order, of the sector whose
-    block is the conjugate of idx's; that sector is not listed (_mirrors).
-    Found on the first call for L and kept while L lives.
+    If L keeps adjoints, the sector holding the transpose of idx's first
+    index is idx's mirror: the first of the two is listed with mirror = the
+    transposes of idx, in idx's order, and the other not at all. Every other
+    sector has mirror None. Found on the first call for L, kept while L lives.
     """
     parts = _SECTOR_ENTRIES.get(L)
     if parts is None:
-        sectors = _sectors(L.dim * L.dim, L.rows, L.cols)
-        sector_of = np.empty(L.dim * L.dim, dtype=np.intp)
+        size = L.dim * L.dim
+        sectors = _sectors(size, L.rows, L.cols)
+        sector_of = np.empty(size, dtype=np.intp)
         local = np.empty_like(sector_of)
         for i, idx in enumerate(sectors):
             sector_of[idx] = i
             local[idx] = np.arange(len(idx))
-        mirrors = _mirrors(L, sectors, sector_of)
+        tr = np.arange(size).reshape(L.dim, L.dim).T.ravel()  # (n, m) -> (m, n)
+        partner = (sector_of[tr[[idx[0] for idx in sectors]]] if _keeps_adjoints(L, tr)
+                   else range(len(sectors)))
         owner = sector_of[L.rows]
         by_sector = np.argsort(owner, kind="stable")
         cuts = np.cumsum(np.bincount(owner, minlength=len(sectors)))[:-1]
-        parts = [(idx, local[L.rows[e]], local[L.cols[e]], L.entries[e], mirrors[i])
-                 for i, (idx, e) in enumerate(zip(sectors, np.split(by_sector, cuts)))
-                 if i in mirrors]
+        parts = [(idx, local[L.rows[e]], local[L.cols[e]], L.entries[e],
+                  tr[idx] if j > i else None)
+                 for i, (idx, e, j) in enumerate(zip(sectors, np.split(by_sector, cuts), partner))
+                 if j >= i]
         _SECTOR_ENTRIES[L] = parts
     return parts
 
 
-def _mirrors(L, sectors, sector_of):
-    """{i: mirror} over the sectors i the engines exponentiate, from L's entries.
-
-    The transpose (n, m) -> (m, n) of the column-stacked index takes sector
-    i's indices idx to tr[idx]. Where those are all of another sector j, and
-    L's entry at (tr[a], tr[b]) is the conjugate of its entry at (a, b) for
-    every a, b of idx, j's block in the order tr[idx] is the conjugate of
-    i's: the first of the two is listed with mirror = tr[idx], the other
-    not at all. Every other sector, one that is its own mirror among them,
-    is listed with mirror None.
-    """
+def _keeps_adjoints(L, tr):
+    """Whether every entry of L has its conjugate at the transposed
+    position: L's entry at (tr[a], tr[b]) is that at (a, b), conjugated."""
     size = L.dim * L.dim
-    flat = np.arange(size)
-    tr = flat % L.dim * L.dim + flat // L.dim
-    partner = sector_of[tr[[idx[0] for idx in sectors]]]
-    ok = np.ones(len(sectors), dtype=bool)
-    # an index whose transpose lands outside its sector's partner
-    ok[sector_of[partner[sector_of] != sector_of[tr]]] = False
-    # an entry without its conjugate at the transposed position, among the
-    # entries of sectors with another partner (the pair drive has none)
-    owner = sector_of[L.rows]
-    e = np.flatnonzero(partner[owner] != owner)
-    rows, cols, entries = L.rows[e], L.cols[e], L.entries[e]
-    keys = rows * size + cols
+    keys = L.rows * size + L.cols
+    want = tr[L.rows] * size + tr[L.cols]
     order = np.argsort(keys)
-    want = tr[rows] * size + tr[cols]
     at = order[np.minimum(np.searchsorted(keys[order], want), keys.size - 1)]
-    matched = (keys[at] == want) & (entries[at] == entries.conj())
-    ok[owner[e[~matched]]] = False
-    ok &= ok[partner]
-    return {i: tr[idx] if ok[i] and j != i else None
-            for i, (idx, j) in enumerate(zip(sectors, partner))
-            if not ok[i] or j >= i}
+    return bool(np.all((keys[at] == want) & (L.entries[at] == L.entries.conj())))
 
 
-def _blocks(L):
-    """(idx, block, mirror) for each sector of L the engines exponentiate;
-    block is L's matrix on idx x idx, and mirror as in _sector_entries.
-
-    A block is scattered when it is reached, so one block is dense at a time.
-    """
+def _blockwise(L, v, matrix):
+    """matrix(block) @ v on each sector of L and its conjugate on a mirror.
+    A block is scattered when it is reached, so one is dense at a time."""
+    out = np.empty_like(v)
     for idx, r, c, e, mirror in _sector_entries(L):
         block = np.zeros((len(idx), len(idx)), dtype=complex)
         block[r, c] = e
-        yield idx, block, mirror
+        m = matrix(block)
+        out[idx] = m @ v[idx]
+        if mirror is not None:
+            out[mirror] = m.conj() @ v[mirror]
+    return out
 
 
 def _max_entry(L):
@@ -268,13 +252,7 @@ def _evolve_inputs(L, rho0, t):
 def expm_evolve(L, rho0, t):
     """Propagate rho0 by exp(L t) acting on the vectorized state."""
     v = vec(_evolve_inputs(L, rho0, t))
-    out = np.empty_like(v)
-    for idx, block, mirror in _blocks(L):
-        e = expm_dense(block * t)
-        out[idx] = e @ v[idx]
-        if mirror is not None:
-            out[mirror] = e.conj() @ v[mirror]
-    return unvec(out, L.dim)
+    return unvec(_blockwise(L, v, lambda block: expm_dense(block * t)), L.dim)
 
 
 # generator -> (rows holding entries, first entry of each, cols, entries), ||L||_1
@@ -362,21 +340,18 @@ def _rk4(L, rho0, t, steps):
 
     For d/dt v = L v one RK4 step is v -> M v with
     M = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so the steps are
-    M**steps applied once, sector by sector, and its conjugate to a mirror.
+    M**steps applied once, sector by sector (_blockwise).
     """
-    v = vec(rho0)
     h = t / steps
-    y = np.empty_like(v)
-    for idx, block, mirror in _blocks(L):
+
+    def power(block):
         hL = block * h
-        eye = np.eye(len(idx), dtype=complex)
+        eye = np.eye(len(block), dtype=complex)
         # Horner form of the degree-4 Taylor step
         m = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
-        power = np.linalg.matrix_power(m, steps)
-        y[idx] = power @ v[idx]
-        if mirror is not None:
-            y[mirror] = power.conj() @ v[mirror]
-    return unvec(y, L.dim)
+        return np.linalg.matrix_power(m, steps)
+
+    return unvec(_blockwise(L, vec(rho0), power), L.dim)
 
 
 # ---------------------------------------------------------------------------

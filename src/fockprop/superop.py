@@ -16,7 +16,7 @@ the dense matrix.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -50,22 +50,12 @@ __all__ = [
     "verify_commutator_table",
 ]
 
-def _diagonal(m):
-    """The diagonal of m if m has no other nonzero entry, else None."""
-    d = np.diagonal(m)
-    return d if np.count_nonzero(m) == np.count_nonzero(d) else None
-
 
 @dataclass(frozen=True)
 class SandwichTerm:
     coeff: complex
     left: np.ndarray
     right: np.ndarray
-
-    @cached_property
-    def diagonals(self):
-        """The diagonal of left and of right, each None where it is not diagonal."""
-        return _diagonal(self.left), _diagonal(self.right)
 
 
 @dataclass(frozen=True)
@@ -91,20 +81,14 @@ class SuperopExpr:
 
 
 def apply(expr, rho):
-    """Act with expr on rho. Always returns a fresh complex array.
-
-    A diagonal L or R scales the rows or columns of rho by its diagonal
-    instead of a dense matrix product.
-    """
+    """Act with expr on rho, term by term as c * (L @ rho @ R). Always
+    returns a fresh complex array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (expr.dim, expr.dim):
         raise ValueError(f"state shape {rho.shape} does not match dim {expr.dim}")
     out = np.zeros_like(rho)
     for t in expr.terms:
-        left, right = t.diagonals
-        x = t.left @ rho if left is None else left[:, None] * rho
-        x = x @ t.right if right is None else x * right
-        out += t.coeff * x
+        out += t.coeff * (t.left @ rho @ t.right)
     return out
 
 

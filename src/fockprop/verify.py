@@ -258,6 +258,8 @@ MIN_DIM = {"tables": 10}
 def report(suite, dim, seed, fault):
     """Run one suite, or all with suite="all". Returns (text, failed checks).
 
+    A NOTE or FAIL line ends with its record's note, a PASS line never.
+
     A dim below any selected suite's MIN_DIM is refused before a suite runs.
     """
     names = list(SUITES) if suite == "all" else [suite]
@@ -278,6 +280,7 @@ def report(suite, dim, seed, fault):
                 lines.append(
                     f"[{name}] {verdict} {rec['name']}: residual {rec['residual']:.3e}"
                     f" tol {rec['tolerance']:.0e}"
+                    + (f" ({rec['note']})" if rec["note"] and not rec["passed"] else "")
                 )
             else:
                 lines.append(

@@ -796,6 +796,12 @@ def test_verify_refuses_a_small_window_before_any_suite(monkeypatch, capsys):
     assert ran == []
 
 
+def test_verify_refuses_a_negative_seed_by_name(capsys):
+    assert main(["verify", "--suite", "kerr0", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: seed must be non-negative, got -1\n")
+
+
 def test_verify_all_at_the_smallest_common_window(capsys):
     assert main(["verify", "--suite", "all", "--dim", "10"]) == 0
     assert capsys.readouterr().out.endswith("\n49 checks, all passed\n")
@@ -854,6 +860,23 @@ def test_a_kerr0_state_that_is_no_density_matrix_fails_its_check(monkeypatch):
     revival = recs["undamped revival fidelity at t=pi/chi, dim=20"]
     assert revival["residual"] == math.inf and "imaginary part" in revival["note"]
     assert not recs["propagator vs exponential, dim=12, t=0.5"]["passed"]
+
+
+def test_a_fail_line_gives_its_check_s_reason(monkeypatch, capsys):
+    # the skewed closed form above fails the occupation check at residual
+    # inf; the FAIL line carries the error that put it there
+    model = verify.MODELS["kerr0"]
+
+    def skewed(rho0, t, p):
+        rho = model.closed_form(rho0, t, p)
+        return rho + 0.1j * np.tril(np.ones(rho.shape[-2:]), -1)
+
+    monkeypatch.setitem(verify.MODELS, "kerr0", dataclasses.replace(model, closed_form=skewed))
+    assert main(["verify", "--suite", "kerr0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    occupation = [line for line in lines if "mean occupation decay" in line]
+    assert len(occupation) == 1 and " FAIL " in occupation[0]
+    assert occupation[0].endswith(", not a density matrix)")
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))

@@ -11,10 +11,10 @@ import scipy.linalg
 from fockprop import oracle
 from fockprop.oracle import (
     UNIT_ROUNDOFF,
-    _blocks,
     _matvec,
     _rk4,
     _row_entries,
+    _sector_entries,
     _sectors,
     _taylor_degree,
     action_evolve,
@@ -240,6 +240,15 @@ def _dense_blocks(gen):
         yield idx, mat[np.ix_(idx, idx)]
 
 
+def _blocks(gen):
+    """(idx, block, mirror) for each sector the engines exponentiate, the
+    block scattered from the entries the oracle keeps for it."""
+    for idx, r, c, e, mirror in _sector_entries(gen):
+        block = np.zeros((len(idx), len(idx)), dtype=complex)
+        block[r, c] = e
+        yield idx, block, mirror
+
+
 def _full_expm(mat, rho0, t):
     return expm_dense(mat * t) @ vec(rho0)
 
@@ -365,7 +374,7 @@ def test_mirrored_sectors_run_bit_for_bit_as_their_own_blocks(model, dim):
 @pytest.mark.parametrize("plant", ["new entry", "changed entry"])
 def test_a_mirror_whose_entries_differ_runs_on_its_own_block(plant):
     # one entry inside sector n - m = 2, its transpose in sector -2 left
-    # alone: that pair runs unpaired, every other pair stays paired
+    # alone: the generator no longer keeps adjoints, so no sector pairs
     dim = 6
     gen = _matrix("kerrT", dim)
     k = _k_labels(dim)
@@ -379,13 +388,40 @@ def test_a_mirror_whose_entries_differ_runs_on_its_own_block(plant):
         entries = gen.entries.copy()
         entries[np.flatnonzero(np.isin(gen.rows, sector))[0]] *= 1 + 1e-3
         gen = Liouvillian(dim, gen.rows, gen.cols, entries)
-    blocks = list(_blocks(gen))
-    unpaired = _as_sets(idx for idx, _, mirror in blocks if mirror is None)
-    assert unpaired == _as_sets(np.flatnonzero(k == kk) for kk in (0, 2, -2))
-    assert len(_mirrored(gen)) == dim - 2
+    assert len(list(_blocks(gen))) == 2 * dim - 1
+    assert _mirrored(gen) == []
 
     mat = gen.dense()
     rho0 = seeded_density(dim, 43)
+    t = 0.4
+    assert maxabs(vec(expm_evolve(gen, rho0, t)) - _full_expm(mat, rho0, t)) <= 1e-12
+    assert maxabs(vec(rk4_evolve(gen, rho0, t))
+                  - _full_rk4(mat, rho0, t, recommended_steps(gen, t))) <= 1e-12
+
+
+def test_a_planted_pair_that_keeps_adjoints_stays_paired():
+    # an entry joining sectors n - m = 2 and -1, with its conjugate at the
+    # transposed position joining -2 and 1: the two merged sectors mirror
+    # each other, and every Kerr pair stays paired
+    dim = 6
+    gen = _matrix("kerrT", dim)
+    k = _k_labels(dim)
+    flat = np.arange(dim * dim)
+    tr = flat % dim * dim + flat // dim
+    row = int(np.flatnonzero(k == -1)[0])
+    col = int(np.flatnonzero(k == 2)[0])
+    value = 0.7 + 0.2j
+    gen = Liouvillian(dim, np.append(gen.rows, [row, tr[row]]),
+                      np.append(gen.cols, [col, tr[col]]),
+                      np.append(gen.entries, [value, np.conj(value)]))
+    blocks = list(_blocks(gen))
+    assert len(blocks) == dim - 1
+    assert len(_mirrored(gen)) == dim - 2
+    merged = _as_sets([np.flatnonzero((k == 2) | (k == -1)), np.flatnonzero((k == -2) | (k == 1))])
+    assert any(_as_sets([idx, mirror]) == merged for idx, _, mirror in blocks if mirror is not None)
+
+    mat = gen.dense()
+    rho0 = seeded_density(dim, 46)
     t = 0.4
     assert maxabs(vec(expm_evolve(gen, rho0, t)) - _full_expm(mat, rho0, t)) <= 1e-12
     assert maxabs(vec(rk4_evolve(gen, rho0, t))
@@ -412,15 +448,23 @@ def test_the_pair_drive_pairs_no_sector(dim):
 
 @pytest.mark.parametrize("dim", [5, 12])
 def test_a_kerr_exponential_forms_one_block_per_pair(monkeypatch, dim):
-    # 2 dim - 1 sectors: k = 0 and dim - 1 pairs
+    # 2 dim - 1 sectors: k = 0 and dim - 1 pairs, for the exponential and
+    # for the RK4 step's power alike
     calls = []
 
-    def counted(a):
-        calls.append(len(a))
-        return expm_dense(a)
+    def counted(f):
+        def call(a, *args):
+            calls.append(len(a))
+            return f(a, *args)
+        return call
 
-    monkeypatch.setattr(oracle, "expm_dense", counted)
-    expm_evolve(_matrix("kerrT", dim), seeded_density(dim, 44), 0.5)
+    monkeypatch.setattr(oracle, "expm_dense", counted(expm_dense))
+    monkeypatch.setattr(oracle.np.linalg, "matrix_power", counted(np.linalg.matrix_power))
+    gen, rho0 = _matrix("kerrT", dim), seeded_density(dim, 44)
+    expm_evolve(gen, rho0, 0.5)
+    assert len(calls) == dim
+    calls.clear()
+    rk4_evolve(gen, rho0, 0.5)
     assert len(calls) == dim
 
 
