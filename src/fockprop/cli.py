@@ -136,11 +136,6 @@ def _format_value(key, value):
     return str(value)
 
 
-def serialize_config(cfg):
-    lines = [f"{key} = {_format_value(key, cfg[key])}" for key in KEY_TYPES if key in cfg]
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -10,7 +10,7 @@ u(0) = 0, z = g0 + i chi k and mu = 4 gm gp. The weights stay bounded on
 the window and are smooth through a vanishing discriminant, so the flow
 is accurate at any window size and any time. The rates are real, so
 every weight at -k is the conjugate of its value at k: the weights are
-evaluated on k >= 0 only, with real transcendental functions. Along each
+evaluated on k >= 0 only, by numpy's complex expm1 and log. Along each
 diagonal k the elementwise factor is a geometric progression in min(n, m):
 two exponentials per k >= 0 and time, and a table of powers built by
 doubling, each power at most log2(dim) + 1 rounded products from its ratio.
@@ -40,11 +40,6 @@ __all__ = [
     "KerrFiniteTParams",
     "propagate_kerr_finite_t",
 ]
-
-# the closed form (1 - exp(-2 D t)) / (2 D) is 0 / 0 at D = 0; below this
-# |D t| use its series t (1 - D t + 2/3 (D t)^2), good to (D t)^3 / 3
-TAYLOR_SWITCH = 1e-6
-
 
 @functools.lru_cache(maxsize=2)
 def _layout(dim, hermitian):
@@ -228,60 +223,28 @@ def _weights(times, dim, chi, mu, disc, g0):
     """Series weight u and log hinv on the grid of index differences by times.
 
     times is a 1-D array; the grid is (dim, T), row k holding k >= 0. With
-    z = g0 + i chi k, D = sqrt(z^2 - mu) and h = (1 - exp(-2 D t)) / (2 D):
+    z = g0 + i chi k, D = sqrt(z^2 - mu) and h = -expm1(-2 D t) / (2 D),
+    h = t where D t = 0,
 
       q = 1 + (z - D) h,  u = h / q,  log hinv = (z - D) t - log q,
 
     with z - D = mu / (z + D). Re D >= 0, so nothing in them grows with t.
     D^2 is disc + i chi k (2 g0 + i chi k), with the k = 0 discriminant
     disc = g0^2 - mu formed by the caller free of cancellation. At -k a
-    weight is the conjugate of its value at k. The transcendental functions
-    run on real parts, since numpy's complex log and expm1 cost several
-    times as much: with x + iy = (z - D) h,
-
-      log q = log1p(x (2 + x) + y^2) / 2 + i atan2(y, 1 + x),
-
-    with log hypot(1 + x, y) for the real part where |q|^2 < 1/10, and
-    exp(-2 D t) - 1 is taken by _expm1.
+    weight is the conjugate of its value at k.
     """
     k_line = np.arange(dim, dtype=float)[:, None]
     z = g0 + 1j * chi * k_line
     # at mu = 0, D = z and q = hinv = 1 exactly
     root = np.sqrt(disc + 1j * chi * k_line * (2.0 * g0 + 1j * chi * k_line)) if mu else z
     rt = root * times
-    small = np.abs(rt) < TAYLOR_SWITCH
-    u = np.where(
-        small,
-        # not *: see _passes
-        times * (1.0 - np.multiply(rt, 1.0 - rt * (2.0 / 3.0))),
-        -_expm1(-2.0 * rt) / (2.0 * np.where(small, 1.0, root)),
-    )
-    log_hinv = np.zeros_like(u)
-    if mu:
-        zmd = mu / (z + root)                    # z - D; z + D = 0 needs mu = 0
-        q = 1.0 + zmd * u
-        x, y = q.real - 1.0, q.imag
-        s = x * (2.0 + x) + y * y                # |q|^2 - 1
-        far = s < -0.9                           # s holds few digits of a small |q|^2
-        log_q = 0.5 * np.log1p(s, out=np.zeros_like(s), where=~far)
-        log_q[far] = np.log(np.hypot(q.real[far], y[far]))
-        log_hinv.real = zmd.real * times - log_q
-        log_hinv.imag = zmd.imag * times - np.arctan2(y, q.real)
-        u /= q
-    return u, log_hinv
-
-
-def _expm1(x):
-    """exp(x) - 1 of a complex array from real functions, as numpy's complex expm1 forms it.
-
-    With x = a + ib it is expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b.
-    """
-    a, b = x.real, x.imag
-    half = np.sin(0.5 * b)
-    out = np.empty_like(x)
-    out.real = np.expm1(a) * np.cos(b) - 2.0 * half * half
-    out.imag = np.exp(a) * np.sin(b)
-    return out
+    still = rt == 0
+    h = np.where(still, times, -np.expm1(-2.0 * rt) / (2.0 * np.where(still, 1.0, root)))
+    if not mu:
+        return h, np.zeros_like(h)
+    zmd = mu / (z + root)                        # z - D; z + D = 0 needs mu = 0
+    q = 1.0 + zmd * h
+    return h / q, zmd * times - np.log(q)
 
 
 def _power_table(log_hinv, times, chi, g0, cg):

@@ -39,7 +39,7 @@ the pair drive's two parities) runs alone, as does every sector of an L
 with an entry short of its conjugate.
 
 action_evolve forms no block at all: each Taylor term is one product of
-L's entries, sorted by row once per generator, with a vector. Its cost
+L's entries, sorted by row once per call, with a vector. Its cost
 grows like ||L||_1 t times the number of entries, the blocked exponential's
 like the cube of each sector's width. So the pair drive's two wide sectors
 run far quicker on the action, while the Kerr generators, whose sectors
@@ -109,7 +109,9 @@ def _sectors(n, rows, cols):
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-# generator -> [(sector indices, block rows, block cols, block entries, mirror)]
+# generator -> [(sector indices, block rows, block cols, block entries, mirror)];
+# the CLI's oracle engines evolve each requested time on one generator, and
+# each of those calls after the first finds its sectors here
 _SECTOR_ENTRIES = weakref.WeakKeyDictionary()
 
 
@@ -255,9 +257,6 @@ def expm_evolve(L, rho0, t):
     return unvec(_blockwise(L, v, lambda block: expm_dense(block * t)), L.dim)
 
 
-# generator -> (rows holding entries, first entry of each, cols, entries), ||L||_1
-_ROW_ENTRIES = weakref.WeakKeyDictionary()
-
 # ||L||_1 h of one action substep. Its Taylor terms then fall below unit
 # roundoff within about 32 terms, and none exceeds 4^4/4! (about 11) times
 # the substep's start in the 1-norm, so the sum loses little to cancellation.
@@ -265,16 +264,13 @@ THETA = 4.0
 
 
 def _row_entries(L):
-    """L's entries sorted by row, and L's 1-norm; found once per generator."""
-    found = _ROW_ENTRIES.get(L)
-    if found is None:
-        order = np.argsort(L.rows, kind="stable")
-        rows = L.rows[order]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        norm1 = np.bincount(L.cols, np.abs(L.entries), minlength=1).max()
-        found = (rows[starts], starts, L.cols[order], L.entries[order]), float(norm1)
-        _ROW_ENTRIES[L] = found
-    return found
+    """L's entries sorted by row, as (rows holding entries, first entry of each,
+    cols, entries), and L's 1-norm."""
+    order = np.argsort(L.rows, kind="stable")
+    rows = L.rows[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    norm1 = np.bincount(L.cols, np.abs(L.entries), minlength=1).max()
+    return (rows[starts], starts, L.cols[order], L.entries[order]), float(norm1)
 
 
 def _matvec(by_row, v):
