@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -301,7 +304,7 @@ def test_engines_agree_on_pair_drive_run(tmp_path):
     ref, conv = converged_window_reference(lambda n: pdc_generator(n, 0.3, 1.0), vac, 0.4)
     obs = observables(ref)
     row = np.array([0.4, obs["trace"].real, obs["trace"].imag, obs["purity"], obs["mean_n"],
-                    np.linalg.eigvalsh(0.5 * (ref + ref.conj().T)).min()])
+                    min(np.linalg.eigvalsh(0.5 * (ref + ref.conj().T)).min(), -_tau(obs["trace"]))])
     assert conv < 1e-9
     assert np.max(np.abs(outs["analytic"] - row)) < 1e-8
     assert np.max(np.abs(outs["expm"] - row)) < 1e-4
@@ -322,6 +325,134 @@ def test_pair_drive_run_stays_physical(tmp_path):
         cells = dict(zip(header, row))
         assert cells["min_eig"] >= -1e-12
         assert 0.0 < cells["trace_re"] <= 1.0 + 1e-12
+
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _with_spectrum(eigenvalues, seed):
+    """U diag(eigenvalues) U^dag for a seeded random unitary U."""
+    rng = np.random.default_rng(seed)
+    dim = len(eigenvalues)
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rho = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _tau(traces):
+    """The min_eig column's tau at each of the traces."""
+    return cli.MIN_EIG_SHIFT * np.maximum(1.0, np.abs(np.asarray(traces)))
+
+
+def test_min_eig_bound_shows_a_planted_negative_eigenvalue():
+    # one slice of five has an eigenvalue of -1e-6: its batch fails the
+    # Cholesky, that slice reads its eigensolve's minimum, and the healthy
+    # slices read -tau, as they would in a chunk of their own
+    dim = 12
+    spectrum = np.linspace(0.0, 1.0, dim) / 6.0
+    stack = np.stack([_with_spectrum(spectrum, seed) for seed in range(5)])
+    planted = spectrum.copy()
+    planted[:2] += [-1e-6, 1e-6]
+    stack[2] = _with_spectrum(planted, 2)
+    got = cli._min_eig_bound(stack)
+    assert abs(got[2] + 1e-6) <= dim * UNIT_ROUNDOFF
+    assert got[2] == np.linalg.eigvalsh(stack[2]).min()
+    tau = _tau(np.trace(stack, axis1=-2, axis2=-1))
+    assert np.delete(got, 2).tolist() == np.delete(-tau, 2).tolist()
+    assert got.tolist() == [cli._min_eig_bound(rho[None])[0] for rho in stack]
+
+
+def test_min_eig_bound_reads_each_slice_as_a_chunk_of_its_own():
+    # slices whose smallest eigenvalue lies within 0.1% of -tau pass or fail
+    # their own Cholesky by rounding, and some that pass read an eigvalsh
+    # minimum below -tau; in a stack that a -1e-6 slice makes fail, each
+    # must still read what it reads alone
+    dim, rng = 16, np.random.default_rng(5)
+    spectrum = np.linspace(0.0, 1.0, dim) / 8.0
+    stack = []
+    for seed in range(200):
+        spectrum[0] = -cli.MIN_EIG_SHIFT * (1.0 + rng.uniform(-1e-3, 1e-3))
+        stack.append(_with_spectrum(spectrum, seed))
+    spectrum[0] = -1e-6
+    stack = np.stack(stack + [_with_spectrum(spectrum, 200)])
+    got = cli._min_eig_bound(stack)
+    assert got.tolist() == [cli._min_eig_bound(rho[None])[0] for rho in stack]
+    assert abs(got[-1] + 1e-6) <= dim * UNIT_ROUNDOFF
+
+
+@pytest.mark.parametrize("dim", [2, 16, 160])
+def test_min_eig_bound_of_density_matrices_needs_no_eigensolve(monkeypatch, dim):
+    # full-rank, rank-one (the thinnest margin) and vacuum states each read
+    # exactly -tau, from one Cholesky and no eigensolve
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    psi = coherent_state(dim, 0.8 - 0.5j)[0]
+    levels = np.linspace(1.0, 2.0, dim)
+    warm = _with_spectrum(levels / levels.sum(), dim)
+    vacuum = np.zeros((dim, dim), dtype=complex)
+    vacuum[0, 0] = 1.0
+    stack = np.stack([warm, density_from_ket(psi), vacuum, 3.0 * warm])
+    got = cli._min_eig_bound(stack)
+    assert got.tolist() == (-_tau(np.trace(stack, axis1=-2, axis2=-1))).tolist()
+    assert -3.1e-13 < got[3] < -2.9e-13
+    assert calls == []
+
+
+def test_propagate_shows_a_negative_eigenvalue_in_its_csv(tmp_path, monkeypatch):
+    # a closed form that returns a state with an eigenvalue of -1e-6 at
+    # t = 0.5: that row shows the value, the others read -tau, and every row
+    # is the one a run of its time alone writes
+    dim, delta = 30, 1e-6
+
+    def negative_at_half(rho0, t, params):
+        out = np.tile(np.asarray(rho0, dtype=complex), (len(t), 1, 1))
+        psi = out[0, :, 0] / np.linalg.norm(out[0, :, 0])
+        phi = np.zeros(dim, dtype=complex)
+        phi[1] = 1.0
+        phi -= (psi.conj() @ phi) * psi
+        phi /= np.linalg.norm(phi)
+        out[np.asarray(t) == 0.5] = ((1 + delta) * np.outer(psi, psi.conj())
+                                     - delta * np.outer(phi, phi.conj()))
+        return out
+
+    monkeypatch.setattr(verify, "propagate_kerr_zero_t", negative_at_half)
+    times = "0.0, 0.25, 0.5, 0.75"
+    cfg = cfg_file(tmp_path, KERR0_DECAY.replace("0.0, 0.5, 1.0", times))
+    out = str(tmp_path / "x.csv")
+    assert main(["propagate", "--config", cfg, "--out", out]) == 0
+    header, rows = read_csv(out)
+    assert abs(rows[2][-1] + delta) <= dim * UNIT_ROUNDOFF
+    for i in (0, 1, 3):
+        assert rows[i][-1] == -_tau(complex(rows[i][1], rows[i][2]))
+    lines = Path(out).read_text().splitlines()
+    for i, t in enumerate(times.split(", ")):
+        one = str(tmp_path / f"one{i}.csv")
+        cfg = cfg_file(tmp_path, KERR0_DECAY.replace("0.0, 0.5, 1.0", t), name=f"one{i}.cfg")
+        assert main(["propagate", "--config", cfg, "--out", one]) == 0
+        assert Path(one).read_text().splitlines() == [lines[0], lines[i + 1]]
+
+
+def test_propagate_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a window-128 Kerr run writes the same bytes at one and at two BLAS
+    # threads, its min_eig verdicts among them
+    cfg = cfg_file(tmp_path, (
+        "model = kerrT\ndim = 128\nchi = 1.0\ngamma_minus = 0.2\ngamma_plus = 0.05\n"
+        "state = cat\nalpha = (2.5-1j)\ncat_phase = 0.4\ntimes = 0.0, 0.3, 1.7\n"
+    ))
+    src = str(Path(cli.__file__).parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from fockprop.cli import main; sys.exit(main(sys.argv[1:]))",
+                        "propagate", "--config", cfg, "--out", str(out)], env=env, check=True)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    header, rows = read_csv(tmp_path / "threads1.csv")
+    assert [row[-1] for row in rows] == [-_tau(complex(row[1], row[2])) for row in rows]
 
 
 @pytest.mark.parametrize("epsilon", [0.98, 0.99])
