@@ -298,7 +298,11 @@ MIN_EIG_SHIFT = 1e-13
 
 
 def _hermitian_part(rhos):
-    return 0.5 * (rhos + rhos.conj().swapaxes(-1, -2))
+    """0.5 (rho^H + rho) of each slice of a (T, dim, dim) stack, in one C-ordered buffer."""
+    part = np.empty(rhos.shape, dtype=rhos.dtype)
+    np.conjugate(rhos.swapaxes(-1, -2), out=part)
+    part += rhos
+    return np.multiply(0.5, part, out=part)
 
 
 def _min_eig_bound(rhos):
@@ -313,8 +317,7 @@ def _min_eig_bound(rhos):
     """
     tau = MIN_EIG_SHIFT * np.maximum(1.0, np.abs(np.trace(rhos, axis1=-2, axis2=-1)))
     shifted = _hermitian_part(rhos)
-    diag = np.arange(rhos.shape[-1])
-    shifted[:, diag, diag] += tau[:, None]
+    shifted.reshape(len(rhos), -1)[:, ::rhos.shape[-1] + 1] += tau[:, None]  # the diagonals
     try:
         np.linalg.cholesky(shifted)
         return -tau

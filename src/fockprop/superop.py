@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fock import annihilation, creation, number_op
+from .fock import _chunks, annihilation, creation, number_op
 
 __all__ = [
     "SandwichTerm",
@@ -81,20 +81,32 @@ class SuperopExpr:
 
 
 def apply(expr, rho):
-    """Act with expr on rho, term by term as c * (L @ rho @ R). Always
-    returns a fresh complex array."""
+    """Act with expr on rho, or on each slice of a (..., dim, dim) stack.
+
+    Term by term as c * (L @ rho @ R), the products formed into two buffers
+    of the state's shape. A stack's slices are each one gemm, as a lone
+    state's product is, so every slice reads what apply gives it alone.
+    The coefficient multiplies from the left, the operand order of
+    c * (L @ rho @ R): swapping the factors of a complex product can move
+    its last bit. Always returns a fresh complex array.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (expr.dim, expr.dim):
+    if rho.shape[-2:] != (expr.dim, expr.dim):
         raise ValueError(f"state shape {rho.shape} does not match dim {expr.dim}")
+    left, term = np.empty((2,) + rho.shape, dtype=complex)
     out = np.zeros_like(rho)
     for t in expr.terms:
-        out += t.coeff * (t.left @ rho @ t.right)
+        np.matmul(t.left, rho, out=left)
+        np.matmul(left, t.right, out=term)
+        out += np.multiply(t.coeff, term, out=term)
     return out
 
 
 def commutator(e1, e2, rho):
     """(e1 e2 - e2 e1) rho, superoperator composition order."""
-    return apply(e1, apply(e2, rho)) - apply(e2, apply(e1, rho))
+    out = apply(e1, apply(e2, rho))
+    out -= apply(e2, apply(e1, rho))
+    return out
 
 
 def vec(rho):
@@ -175,10 +187,25 @@ def random_density(dim, rng):
     with its adjoint is Hermitian to the bit, so the Kerr flows run it on
     their hermitian layout, as they run every CLI state.
     """
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    return _random_densities(dim, rng, 1)[0]
+
+
+def _random_densities(dim, rng, count):
+    """A (count, dim, dim) stack of random_density draws, from one draw of rng.
+
+    Each density takes its real and then its imaginary part from the
+    stream, so the stack is `count` successive random_density calls. The
+    steps reuse their buffers: at wide windows every stack-sized temporary
+    is one more that glibc hands back and faults in again.
+    """
+    z = rng.standard_normal((count, 2, dim, dim))
+    g = np.empty((count, dim, dim), dtype=complex)
+    g.real, g.imag = z[:, 0], z[:, 1]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    part = np.conjugate(rho.swapaxes(-1, -2), out=g)  # rho^H, then the mean with rho
+    part += rho
+    np.multiply(0.5, part, out=part)
+    return np.divide(part, np.trace(part, axis1=-2, axis2=-1).real[:, None, None], out=part)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +387,7 @@ _CHANNEL_SIDES = {
 TABLE_SAMPLES = 10
 
 
-def verify_commutator_table(dim, seed=7):
+def verify_commutator_table(dim, seed=7, fault=None):
     """Check the commutators of the paper's pdc algebra, the Kerr flow and the pdc channel.
 
     The relations come in three groups, and each record's name starts with
@@ -380,6 +407,11 @@ def verify_commutator_table(dim, seed=7):
     two-step index shift inside the window, so residuals measure algebra, not
     cutoff. The i-th evaluated relation draws from a generator seeded by
     (seed, i), so one relation can be reproduced without replaying the table.
+    The samples are drawn and evaluated as stacks, as many at a time as fock's
+    chunk budget holds; each sample reads what it would alone.
+
+    fault="tables-kerr-phase-sign" builds the Kerr trio's kerr_phase with -chi
+    while its relation still claims +chi, so exactly that relation fails.
 
     Returns a list of records: a "check" carries a residual and a pass flag; a
     "note" shows a rejected alternative coefficient; a "closure" becomes the
@@ -401,7 +433,7 @@ def verify_commutator_table(dim, seed=7):
         "jump_up_scaled": raising_sandwich(dim, 4.0),
         # the zero-temperature Kerr trio
         "number_damping(0.1)": number_damping(dim, gm0),
-        "kerr_phase(1.0)": kerr_phase(dim, chi0),
+        "kerr_phase(1.0)": kerr_phase(dim, -chi0 if fault == "tables-kerr-phase-sign" else chi0),
         "index_difference": index_difference(dim),
         "lowering": lowering_sandwich(dim, 1.0),
         # the maps of the pdc channel's two sides
@@ -467,6 +499,7 @@ def verify_commutator_table(dim, seed=7):
                for side, maps in _CHANNEL_SIDES.items() for x, y in combinations(maps, 2)]
 
     keep = slice(dim - 4)  # n, m <= dim - 5
+    counts = [len(range(TABLE_SAMPLES)[part]) for part in _chunks(TABLE_SAMPLES, dim * dim)]
     records, worst = [], {}  # residuals so far by name; len(worst) is i of (seed, i)
     for group, relations in (("paper", paper), ("Kerr flow", kerr), ("pdc channel", channel)):
         for name, lhs, rhs, kind in relations:
@@ -477,10 +510,11 @@ def verify_commutator_table(dim, seed=7):
                 continue
             rng = np.random.default_rng([seed, len(worst)])
             res = 0.0
-            for _ in range(TABLE_SAMPLES):
-                rho = random_density(dim, rng)
-                diff = commutator(op[lhs[0]], op[lhs[1]], rho) - rhs(rho)
-                res = max(res, _maxabs(diff[keep, keep]))
+            for count in counts:
+                rho = _random_densities(dim, rng, count)
+                diff = commutator(op[lhs[0]], op[lhs[1]], rho)
+                diff -= rhs(rho)
+                res = max(res, _maxabs(diff[:, keep, keep]))
             worst[name] = res
             tol, note = (1e-10, "") if kind == "check" else (
                 None, "coefficient 2 rejected in favor of 8, residual shown")

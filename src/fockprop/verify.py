@@ -66,7 +66,8 @@ MODELS = {
 }
 
 # each planted fault and the suite that plants it
-FAULTS = {"kerr0-phase-sign": "kerr0", "pdc-conjugate-eps": "pdc", "pdc-mode-flip": "pdc"}
+FAULTS = {"kerr0-phase-sign": "kerr0", "pdc-conjugate-eps": "pdc", "pdc-mode-flip": "pdc",
+          "tables-kerr-phase-sign": "tables"}
 
 
 def _check(name, residual, tol):
@@ -217,11 +218,9 @@ def _suite_pdc(dim, seed, fault):
     a2 = np.linalg.matrix_power(annihilation(dim), 2)
     h = eps * a2.conj().T + np.conj(eps) * a2
     drive = pdc_drive(dim, eps)
-    worst = 0.0
-    for i in range(3):
-        rho = random_density(dim, np.random.default_rng([seed, i]))
-        worst = max(worst, _maxabs(apply(drive, rho) + 1j * (h @ rho - rho @ h)))
-    recs.append(_check("drive equals -i[eps adag^2 + conj(eps) a^2, rho]", worst, 1e-13))
+    rho = np.stack([random_density(dim, np.random.default_rng([seed, i])) for i in range(3)])
+    recs.append(_check("drive equals -i[eps adag^2 + conj(eps) a^2, rho]",
+                       _maxabs(apply(drive, rho) + 1j * (h @ rho - rho @ h)), 1e-13))
 
     # a planted fault runs the channel with eps conjugated, or with the
     # other mode's damping rates, against the reference of the right flow
@@ -241,7 +240,7 @@ def _suite_pdc(dim, seed, fault):
 
 def _suite_tables(dim, seed, fault):
     dim = dim or 12
-    return verify_commutator_table(dim, seed=seed)
+    return verify_commutator_table(dim, seed=seed, fault=fault)
 
 
 SUITES = {

@@ -730,14 +730,29 @@ def test_verify_suites_pass_and_report(tmp_path):
     assert len(wide) == 2 and all("dim=16" in line for line in wide)
 
 
-def test_verify_faults_are_caught(tmp_path):
-    assert main(["verify", "--suite", "kerr0", "--inject-fault", "kerr0-phase-sign"]) == 1
-    for fault in ("pdc-conjugate-eps", "pdc-mode-flip"):
-        report = tmp_path / f"{fault}.txt"
-        assert main(["verify", "--suite", "pdc", "--inject-fault", fault,
+# the record each planted fault must fail, alone in its suite's report
+FAULT_RECORDS = {
+    "kerr0-phase-sign": "propagator vs exponential, dim=12, t=0.5",
+    "pdc-conjugate-eps": "propagation vs wide-window exponential, random state",
+    "pdc-mode-flip": "propagation vs wide-window exponential, random state",
+    "tables-kerr-phase-sign": "Kerr flow: [kerr_phase(1.0), lowering] = ",
+}
+
+
+@pytest.mark.parametrize("fault", list(verify.FAULTS))
+def test_verify_faults_are_caught(tmp_path, fault):
+    # a fault with no entry above fails here until its record is named
+    owner = verify.FAULTS[fault]
+    for suite in (owner, "all"):
+        report = tmp_path / f"{suite}.txt"
+        assert main(["verify", "--suite", suite, "--inject-fault", fault,
                      "--out", str(report)]) == 1
         failed = [line for line in report.read_text().splitlines() if " FAIL " in line]
-        assert len(failed) == 1 and "propagation vs wide-window exponential" in failed[0]
+        assert len(failed) == 1
+        assert failed[0].startswith(f"[{owner}] FAIL {FAULT_RECORDS[fault]}")
+
+
+def test_verify_refuses_an_unknown_fault():
     assert main(["verify", "--suite", "kerr0", "--inject-fault", "made-up"]) == 2
 
 

@@ -109,8 +109,48 @@ def test_scalar_multiplication_and_addition():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         apply(lowering_sandwich(4, 1.0), np.eye(5, dtype=complex))
+    # a stack's last two axes are the window
+    for shape in [(4,), (3, 4, 5), (3, 5, 4), (2, 3, 5, 5)]:
+        with pytest.raises(ValueError, match="does not match dim 4"):
+            apply(lowering_sandwich(4, 1.0), np.zeros(shape, dtype=complex))
     with pytest.raises(ValueError):
         lowering_sandwich(4, 1.0) + lowering_sandwich(5, 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 12, 20, 39])
+def test_apply_on_a_stack_is_apply_on_each_slice(dim):
+    # every slice of a stack is one gemm per product, as a lone state is,
+    # so it reads the same bits; a (2, 3)-stack keeps its leading axes
+    rng = np.random.default_rng([dim, 5])
+    z = rng.standard_normal((2, 2, 3, dim, dim))
+    states = z[0] + 1j * z[1]
+    exprs = {**all_generators(dim), "drive": pdc_drive(dim, 0.4 - 0.3j),
+             "kerr_phase": kerr_phase(dim, -1.3), "empty": superop.SuperopExpr(dim)}
+    for name, expr in exprs.items():
+        got = apply(expr, states)
+        assert got.shape == states.shape
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], apply(expr, states[idx])), (name, idx)
+
+
+def _random_density_formula(dim, rng):
+    """random_density as its docstring states it, one density per call."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dim", [1, 3, 12, 16, 48])
+def test_a_stacked_draw_is_successive_random_densities(dim):
+    # one standard_normal draw of the stack reads the stream as successive
+    # single draws do, and leaves the generator where they leave it
+    stacked, single = np.random.default_rng([dim, 8]), np.random.default_rng([dim, 8])
+    for count in (1, 3, 10):
+        got = superop._random_densities(dim, stacked, count)
+        want = [_random_density_formula(dim, single) for _ in range(count)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert np.array_equal(superop.random_density(dim, stacked), _random_density_formula(dim, single))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -228,6 +268,40 @@ def test_commutator_table_all_checks_pass():
 def test_commutator_table_needs_room():
     with pytest.raises(ValueError):
         verify_commutator_table(8)
+
+
+def _apply_one_at_a_time(expr, rho):
+    """apply as a loop over the stack's slices, each term c * (L @ rho @ R)."""
+    out = np.zeros_like(rho)
+    for i, one in enumerate(rho):
+        for t in expr.terms:
+            out[i] += t.coeff * (t.left @ one @ t.right)
+    return out
+
+
+# the stacks fock's chunk budget splits the table's samples into, by window
+TABLE_STACKS = {10: [10], 12: [10], 20: [10], 48: [7, 3], 64: [4, 4, 2]}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dim", list(TABLE_STACKS))
+def test_stacked_table_is_the_per_sample_loop(monkeypatch, dim, seed):
+    # drawn and evaluated one density at a time, every record must read the
+    # bits it reads from the stacks
+    parts = superop._chunks(superop.TABLE_SAMPLES, dim * dim)
+    assert [len(range(superop.TABLE_SAMPLES)[p]) for p in parts] == TABLE_STACKS[dim]
+    stacked = verify_commutator_table(dim, seed=seed)
+    monkeypatch.setattr(superop, "_chunks", lambda n, size: [slice(i, i + 1) for i in range(n)])
+    monkeypatch.setattr(superop, "apply", _apply_one_at_a_time)
+    assert verify_commutator_table(dim, seed=seed) == stacked
+
+
+def test_commutator_table_fails_one_relation_under_a_planted_kerr_phase_sign():
+    records = verify_commutator_table(12, seed=0, fault="tables-kerr-phase-sign")
+    failed = [r for r in records if r["passed"] is False]
+    assert [r["name"] for r in failed] == [
+        "Kerr flow: [kerr_phase(1.0), lowering] = 2i*1.0*index_difference.lowering"]
+    assert failed[0]["residual"] > 1.0
 
 
 def _table_records(monkeypatch, name, fake):
