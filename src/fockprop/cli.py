@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .fock import (
-    _chunks, cat_state, coherent_state, density_from_ket, fidelity_pure, husimi_q, observables,
+    _chunks, _hermitian_mean, cat_state, coherent_state, density_from_ket, fidelity_pure,
+    husimi_q, observables,
 )
 from .oracle import action_evolve, expm_evolve, rk4_evolve
 from .superop import build_liouvillian
@@ -150,8 +151,7 @@ def _require(cfg, *keys):
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
 
-def _window(cfg):
-    dim = cfg["dim"]
+def _window(dim):
     if dim < 2:
         raise ConfigError("dim must be at least 2")
     return dim
@@ -171,9 +171,7 @@ def _initial_state(cfg, dim):
     """Initial pure state and its truncation deficit."""
     kind = cfg.get("state", "vacuum")
     if kind == "vacuum":
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = 1.0
-        return psi, 0.0
+        return _fock_ket(0, dim, "vacuum"), 0.0
     if kind == "coherent":
         _require(cfg, "alpha")
         return coherent_state(dim, cfg["alpha"])
@@ -237,40 +235,28 @@ def _evolved(evolve, rho0, times, dim):
         yield times[part], evolve(rho0, times[part])
 
 
-def _g17(x):
-    return format(float(x), ".17g")
+def _filled(template, values):
+    """template % the entries of an array, as Python floats in C order.
 
-
-def _g17_all(values):
-    """_g17 of each entry of an array, from Python floats."""
-    return [format(x, ".17g") for x in np.asarray(values, dtype=float).reshape(-1).tolist()]
-
-
-def _floats(values):
-    """The entries of an array as a tuple of Python floats, for a % row template."""
-    return tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
+    Every text output is a block of rows whose numbers are %.17g fields,
+    filled with one %; "%.17g" % x is format(x, ".17g"), -0 and all.
+    """
+    return template % tuple(np.asarray(values, dtype=float).reshape(-1).tolist())
 
 
 def _csv_rows(columns):
-    """Comma-separated rows of equal-length columns, each value as _g17 gives it.
-
-    One % over a template of "%.17g,...\n" rows formats them all; each
-    row ends in a newline.
-    """
+    """Comma-separated rows of equal-length columns, each ending in a newline."""
     table = np.column_stack([np.asarray(c, dtype=float).reshape(-1) for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return (row * len(table)) % _floats(table)
+    return _filled((",".join(["%.17g"] * table.shape[1]) + "\n") * len(table), table)
 
 
 def _qfunc_rows(res, ims, q):
     """The re,im,q rows of a row-major grid, im outer, each ending in a newline.
 
-    Each axis value is formatted once, into a row template that q fills in
-    with one %.
+    Each axis value is formatted once, into a row template that q fills in.
     """
-    re_text = _g17_all(res)
-    template = "".join(f"{re},{im},%.17g\n" for im in _g17_all(ims) for re in re_text)
-    return template % _floats(q)
+    re_text, im_text = (_filled("%.17g\n" * len(x), x).split() for x in (res, ims))
+    return _filled("".join(f"{re},{im},%.17g\n" for im in im_text for re in re_text), q)
 
 
 def _engine_fault(engine, times, e):
@@ -297,14 +283,6 @@ def _write_text(path, text):
 MIN_EIG_SHIFT = 1e-13
 
 
-def _hermitian_part(rhos):
-    """0.5 (rho^H + rho) of each slice of a (T, dim, dim) stack, in one C-ordered buffer."""
-    part = np.empty(rhos.shape, dtype=rhos.dtype)
-    np.conjugate(rhos.swapaxes(-1, -2), out=part)
-    part += rhos
-    return np.multiply(0.5, part, out=part)
-
-
 def _min_eig_bound(rhos):
     """min(lambda_min, -tau) of the Hermitian part of each slice of a (T, dim, dim) stack.
 
@@ -316,7 +294,7 @@ def _min_eig_bound(rhos):
     eigvalsh minimum: each slice reads what a chunk of one time would.
     """
     tau = MIN_EIG_SHIFT * np.maximum(1.0, np.abs(np.trace(rhos, axis1=-2, axis2=-1)))
-    shifted = _hermitian_part(rhos)
+    shifted = _hermitian_mean(rhos)
     shifted.reshape(len(rhos), -1)[:, ::rhos.shape[-1] + 1] += tau[:, None]  # the diagonals
     try:
         np.linalg.cholesky(shifted)
@@ -324,13 +302,13 @@ def _min_eig_bound(rhos):
     except np.linalg.LinAlgError:
         if len(rhos) > 1:
             return np.concatenate([_min_eig_bound(rhos[i:i + 1]) for i in range(len(rhos))])
-    return np.minimum(np.linalg.eigvalsh(_hermitian_part(rhos)).min(axis=-1), -tau)
+    return np.minimum(np.linalg.eigvalsh(_hermitian_mean(rhos)).min(axis=-1), -tau)
 
 
 def run_propagate(config_path, out_path, engine=None, dump_density=False):
     cfg = load_config(config_path)
     _require(cfg, "model", "dim", "times")
-    dim = _window(cfg)
+    dim = _window(cfg["dim"])
     params = _model_params(cfg)
     engine = engine or cfg.get("engine", "analytic")
     psi0, deficit = _initial_state(cfg, dim)
@@ -340,6 +318,9 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
 
     evolve = _propagator(cfg, params, dim, engine)
     dump = dump_density or cfg.get("dump_density", False)
+    # a dump's lines are "n m re im", n outer: one template serves every time
+    cells = ("".join(f"{n} {m} %.17g %.17g\n" for n in range(dim) for m in range(dim))
+             if dump else None)
 
     header = "t,trace_re,trace_im,purity,mean_n,min_eig"
     if target is not None:
@@ -356,9 +337,8 @@ def run_propagate(config_path, out_path, engine=None, dump_density=False):
                    _min_eig_bound(rhos), *fidelity]
         if dump:
             for i, rho in enumerate(rhos, start=done):
-                lines = [f"{n} {m} {_g17(z.real)} {_g17(z.imag)}"
-                         for (n, m), z in np.ndenumerate(rho)]
-                _write_text(f"{out_path}.rho{i}.txt", "\n".join(lines) + "\n")
+                _write_text(f"{out_path}.rho{i}.txt",
+                            _filled(cells, np.stack((rho.real, rho.imag), axis=-1)))
         rows.append(_csv_rows(columns))
         done += len(ts)
 
@@ -394,7 +374,7 @@ def run_qfunc(config_path, out_path, engine=None):
         if pts > 1 and lo == hi:
             raise ConfigError(f"degenerate {nm} axis: {pts} points on a zero span")
 
-    dim = _window(cfg)
+    dim = _window(cfg["dim"])
     params = _model_params(cfg)
     engine = engine or cfg.get("engine", "analytic")
     psi0, _ = _initial_state(cfg, dim)
@@ -424,8 +404,8 @@ def run_verify(suite, dim=None, seed=0, out=None, fault=None):
     if fault is not None and suite not in ("all", FAULTS[fault]):
         raise ConfigError(f"fault {fault!r} is planted by the {FAULTS[fault]} suite, "
                           f"not by {suite}")
-    if dim is not None and dim < 2:
-        raise ConfigError("dim must be at least 2")
+    if dim is not None:
+        _window(dim)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     text, failed = report(suite, dim, seed, fault)

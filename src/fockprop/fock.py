@@ -116,8 +116,29 @@ def density_from_ket(psi):
     skewed window.
     """
     psi = np.asarray(psi, dtype=complex)
-    r = np.outer(psi, psi.conj())
-    return 0.5 * (r + r.conj().T)
+    return _hermitian_mean(np.outer(psi, psi.conj()))
+
+
+def _hermitian_mean(r):
+    """0.5 (r + r^H) of a matrix, or of each slice of a (..., dim, dim) stack, in a
+    fresh C-ordered buffer: a strided view of it, a diagonal say, writes through."""
+    out = np.empty(r.shape, dtype=complex)
+    np.conjugate(r.swapaxes(-1, -2), out=out)
+    out += r
+    return np.multiply(0.5, out, out=out)
+
+
+def _maxabs(x):
+    """The largest |entry| of an array as a float, 0.0 if it is empty; nan if any entry is."""
+    return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def _check_times(t):
+    """Refuses a time, or an array of times, that is nan, infinite or negative."""
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    if np.less(t, 0).any():
+        raise ValueError("negative time")
 
 
 def _refuse(bad, value, message):

@@ -36,6 +36,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .fock import _check_times
+
 __all__ = [
     "KerrFiniteTParams",
     "propagate_kerr_finite_t",
@@ -159,10 +161,7 @@ def _checked_state(rho0, t):
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise ValueError("times must be a scalar or a 1-D array")
-    if not np.isfinite(t).all():
-        raise ValueError("times must be finite")
-    if (t < 0).any():
-        raise ValueError("negative time")
+    _check_times(t)
     return rho0, t
 
 

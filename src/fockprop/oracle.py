@@ -62,6 +62,7 @@ import weakref
 
 import numpy as np
 
+from .fock import _check_times, _maxabs
 from .superop import Liouvillian, build_liouvillian, vec, unvec
 
 __all__ = [
@@ -172,10 +173,6 @@ def _blockwise(L, v, matrix):
     return out
 
 
-def _max_entry(L):
-    return float(np.max(np.abs(L.entries))) if L.entries.size else 0.0
-
-
 def _taylor_degree(theta):
     """Smallest m whose Taylor tail bound theta^(m+1) / (m+1)! e^theta is at
     most UNIT_ROUNDOFF, for a matrix of 1-norm theta."""
@@ -232,8 +229,9 @@ def expm_dense(A):
 def _evolve_inputs(L, rho0, t):
     """rho0 as a complex array, after checking it against L's window and t.
 
-    A generator with a nan or infinite entry is refused: no engine can size
-    its steps or its Taylor degree from it.
+    A generator with a nan or infinite entry is refused, and so is a t at
+    which ||L||_1 t overflows: no engine can size its steps or its Taylor
+    degree from either.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if not isinstance(L, Liouvillian):
@@ -244,10 +242,9 @@ def _evolve_inputs(L, rho0, t):
     if rho0.shape != (L.dim, L.dim):
         raise ValueError(f"state shape {rho0.shape} does not match the generator's "
                          f"window {L.dim}")
-    if not math.isfinite(t):
-        raise ValueError("times must be finite")
-    if t < 0:
-        raise ValueError("negative time")
+    _check_times(t)
+    if not math.isfinite(_norm1(L) * t):
+        raise ValueError(f"t = {t:g} is too long for this generator: ||L||_1 t overflows")
     return rho0
 
 
@@ -263,14 +260,18 @@ def expm_evolve(L, rho0, t):
 THETA = 4.0
 
 
+def _norm1(L):
+    """L's 1-norm, its largest column sum of |entries|."""
+    return float(np.bincount(L.cols, np.abs(L.entries), minlength=1).max())
+
+
 def _row_entries(L):
     """L's entries sorted by row, as (rows holding entries, first entry of each,
-    cols, entries), and L's 1-norm."""
+    cols, entries)."""
     order = np.argsort(L.rows, kind="stable")
     rows = L.rows[order]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    norm1 = np.bincount(L.cols, np.abs(L.entries), minlength=1).max()
-    return (rows[starts], starts, L.cols[order], L.entries[order]), float(norm1)
+    return rows[starts], starts, L.cols[order], L.entries[order]
 
 
 def _matvec(by_row, v):
@@ -293,8 +294,8 @@ def action_evolve(L, rho0, t):
     entries, so no block is dense.
     """
     v = vec(_evolve_inputs(L, rho0, t))
-    by_row, norm1 = _row_entries(L)
-    steps = math.ceil(norm1 * t / THETA)
+    by_row = _row_entries(L)
+    steps = math.ceil(_norm1(L) * t / THETA)
     for _ in range(steps):
         term = v
         for k in range(1, 64):
@@ -313,12 +314,16 @@ def recommended_steps(L, t):
 
     Per-step local error scales like (||L|| h)^5 / 120 and there are
     ||L|| t / (||L|| h) steps, so the global error is about
-    (||L|| h)^4 * ||L|| t / 120; solving that for h gives the count.
+    (||L|| h)^4 * ||L|| t / 120; solving that for h gives the count, which
+    overflows a float from ||L|| t of about 1e245 on and is then refused.
     """
-    x = _max_entry(L) * float(t)
+    x = _maxabs(L.entries) * float(t)
     if x <= 0.0:
         return 2
-    steps = int(math.ceil(x / (120.0 * TARGET_ERROR / x) ** 0.25))
+    steps = x / (120.0 * TARGET_ERROR / x) ** 0.25
+    if not math.isfinite(steps):
+        raise ValueError(f"t = {t:g} is too long for RK4: its step count overflows")
+    steps = int(math.ceil(steps))
     steps += steps % 2  # even: --engine rk4 outputs are pinned to these counts
     return max(steps, 2)
 
@@ -416,8 +421,8 @@ def converged_window_reference(generator, rho0, t):
     narrow, last = evolve(PADS[0]), math.inf
     for pad in PADS[1:]:
         wide = evolve(pad)
-        conv = float(np.max(np.abs(narrow - wide)))
-        target = REFERENCE_TARGET * max(1.0, float(np.max(np.abs(narrow))))
+        conv = _maxabs(narrow - wide)
+        target = REFERENCE_TARGET * max(1.0, _maxabs(narrow))
         if conv <= target or conv > last / 2 or pad == PADS[-1]:
             return narrow, conv
         narrow, last = wide, conv

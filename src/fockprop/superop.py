@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fock import _chunks, annihilation, creation, number_op
+from .fock import _chunks, _hermitian_mean, _maxabs, annihilation, creation, number_op
 
 __all__ = [
     "SandwichTerm",
@@ -76,8 +76,6 @@ class SuperopExpr:
         c = complex(c)
         return SuperopExpr(self.dim, tuple(SandwichTerm(c * t.coeff, t.left, t.right)
                                            for t in self.terms))
-
-    __mul__ = __rmul__
 
 
 def apply(expr, rho):
@@ -194,18 +192,13 @@ def _random_densities(dim, rng, count):
     """A (count, dim, dim) stack of random_density draws, from one draw of rng.
 
     Each density takes its real and then its imaginary part from the
-    stream, so the stack is `count` successive random_density calls. The
-    steps reuse their buffers: at wide windows every stack-sized temporary
-    is one more that glibc hands back and faults in again.
+    stream, so the stack is `count` successive random_density calls.
     """
     z = rng.standard_normal((count, 2, dim, dim))
     g = np.empty((count, dim, dim), dtype=complex)
     g.real, g.imag = z[:, 0], z[:, 1]
-    rho = g @ g.conj().swapaxes(-1, -2)
-    part = np.conjugate(rho.swapaxes(-1, -2), out=g)  # rho^H, then the mean with rho
-    part += rho
-    np.multiply(0.5, part, out=part)
-    return np.divide(part, np.trace(part, axis1=-2, axis2=-1).real[:, None, None], out=part)
+    rho = _hermitian_mean(g @ g.conj().swapaxes(-1, -2))
+    return np.divide(rho, np.trace(rho, axis1=-2, axis2=-1).real[:, None, None], out=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +350,11 @@ def pdc_generator(dim, epsilon, gamma, corrected=True):
 # Commutator table verification
 
 
-def _maxabs(x):
-    return float(np.max(np.abs(x))) if x.size else 0.0
-
-
 def _record(name, residual, tol, kind="check", note=""):
-    """One verification record. A "check" passes iff its residual is within
-    tol; a "note" carries no verdict."""
+    """One verification record, its residual as a float. A "check" passes
+    iff its residual is within tol, so a nan one fails; a "note" carries no
+    verdict."""
+    residual = float(residual)
     return {
         "name": name,
         "kind": kind,
@@ -415,7 +406,8 @@ def verify_commutator_table(dim, seed=7, fault=None):
 
     Returns a list of records: a "check" carries a residual and a pass flag; a
     "note" shows a rejected alternative coefficient; a "closure" becomes the
-    check of the worst residual over its member cells.
+    check of the worst residual over its member cells. A nan residual, of a
+    sample or of a member cell, is kept as the worst, so its checks fail.
     """
     if dim < 10:
         raise ValueError("need dim >= 10 so the checked sub-block is non-trivial")
@@ -505,7 +497,7 @@ def verify_commutator_table(dim, seed=7, fault=None):
         for name, lhs, rhs, kind in relations:
             name = f"{group}: {name}"
             if kind == "closure":
-                res = max(worst[f"{group}: {cell}"] for cell in lhs)
+                res = np.max([worst[f"{group}: {cell}"] for cell in lhs])
                 records.append(_record(name, res, 1e-10, note="max over member cells"))
                 continue
             rng = np.random.default_rng([seed, len(worst)])
@@ -514,7 +506,7 @@ def verify_commutator_table(dim, seed=7, fault=None):
                 rho = _random_densities(dim, rng, count)
                 diff = commutator(op[lhs[0]], op[lhs[1]], rho)
                 diff -= rhs(rho)
-                res = max(res, _maxabs(diff[:, keep, keep]))
+                res = np.maximum(res, _maxabs(diff[:, keep, keep]))
             worst[name] = res
             tol, note = (1e-10, "") if kind == "check" else (
                 None, "coefficient 2 rejected in favor of 8, residual shown")

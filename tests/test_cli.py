@@ -144,6 +144,29 @@ def test_propagate_density_dump(tmp_path):
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
+def test_density_dump_lines_are_the_per_entry_format(tmp_path, monkeypatch):
+    # each line of a dump reads "n m re im", n outer, each part as
+    # format(x, ".17g"): on -0.0 and on values that need all 17 digits
+    rho = np.diag([0.1, complex(-0.0, -0.0), 0.9]).astype(complex)
+    rho[0, 2], rho[2, 0] = complex(0.30000000000000004, -0.0), 0.30000000000000004
+    rho[1, 2], rho[2, 1] = complex(-0.0, 1 / 3), complex(-0.0, -1 / 3)
+    states = [rho, rho.conj()]
+    model = verify.MODELS["kerr0"]
+    monkeypatch.setitem(verify.MODELS, "kerr0", dataclasses.replace(
+        model, closed_form=lambda rho0, t, p: np.stack(states)))
+    cfg = cfg_file(tmp_path, "model = kerr0\ndim = 3\nchi = 1.0\ngamma_minus = 0.1\n"
+                             "times = 0.5, 1.0\n")
+    out = str(tmp_path / "run.csv")
+    assert main(["propagate", "--config", cfg, "--out", out, "--dump-density"]) == 0
+    for i, state in enumerate(states):
+        want = [f"{n} {m} {format(z.real, '.17g')} {format(z.imag, '.17g')}"
+                for (n, m), z in np.ndenumerate(state)]
+        assert Path(f"{out}.rho{i}.txt").read_text() == "\n".join(want) + "\n"
+        if i == 0:
+            assert {"0 0 0.10000000000000001 0", "0 2 0.30000000000000004 -0", "1 1 -0 -0",
+                    "1 2 -0 0.33333333333333331"} <= set(want)
+
+
 def test_chunked_times_match_one_time_runs(tmp_path):
     # 60 times at window 24 span several chunks of the time stack, and 8 times
     # of the dense engine one; each row and dump must not depend on which
@@ -634,14 +657,14 @@ def test_qfunc_rows_match_the_per_point_format(tmp_path, monkeypatch):
     # integer values and steps that a float cannot hold exactly
     res = np.linspace(-3.0, 4.0, 8)
     ims = np.linspace(-0.7, -0.0, 8)
-    assert math.copysign(1.0, ims[-1]) == -1.0 and len(cli._g17(ims[-2])) > 17
+    assert math.copysign(1.0, ims[-1]) == -1.0 and len(format(ims[-2], ".17g")) > 17
     q = np.random.default_rng(4).random(64) * 10.0 ** np.arange(-32, 32)
     q[:8] = 0.0, -0.0, 2.0, 1e-300, 5e-324, 0.1, 0.2, 0.30000000000000004
     alphas = [complex(re, im) for im in ims for re in res]
-    want = [f"{cli._g17(a.real)},{cli._g17(a.imag)},{cli._g17(v)}" for a, v in zip(alphas, q)]
+    want = [f"{a.real:.17g},{a.imag:.17g},{v:.17g}" for a, v in zip(alphas, q)]
     assert cli._qfunc_rows(res, ims, q) == "".join(row + "\n" for row in want)
     assert cli._qfunc_rows(res[:1], ims[-1:], q[:1]) == "-3,-0,0\n"
-    assert cli._g17_all(q) == [cli._g17(v) for v in q]
+    assert cli._filled("%.17g\n" * len(q), q).splitlines() == [format(v, ".17g") for v in q]
     # end to end, husimi_q sees those points, signed zero included, and the
     # CSV holds them with its values
     seen = []
@@ -660,24 +683,24 @@ def test_qfunc_rows_match_the_per_point_format(tmp_path, monkeypatch):
     assert main(["qfunc", "--config", cfg, "--out", str(out)]) == 0
     (points, values), = seen
     assert points.tobytes() == np.array(alphas).tobytes()
-    want = [f"{cli._g17(a.real)},{cli._g17(a.imag)},{cli._g17(v)}" for a, v in zip(alphas, values)]
+    want = [f"{a.real:.17g},{a.imag:.17g},{v:.17g}" for a, v in zip(alphas, values)]
     assert out.read_text(encoding="utf-8") == "\n".join(["re,im,q"] + want) + "\n"
 
 
 def test_propagate_rows_match_the_per_value_format(tmp_path):
-    # one % over a row template must keep the bytes of _g17 per value, on
-    # -0.0, the smallest normal and subnormal magnitudes, integer values
-    # and steps that a float cannot hold exactly
+    # one % over a row template must keep the bytes of format(x, ".17g")
+    # per value, on -0.0, the smallest normal and subnormal magnitudes,
+    # integer values and steps that a float cannot hold exactly
     steps = 0.1 * np.arange(8)
     columns = [steps, [-0.0, 0.0, 1e-300, 5e-324, -5e-324, 3.0, -7.0, 1e300], np.arange(8),
                -steps, np.random.default_rng(5).random(8) * 10.0 ** np.arange(-4, 4)]
-    want = [",".join(cli._g17(c[i]) for c in columns) + "\n" for i in range(8)]
+    want = [",".join(format(float(c[i]), ".17g") for c in columns) + "\n" for i in range(8)]
     assert cli._csv_rows(columns) == "".join(want)
     assert cli._csv_rows([c[:1] for c in columns]) == want[0]
     assert cli._csv_rows([c[:1] for c in columns[:4]]) == "0,-0,0,-0\n"
     assert cli._csv_rows([[] for _ in columns]) == ""
     # end to end over several chunks: each value reads back as the float it
-    # formats, in _g17's bytes, and the times are the config's
+    # formats, in format(x, ".17g")'s bytes, and the times are the config's
     times = [0.01 * (i + 1) for i in range(600)]
     cfg = cfg_file(tmp_path, (
         "model = kerr0\ndim = 8\nchi = 1.0\ngamma_minus = 0.1\nstate = coherent\n"
@@ -690,8 +713,8 @@ def test_propagate_rows_match_the_per_value_format(tmp_path):
     assert lines.pop() == "" and len(lines) == len(times)
     for line, t in zip(lines, times):
         values = line.split(",")
-        assert len(values) == 7 and values[0] == cli._g17(t)
-        assert line == ",".join(cli._g17(float(v)) for v in values)
+        assert len(values) == 7 and values[0] == format(t, ".17g")
+        assert line == ",".join(format(float(v), ".17g") for v in values)
 
 
 def test_qfunc_usage_errors(tmp_path):
@@ -793,6 +816,21 @@ def test_dense_engines_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
         assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
                      "--engine", engine]) == 2
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("times, engines", [("1e308", ("expm", "rk4", "action")),
+                                            ("1e250", ("rk4",))])
+def test_a_time_too_long_for_the_generator_exits_2(tmp_path, capsys, times, engines):
+    # ||L||_1 t overflows at t = 1e308, and RK4's step count already at
+    # 1e250: each engine ends in one error line, not a traceback
+    cfg = cfg_file(tmp_path, f"model = kerr0\ndim = 8\nchi = 1.0\ngamma_minus = 0.1\n"
+                             f"times = {times}\n")
+    for engine in engines:
+        assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--engine", engine]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: t = {float(times):g} is too long") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_propagate_blames_the_engine_for_a_bad_state(tmp_path, monkeypatch, capsys):
@@ -1003,6 +1041,18 @@ def test_a_kerr0_state_that_is_no_density_matrix_fails_its_check(monkeypatch):
     revival = recs["undamped revival fidelity at t=pi/chi, dim=20"]
     assert revival["residual"] == math.inf and "imaginary part" in revival["note"]
     assert not recs["propagator vs exponential, dim=12, t=0.5"]["passed"]
+
+
+def test_a_nan_state_fails_the_kerr0_sample_check(monkeypatch):
+    # the worst over the three samples keeps a nan, so a closed form that
+    # returns nan fails; every other check of the suite fails with it
+    model = verify.MODELS["kerr0"]
+    monkeypatch.setitem(verify.MODELS, "kerr0", dataclasses.replace(
+        model, closed_form=lambda rho0, t, p: np.full(np.shape(t) + rho0.shape, np.nan + 0j)))
+    recs = {rec["name"]: rec for rec in verify._suite_kerr0(12, 0, None)}
+    sampled = recs["propagator vs exponential, dim=12, t=0.5"]
+    assert math.isnan(sampled["residual"]) and sampled["passed"] is False
+    assert [rec["passed"] for rec in recs.values()] == [False] * 4
 
 
 def test_a_fail_line_gives_its_check_s_reason(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockprop import fock
+from fockprop import cli, fock, superop
 from fockprop.fock import (
     _coherent_amps,
     annihilation,
@@ -140,6 +140,51 @@ def test_density_from_ket():
             rho = density_from_ket(coherent_state(dim, alpha)[0])
             assert np.array_equal(rho, rho.conj().T)
             assert not rho.diagonal().imag.any()
+
+
+def _hermitian_mean_formula(r):
+    return 0.5 * (r + r.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_every_hermitian_mean_is_the_one_formula(monkeypatch, count):
+    # kets, random densities and the min_eig column's Hermitian part all
+    # take 0.5 (r + r^H) from one helper; each must read that formula bit
+    # for bit, and the helper must hand back a C-ordered buffer, since the
+    # min_eig column adds its shift through a strided view of it
+    true_cholesky, factored = np.linalg.cholesky, []
+
+    def recorded(a):
+        factored.append(a.copy())
+        return true_cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    for dim in range(1, 41):
+        rng = np.random.default_rng([dim, count, 21])
+        r = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+        for stack in (r, r[0], r.swapaxes(-1, -2)):
+            got = fock._hermitian_mean(stack)
+            assert got.flags.c_contiguous and got.shape == stack.shape
+            assert np.array_equal(got, _hermitian_mean_formula(stack))
+        psi = r[0, 0]
+        assert np.array_equal(density_from_ket(psi),
+                              _hermitian_mean_formula(np.outer(psi, psi.conj())))
+        # random densities: G G^H, its Hermitian mean, over its trace
+        z = np.random.default_rng([dim, 8]).standard_normal((count, 2, dim, dim))
+        g = z[:, 0] + 1j * z[:, 1]
+        want = _hermitian_mean_formula(g @ g.conj().swapaxes(-1, -2))
+        want /= np.trace(want, axis1=-2, axis2=-1).real[:, None, None]
+        got = superop._random_densities(dim, np.random.default_rng([dim, 8]), count)
+        assert np.array_equal(got, want)
+        # the min_eig column factorises H + tau I of a positive definite
+        # stack whose slices are not Hermitian
+        rhos = np.eye(dim) / dim + 1e-3 / dim * r
+        tau = cli.MIN_EIG_SHIFT * np.maximum(1.0, np.abs(np.trace(rhos, axis1=-2, axis2=-1)))
+        want = _hermitian_mean_formula(rhos)
+        want[:, range(dim), range(dim)] += tau[:, None]
+        factored.clear()
+        assert np.array_equal(cli._min_eig_bound(rhos), -tau)
+        assert len(factored) == 1 and np.array_equal(factored[0], want)
 
 
 def test_observables_on_known_mixture():

@@ -363,6 +363,26 @@ def test_commutator_table_blames_a_channel_side_that_does_not_commute(monkeypatc
     assert min(failed.values()) > 1.0
 
 
+def test_commutator_table_fails_a_nan_right_side_and_its_closure(monkeypatch):
+    # the empty sum is the right side of every "= 0" relation and of nothing
+    # else; made to return nan, it must fail exactly those relations and
+    # both closures, each of which has one among its member cells
+    def nan_empty(expr, rho):
+        out = apply(expr, rho)
+        if not expr.terms:
+            out[...] = np.nan
+        return out
+
+    records = _table_records(monkeypatch, "apply", nan_empty)
+    failed = {r["name"]: r["residual"] for r in records if r["passed"] is False}
+    zero = {r["name"] for r in records if r["kind"] == "check"
+            and (" = 0" in r["name"] or r["name"].endswith(" = -(0)"))}
+    closures = {r["name"] for r in records if r["name"].startswith("paper: closure:")}
+    assert len(zero) == 16 and len(closures) == 2
+    assert set(failed) == zero | closures
+    assert all(np.isnan(res) for res in failed.values())
+
+
 def test_random_density_is_exactly_hermitian():
     # G G^dag alone rounds its two triangles apart at most windows, which
     # would keep verify's Kerr states off the flows' hermitian layout
