@@ -14,7 +14,7 @@ That makes tight step counts affordable: cost grows with log(steps), not
 steps, and the step count is sized from ||L|| t so the global truncation
 error lands near TARGET_ERROR.
 
-expm_evolve and rk4_evolve work one sector at a time. A sector is a
+expm_evolve and rk4_evolve work sector by sector. A sector is a
 connected component of the generator's entries (superop.Liouvillian); no
 entry couples two sectors, so the exponential and the RK4 step are block
 diagonal over them, and only the diagonal blocks are ever formed. The
@@ -24,6 +24,16 @@ checks. (Every Kerr generator conserves n - m and splits into 2 dim - 1
 sectors of at most dim indices; the pair drive conserves the parity of
 n - m and splits into 2 of dim^2 / 2.) They are found once per generator
 and kept while the generator lives.
+
+A narrow block's products are dispatch-bound: numpy's call overhead costs
+more than the arithmetic. So the sectors run widest first as stacks of
+neighbouring widths, each zero-padded to its widest member and passed to
+the exponential or the RK4 power in one call (_stacks); a sector wide
+enough that its products are not dispatch-bound runs alone. The zero
+border is exact: its exponential and its RK4 power are the identity, and
+nothing crosses it. The top-left blocks move in their last bits only,
+because BLAS sums a padded product in another order. expm_dense scales
+each member of a stack by its own norm.
 
 Sectors are also paired under the transpose (n, m) -> (m, n) of the
 column-stacked index. A Lindblad generator maps rho^dagger to L(rho)^dagger:
@@ -35,8 +45,8 @@ k). The pair's exponential (or RK4 power) is formed once and its conjugate
 applied to the mirror. That is exact: conjugating both factors of a complex
 product conjugates it, and the two blocks have equal 1-norms and so the same
 Taylor degree and squarings. A sector that is its own mirror (Kerr's k = 0,
-the pair drive's two parities) runs alone, as does every sector of an L
-with an entry short of its conjugate.
+the pair drive's two parities) is exponentiated for itself only, as is
+every sector of an L with an entry short of its conjugate.
 
 action_evolve forms no block at all: each Taylor term is one product of
 L's entries, sorted by row once per call, with a vector. Its cost
@@ -59,6 +69,7 @@ caller picks a pad.
 import math
 import warnings
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,17 +170,89 @@ def _keeps_adjoints(L, tr):
     return bool(np.all((keys[at] == want) & (L.entries[at] == L.entries.conj())))
 
 
+# the padded work one stack may hold, as the width of the single product
+# that does as much: S sectors padded to width W stack while
+# S W^3 <= STACK_WIDTH^3, so every sector wider than 25 runs alone. Set on
+# the oracle_verify batch, where 32 ran quickest of 24 to 64 (CHANGES.md)
+STACK_WIDTH = 32
+
+
+class _Stack(NamedTuple):
+    """Sectors that run as one zero-padded (S, width, width) stack."""
+    parts: list             # their _sector_entries, those with a mirror first
+    width: int              # the widest one's, to which every block is padded
+    pos: np.ndarray         # flat positions of their entries in the stack
+    entries: np.ndarray     # those entries
+    idx: np.ndarray         # their indices in v
+    at: np.ndarray          # and the flat positions of those in an (S, width) pad
+    mirrored: int           # how many have a mirror
+    mirror: np.ndarray      # the mirrors' indices in v, in the order of idx
+
+
+# generator -> [_Stack], like _SECTOR_ENTRIES
+_STACKS = weakref.WeakKeyDictionary()
+
+
+def _stacks(L):
+    """L's sectors as the stacks _blockwise runs, widest first.
+
+    Each stack takes the widest sector not yet placed, of width W, and the
+    next narrower ones while S W^3 stays within STACK_WIDTH^3: while a
+    product is dispatch-bound, a stack pays numpy's call overhead once for
+    S blocks, and once it is not, the sector runs alone. Found on the first
+    call for L, kept while L lives.
+    """
+    stacks = _STACKS.get(L)
+    if stacks is None:
+        parts = sorted(_sector_entries(L), key=lambda part: -len(part[0]))
+        stacks, start = [], 0
+        while start < len(parts):
+            width = len(parts[start][0])
+            members = parts[start:start + max(1, STACK_WIDTH ** 3 // width ** 3)]
+            start += len(members)
+            members.sort(key=lambda part: part[4] is None)
+            # member j's rows start at row j * width of the stacked rows
+            first = [j * width for j in range(len(members))]
+            stacks.append(_Stack(
+                members, width,
+                np.concatenate([(f + r) * width + c for f, (_, r, c, *_) in zip(first, members)]),
+                np.concatenate([e for *_, e, _ in members]),
+                np.concatenate([idx for idx, *_ in members]),
+                np.concatenate([f + np.arange(len(idx)) for f, (idx, *_) in zip(first, members)]),
+                sum(part[4] is not None for part in members),
+                np.concatenate([mirror for *_, mirror in members if mirror is not None]
+                               or [np.empty(0, np.intp)]),
+            ))
+        _STACKS[L] = stacks
+    return stacks
+
+
+def _padded_product(m, x, at):
+    """Each matrix of the stack m times its member's share of x, which
+    fills the flat positions `at` of a zero (S, width) pad."""
+    pad = np.zeros(m.shape[:2], dtype=complex)
+    pad.ravel()[at] = x
+    return np.matmul(m, pad[..., None]).ravel()[at]
+
+
 def _blockwise(L, v, matrix):
-    """matrix(block) @ v on each sector of L and its conjugate on a mirror.
-    A block is scattered when it is reached, so one is dense at a time."""
+    """matrix(stack) @ v on each stack of L's sectors (_stacks), and its
+    conjugate on the mirrors. A stack is scattered when it is reached, so
+    one is dense at a time.
+
+    The zero border is exact: matrix (the exponential, or the RK4 power)
+    maps a zero block to an identity block, and couples nothing across the
+    border, where a member's share of v is zero.
+    """
     out = np.empty_like(v)
-    for idx, r, c, e, mirror in _sector_entries(L):
-        block = np.zeros((len(idx), len(idx)), dtype=complex)
-        block[r, c] = e
+    for s in _stacks(L):
+        block = np.zeros((len(s.parts), s.width, s.width), dtype=complex)
+        block.ravel()[s.pos] = s.entries
         m = matrix(block)
-        out[idx] = m @ v[idx]
-        if mirror is not None:
-            out[mirror] = m.conj() @ v[mirror]
+        out[s.idx] = _padded_product(m, v[s.idx], s.at)
+        if s.mirrored:
+            out[s.mirror] = _padded_product(m[:s.mirrored].conj(), v[s.mirror],
+                                            s.at[:s.mirror.size])
     return out
 
 
@@ -184,30 +267,38 @@ def _taylor_degree(theta):
 
 
 def expm_dense(A):
-    """exp(A) by scaling and squaring with a Taylor polynomial of fixed degree.
+    """exp(A), or exp of each matrix of an (S, n, n) stack, by scaling and
+    squaring with a Taylor polynomial of fixed degree.
 
-    A is scaled to X = A / 2^s with theta = ||X||_1 <= 1/2, and the degree
-    is fixed before any product: m = _taylor_degree(theta) bounds the
-    series' tail by unit roundoff, since the s squarings magnify a
-    truncation error (m <= 14 at theta = 1/2). The polynomial is evaluated
-    by Paterson & Stockmeyer (SIAM J. Comput. 2, 60, 1973): the powers
-    X ... X^p with p = ceil(sqrt(m)), then Horner in X^p over blocks of p
-    coefficients, about 2 sqrt(m) matrix products and no reductions. A
-    non-finite matrix is refused: its norm would fix no degree.
+    Each matrix is scaled by its own 2^-s to X = A / 2^s with
+    theta = ||X||_1 <= 1/2, so a stack scales no member more than it needs
+    (scaling a non-normal matrix too far costs accuracy: Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970, 2009). The degree is fixed before
+    any product: m = _taylor_degree(theta) for the stack's largest theta
+    bounds every member's tail by unit roundoff, since the s squarings
+    magnify a truncation error (m <= 14 at theta = 1/2). The polynomial is
+    evaluated by Paterson & Stockmeyer (SIAM J. Comput. 2, 60, 1973): the
+    powers X ... X^p with p = ceil(sqrt(m)), then Horner in X^p over blocks
+    of p coefficients, about 2 sqrt(m) matrix products and no reductions;
+    then each member is squared its own s times. A stack with a non-finite
+    member is refused: its norm would fix no degree.
     """
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    norm1 = float(np.max(np.sum(np.abs(A), axis=0))) if n else 0.0
-    if not math.isfinite(norm1):
-        raise ValueError(f"matrix exponential needs a finite matrix; its 1-norm is {norm1}")
-    squarings = max(0, int(math.ceil(math.log2(norm1))) + 1) if norm1 > 0.5 else 0
-    scale = 0.5 ** squarings
-    m = _taylor_degree(norm1 * scale)
+    stack = A if A.ndim == 3 else A[None]
+    count, n = stack.shape[:2]
+    norms = np.abs(stack).sum(axis=1).max(axis=1) if n else np.zeros(count)
+    if not np.isfinite(norms).all():
+        bad = norms[~np.isfinite(norms)][0]
+        raise ValueError(f"matrix exponential needs a finite matrix; its 1-norm is {bad}")
+    squarings = np.array([max(0, int(math.ceil(math.log2(x))) + 1) if x > 0.5 else 0
+                          for x in norms.tolist()], dtype=int)
+    scale = np.ldexp(1.0, -squarings)
+    m = _taylor_degree(float(np.max(norms * scale, initial=0.0)))
     p = math.isqrt(max(m - 1, 0)) + 1
     top = max(0, (m - 1) // p)
-    powers = np.empty((p + 1, n, n), dtype=complex)
+    powers = np.empty((p + 1, count, n, n), dtype=complex)
     powers[0] = np.eye(n)
-    powers[1] = A * scale
+    np.multiply(stack, scale[:, None, None], out=powers[1])
     for i in range(2, p + 1):
         np.matmul(powers[i - 1], powers[1], out=powers[i])
     # block j holds the coefficients 1/k! of degrees k = j p ... j p + p - 1;
@@ -216,14 +307,20 @@ def expm_dense(A):
     for k in range(m + 1):
         j = min(k // p, top)
         coef[j, k - j * p] = 1.0 / math.factorial(k)
-    blocks = (coef @ powers.reshape(p + 1, n * n)).reshape(top + 1, n, n)
+    # real coefficients: one real product on the interleaved parts
+    blocks = (coef @ powers.reshape(p + 1, -1).view(float)).view(complex)
+    blocks = blocks.reshape(top + 1, count, n, n)
     acc = blocks[top]
     for j in range(top - 1, -1, -1):
         acc = acc @ powers[p]
         acc += blocks[j]
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+    for j in range(int(squarings.max(initial=0))):
+        live = squarings > j
+        if live.all():
+            acc = acc @ acc
+        else:
+            acc[live] = acc[live] @ acc[live]
+    return acc if A.ndim == 3 else acc[0]
 
 
 def _evolve_inputs(L, rho0, t):
@@ -259,6 +356,11 @@ def expm_evolve(L, rho0, t):
 # the substep's start in the 1-norm, so the sum loses little to cancellation.
 THETA = 4.0
 
+# the most substeps action_evolve runs: its cost grows linearly in t, so a
+# longer run is refused before the first substep, not left to run for hours.
+# verify --suite pdc --dim 96 needs at most 20 (window 160, t = 0.05)
+MAX_SUBSTEPS = 100_000
+
 
 def _norm1(L):
     """L's 1-norm, its largest column sum of |entries|."""
@@ -288,14 +390,18 @@ def action_evolve(L, rho0, t):
 
     exp(L t) v is never formed as a matrix (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488, 2011): t is cut into s = ceil(||L||_1 t / THETA)
-    substeps of h = t / s, and each substep sums the terms (hL)^k v / k!
+    substeps of h = t / s (at most MAX_SUBSTEPS, or t is refused with a
+    ValueError), and each substep sums the terms (hL)^k v / k!
     until one falls below UNIT_ROUNDOFF relative to the running sum, or the
     sum turns non-finite. Every term is one matvec over L's nonzero
     entries, so no block is dense.
     """
     v = vec(_evolve_inputs(L, rho0, t))
-    by_row = _row_entries(L)
     steps = math.ceil(_norm1(L) * t / THETA)
+    if steps > MAX_SUBSTEPS:
+        raise ValueError(f"t = {t:g} is too long for the Taylor action: it needs {steps} "
+                         f"substeps, more than {MAX_SUBSTEPS}; use --engine expm")
+    by_row = _row_entries(L)
     for _ in range(steps):
         term = v
         for k in range(1, 64):
@@ -341,13 +447,13 @@ def _rk4(L, rho0, t, steps):
 
     For d/dt v = L v one RK4 step is v -> M v with
     M = 1 + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so the steps are
-    M**steps applied once, sector by sector (_blockwise).
+    M**steps applied once, a stack of sectors at a time (_blockwise).
     """
     h = t / steps
 
     def power(block):
         hL = block * h
-        eye = np.eye(len(block), dtype=complex)
+        eye = np.eye(block.shape[-1], dtype=complex)
         # Horner form of the degree-4 Taylor step
         m = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
         return np.linalg.matrix_power(m, steps)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -478,6 +479,28 @@ def test_propagate_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert [row[-1] for row in rows] == [-_tau(complex(row[1], row[2])) for row in rows]
 
 
+@pytest.mark.parametrize("engine", ["expm", "rk4"])
+def test_oracle_engines_do_not_depend_on_the_blas_thread_count(tmp_path, engine):
+    # the engines' zero-padded sector stacks write the same bytes at one and
+    # at two BLAS threads
+    cfg = cfg_file(tmp_path, (
+        "model = kerrT\ndim = 20\nchi = 1.0\ngamma_minus = 0.2\ngamma_plus = 0.05\n"
+        "state = cat\nalpha = (1.5-1j)\ncat_phase = 0.4\ntimes = 0.3, 0.8\n"
+    ))
+    src = str(Path(cli.__file__).parents[1])
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c",
+                        "import sys; from fockprop.cli import main; sys.exit(main(sys.argv[1:]))",
+                        "propagate", "--config", cfg, "--out", str(out), "--engine", engine],
+                       env=env, check=True)
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("epsilon", [0.98, 0.99])
 def test_pair_drive_run_near_threshold_matches_untruncated_flow(tmp_path, epsilon):
     # a valid drive just below threshold must be answered, and the vacuum
@@ -831,6 +854,24 @@ def test_a_time_too_long_for_the_generator_exits_2(tmp_path, capsys, times, engi
         err = capsys.readouterr().err
         assert err.startswith(f"error: t = {float(times):g} is too long") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_time_too_long_for_the_action_exits_2_at_once(tmp_path, capsys):
+    # at t = 1e10 the action would run about 1e11 substeps; it refuses the
+    # count before the first one and names the engine that answers at once
+    cfg = cfg_file(tmp_path, "model = kerr0\ndim = 8\nchi = 1.0\ngamma_minus = 0.1\n"
+                             "times = 1e10\n")
+    start = time.perf_counter()
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                 "--engine", "action"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: t = 1e+10 is too long") and err.count("\n") == 1
+    steps = re.search(r"needs (\d+) substeps", err)
+    assert steps and int(steps.group(1)) > 10 ** 11 and "--engine expm" in err
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                 "--engine", "expm"]) == 0
 
 
 def test_propagate_blames_the_engine_for_a_bad_state(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from fockprop.oracle import (
     _row_entries,
     _sector_entries,
     _sectors,
+    _stacks,
     _taylor_degree,
     action_evolve,
     converged_window_reference,
@@ -84,6 +85,85 @@ def test_expm_dense_refuses_a_non_finite_matrix(bad):
     # a nan norm fixes no degree and an infinite one no squaring count
     with pytest.raises(ValueError, match="needs a finite matrix"):
         expm_dense(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def _kerr_blocks(model, dim, t):
+    return [block * t for _, block in _dense_blocks(_matrix(model, dim))]
+
+
+def _stacked(blocks):
+    """The blocks zero-padded to the widest, as one stack."""
+    width = max(len(b) for b in blocks)
+    stack = np.zeros((len(blocks), width, width), dtype=complex)
+    for j, b in enumerate(blocks):
+        stack[j, :len(b), :len(b)] = b
+    return stack
+
+
+@pytest.mark.parametrize("model", ["kerr0", "kerrT"])
+def test_a_stack_scales_each_member_by_its_own_norm(model):
+    # the 27 sector blocks of window 14, scaled to 1-norms from 0.1 to 300
+    # in shuffled order, so each member needs its own squarings (0 to 10).
+    # Padded products round in another order and a member may run at a
+    # higher degree than its own; the squarings magnify that rounding about
+    # in proportion to the 1-norm (measured: 34 unit roundoffs at 1-norms
+    # 25-35, 4 below 1). One squaring count for the whole stack moved
+    # members of 1-norm 0.1-14 by 1,000-2,100 and lost as much against scipy
+    norms = np.geomspace(0.1, 300.0, 2 * 14 - 1)
+    np.random.default_rng(3).shuffle(norms)
+    blocks = [b * (x / np.abs(b).sum(axis=0).max())
+              for b, x in zip(_kerr_blocks(model, 14, 1.0), norms)]
+    out = expm_dense(_stacked(blocks))
+    assert out.shape == (len(blocks), 14, 14)
+    for member, b, norm1 in zip(out, blocks, norms):
+        w = len(b)
+        bound = 16 * UNIT_ROUNDOFF * max(1.0, norm1)
+        alone = expm_dense(b)
+        assert np.all(np.abs(member[:w, :w] - alone) <= bound * np.maximum(1.0, np.abs(alone)))
+        ref = scipy.linalg.expm(b)
+        assert maxabs(member[:w, :w] - ref) <= maxabs(alone - ref) + bound * max(1.0, maxabs(ref))
+
+
+def test_a_stack_with_one_non_finite_member_is_refused():
+    blocks = _kerr_blocks("kerrT", 6, 0.5)
+    stack = _stacked(blocks)
+    stack[4, 0, 0] = math.inf
+    with pytest.raises(ValueError, match="needs a finite matrix"):
+        expm_dense(stack)
+
+
+@pytest.mark.parametrize("evolve, name", [(expm_evolve, "expm_dense"),
+                                          (rk4_evolve, "matrix_power")])
+def test_a_padded_member_s_border_is_exactly_the_identity(monkeypatch, evolve, name):
+    # window 30 runs its widest sectors alone and pads the rest: the
+    # border of each padded member goes in as a zero block (the exponential's
+    # generator) or the identity (the RK4 step) and comes out the identity,
+    # with exact zeros beside it
+    owner = oracle.np.linalg if name == "matrix_power" else oracle
+    seen, inner = [], getattr(owner, name)
+
+    def recorded(a, *args):
+        out = inner(a, *args)
+        seen.append((a.copy(), out))
+        return out
+
+    monkeypatch.setattr(owner, name, recorded)
+    gen, rho0 = _matrix("kerrT", 30), seeded_density(30, 50)
+    evolve(gen, rho0, 0.5)
+    stacks = _stacks(gen)
+    assert len(seen) == len(stacks) and any(len(s.parts) > 1 for s in stacks)
+    padded = 0
+    for s, (a, out) in zip(stacks, seen):
+        assert a.shape == out.shape == (len(s.parts), s.width, s.width)
+        for j, (idx, *_) in enumerate(s.parts):
+            w = len(idx)
+            padded += w < s.width
+            for x in (a[j], out[j]):
+                assert not x[w:, :w].any() and not x[:w, w:].any()
+            eye = np.eye(s.width - w)
+            assert np.array_equal(a[j, w:, w:], eye if name == "matrix_power" else 0 * eye)
+            assert np.array_equal(out[j, w:, w:], eye)
+    assert padded
 
 
 def test_expm_dense_trivial_cases():
@@ -332,26 +412,58 @@ def test_blocking_follows_a_planted_cross_sector_entry():
 # Mirrored sectors
 
 
+def _padded(mat, sets, width):
+    """The blocks of mat on the index sets, each zero-padded to width."""
+    stack = np.zeros((len(sets), width, width), dtype=complex)
+    for j, idx in enumerate(sets):
+        stack[j, :len(idx), :len(idx)] = mat[np.ix_(idx, idx)]
+    return stack
+
+
+def _apply_padded(m, v, sets, out):
+    """out[idx] = m[j] @ v[idx] for the j-th index set, v zero-padded."""
+    x = np.zeros(m.shape[:2], dtype=complex)
+    for j, idx in enumerate(sets):
+        x[j, :len(idx)] = v[idx]
+    y = np.matmul(m, x[..., None])[..., 0]
+    for j, idx in enumerate(sets):
+        out[idx] = y[j, :len(idx)]
+
+
+def _per_sector(gen, rho0, matrix):
+    """matrix on every sector's own block, mirrors included, cut from the
+    dense generator and zero-padded in the stack the engines put it in."""
+    v, mat = vec(rho0), gen.dense()
+    flat = np.arange(gen.dim * gen.dim)
+    tr = flat % gen.dim * gen.dim + flat // gen.dim
+    out = np.empty_like(v)
+    for s in _stacks(gen):
+        own = [idx for idx, *_ in s.parts]
+        _apply_padded(matrix(_padded(mat, own, s.width)), v, own, out)
+        # every member's transposed block, so the stack's norms are the same
+        mirrored = [j for j, (*_, mirror) in enumerate(s.parts) if mirror is not None]
+        if mirrored:
+            m = matrix(_padded(mat, [tr[idx] for idx in own], s.width))
+            _apply_padded(m[mirrored], v, [tr[own[j]] for j in mirrored], out)
+    return out
+
+
 def _per_sector_expm(gen, rho0, t):
     """The exponential with every sector's block exponentiated directly."""
-    v = vec(rho0)
-    out = np.empty_like(v)
-    for idx, block in _dense_blocks(gen):
-        out[idx] = expm_dense(block * t) @ v[idx]
-    return out
+    return _per_sector(gen, rho0, lambda stack: expm_dense(stack * t))
 
 
 def _per_sector_rk4(gen, rho0, t):
     """RK4 at the recommended steps, with every sector's step formed directly."""
-    v = vec(rho0)
     steps = recommended_steps(gen, t)
-    out = np.empty_like(v)
-    for idx, block in _dense_blocks(gen):
-        hL = block * (t / steps)
-        eye = np.eye(len(idx), dtype=complex)
+
+    def power(stack):
+        hL = stack * (t / steps)
+        eye = np.eye(stack.shape[-1], dtype=complex)
         step = eye + hL @ (eye + hL @ (eye / 2 + hL @ (eye / 6 + hL / 24)))
-        out[idx] = np.linalg.matrix_power(step, steps) @ v[idx]
-    return out
+        return np.linalg.matrix_power(step, steps)
+
+    return _per_sector(gen, rho0, power)
 
 
 def _mirrored(gen):
@@ -359,7 +471,7 @@ def _mirrored(gen):
 
 
 @pytest.mark.parametrize("model", ["kerr0", "kerrT"])
-@pytest.mark.parametrize("dim", [2, 3, 8, 13])
+@pytest.mark.parametrize("dim", [2, 3, 8, 13, 30])
 def test_mirrored_sectors_run_bit_for_bit_as_their_own_blocks(model, dim):
     # each sector n - m = k pairs with -k, k = 0 with none; the mirror's
     # exponential and RK4 step are the conjugates of its partner's, exactly
@@ -449,7 +561,7 @@ def test_the_pair_drive_pairs_no_sector(dim):
 @pytest.mark.parametrize("dim", [5, 12])
 def test_a_kerr_exponential_forms_one_block_per_pair(monkeypatch, dim):
     # 2 dim - 1 sectors: k = 0 and dim - 1 pairs, for the exponential and
-    # for the RK4 step's power alike
+    # for the RK4 step's power alike; each call takes a stack of them
     calls = []
 
     def counted(f):
@@ -462,25 +574,27 @@ def test_a_kerr_exponential_forms_one_block_per_pair(monkeypatch, dim):
     monkeypatch.setattr(oracle.np.linalg, "matrix_power", counted(np.linalg.matrix_power))
     gen, rho0 = _matrix("kerrT", dim), seeded_density(dim, 44)
     expm_evolve(gen, rho0, 0.5)
-    assert len(calls) == dim
+    assert sum(calls) == dim
     calls.clear()
     rk4_evolve(gen, rho0, 0.5)
-    assert len(calls) == dim
+    assert sum(calls) == dim
 
 
 def test_the_pairing_is_dropped_with_its_generator():
-    # the sectors and their pairing are kept per generator while it lives
+    # the sectors, their pairing and their stacks are kept per generator
+    # while it lives
     gc.collect()
-    before = len(oracle._SECTOR_ENTRIES)
+    before = len(oracle._SECTOR_ENTRIES), len(oracle._STACKS)
     gen = _matrix("kerrT", 7)
     expm_evolve(gen, seeded_density(7, 45), 0.5)
     assert len(oracle._SECTOR_ENTRIES[gen]) == 7
-    assert len(oracle._SECTOR_ENTRIES) == before + 1
+    assert sum(len(s.parts) for s in oracle._STACKS[gen]) == 7
+    assert (len(oracle._SECTOR_ENTRIES), len(oracle._STACKS)) == (before[0] + 1, before[1] + 1)
     dead = weakref.ref(gen)
     del gen
     gc.collect()
     assert dead() is None
-    assert len(oracle._SECTOR_ENTRIES) == before
+    assert (len(oracle._SECTOR_ENTRIES), len(oracle._STACKS)) == before
 
 
 # ---------------------------------------------------------------------------
